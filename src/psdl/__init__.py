@@ -20,12 +20,9 @@ from .distributions import (
     ScalarDistribution,
     Uniform,
     check_assumptions,
-    excess_lifetime_survival,
     joint_from_spec,
-    joint_to_spec,
-    quadrant_survival,
     scalar_from_spec,
-    scalar_to_spec,
+    to_spec,
 )
 from .engine import (
     JobRecord,
@@ -67,9 +64,7 @@ from .measures import (
     mass_moment_chi,
     project_lead,
     quadrant_distance,
-    quadrant_mass,
     scale_diffusion,
-    scale_fluid,
 )
 from .naive import step_simulate
 from .rbm import RBMPath, RBMSpec, deadline_quantile, simulate, stationary_cdf

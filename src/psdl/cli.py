@@ -11,7 +11,6 @@ inside the simulator or a numerical routine.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -31,8 +30,6 @@ from .manifold import (
 )
 from .measures import grid_quadrant_masses
 from .rbm import deadline_quantile, simulate, stationary_cdf
-
-_FMT = "%.17g"
 
 
 def _out_dir(args, cfg: fileio.ConfigFile) -> Path:
@@ -65,9 +62,7 @@ def cmd_simulate(args) -> int:
         "snapshot_times": list(scenario.snapshot_times),
         "busy_rate_check": busy_rate_check(out),
     }
-    with open(d / "simulate_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fileio.write_json(summary, d / "simulate_summary.json")
     print(f"simulate: {len(out.jobs)} jobs, {len(out.departures())} departures -> {d}")
     return 0
 
@@ -78,12 +73,7 @@ def cmd_lift(args) -> int:
     meas = lift(req.joint, req.alpha, req.z, method=req.method, tol=req.tol)
     d = _out_dir(args, cfg)
     table = grid_quadrant_masses(meas.quadrant, req.grid)
-    rows = (
-        (x, y, table[i, j])
-        for i, x in enumerate(req.grid.x_values)
-        for j, y in enumerate(req.grid.y_values)
-    )
-    fileio._write_csv(d / "lift.csv", ["x", "y", "mass"], rows)
+    fileio.write_lift_csv(table, req.grid, d / "lift.csv")
     summary = {
         "method": meas.method,
         "z": meas.z,
@@ -91,11 +81,7 @@ def cmd_lift(args) -> int:
         "total_mass": meas.total_mass,
         "mass_at_origin": meas.eval(0.0, -np.inf),
     }
-    import json
-
-    with open(d / "lift_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fileio.write_json(summary, d / "lift_summary.json")
     print(f"lift: method={meas.method} z={meas.z:g} -> {d}")
     return 0
 
@@ -117,7 +103,7 @@ def cmd_profiles(args) -> int:
         label = "survival"
     values = [(y, fn(y)) for y in req.y_values]
     d = _out_dir(args, cfg)
-    fileio._write_csv(d / "profile.csv", ["y", label], values)
+    fileio.write_profile_csv(values, label, d / "profile.csv")
     print(f"profiles: {req.profile} at {len(values)} points -> {d}")
     return 0
 
@@ -127,15 +113,13 @@ def cmd_rbm(args) -> int:
     req = fileio.parse_rbm(_require(cfg, "rbm"), args.seed_override)
     path = simulate(req.spec, req.horizon, req.dt, req.seed)
     d = _out_dir(args, cfg)
-    fileio._write_csv(
-        d / "rbm_path.csv", ["t", "x"], zip(path.times, path.values)
-    )
+    fileio.write_rbm_path_csv(path, d / "rbm_path.csv")
     summary = {
         "drift": req.spec.drift,
         "variance": req.spec.variance,
         "time_average": path.time_average(),
         "quantiles": {
-            _FMT % q: deadline_quantile(req.spec, q) for q in req.quantiles
+            fileio.format_value(q): deadline_quantile(req.spec, q) for q in req.quantiles
         },
     }
     if req.spec.drift < 0.0:
@@ -144,11 +128,7 @@ def cmd_rbm(args) -> int:
         summary["stationary_cdf_at_mean"] = stationary_cdf(
             req.spec, summary["stationary_mean"]
         )
-    import json
-
-    with open(d / "rbm_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fileio.write_json(summary, d / "rbm_summary.json")
     print(f"rbm: {path.values.size - 1} steps, time average {path.time_average():.6g} -> {d}")
     return 0
 

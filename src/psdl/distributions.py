@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -44,11 +44,8 @@ __all__ = [
     "LinearJoint",
     "EmpiricalJoint",
     "scalar_from_spec",
-    "scalar_to_spec",
     "joint_from_spec",
-    "joint_to_spec",
-    "excess_lifetime_survival",
-    "quadrant_survival",
+    "to_spec",
     "AssumptionCheck",
     "AssumptionReport",
     "check_assumptions",
@@ -86,6 +83,15 @@ class ScalarDistribution(ABC):
     @abstractmethod
     def excess_survival(self, x: float) -> float:
         """Survival of the excess-lifetime law; 1 for x <= 0."""
+
+    @abstractmethod
+    def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
+        """Vectorized ``excess_survival``; x may contain +/-inf."""
+
+    def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
+        """H(y) = int_0^inf e^{-s u} P(X >= y + u) du on an array of y
+        (y = -inf allowed), for the families where it is closed form."""
+        raise ConfigError(f"no closed form for lead law {self.kind!r} with exponential service")
 
     def variance(self) -> float:
         return self.moment(2.0) - self.mean() ** 2
@@ -128,6 +134,13 @@ class ScalarDistribution(ABC):
             return 0.0
         return m * self.excess_survival(w)
 
+    def tail_integral_array(self, w: np.ndarray) -> np.ndarray:
+        """Vectorized ``tail_integral``; w may contain -inf (giving +inf)."""
+        w = np.asarray(w, dtype=float)
+        m = self.mean()
+        pos = m * self.excess_survival_array(np.maximum(w, 0.0)) if m > 0.0 else np.zeros(w.shape)
+        return np.where(w < 0.0, m - w, pos)
+
 
 @dataclass(frozen=True)
 class Exponential(ScalarDistribution):
@@ -157,6 +170,17 @@ class Exponential(ScalarDistribution):
     def excess_survival(self, x: float) -> float:
         # memoryless: the excess law is the law itself
         return self.survival(x)
+
+    def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
+        return np.exp(-self.rate * np.maximum(np.asarray(x, dtype=float), 0.0))
+
+    def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
+        ys = np.asarray(ys, dtype=float)
+        m = self.rate
+        yn = np.minimum(ys, 0.0)
+        yp = np.maximum(ys, 0.0)
+        e = np.exp(s * yn)  # 0 at y = -inf
+        return np.where(ys >= 0.0, np.exp(-m * yp) / (s + m), (1.0 - e) / s + e / (s + m))
 
 
 @dataclass(frozen=True)
@@ -191,6 +215,13 @@ class Deterministic(ScalarDistribution):
         if x >= self.value:
             return 0.0
         return 1.0 - x / self.value
+
+    def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(1.0 - np.asarray(x, dtype=float) / self.value, 0.0, 1.0)
+
+    def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
+        up = np.maximum(self.value - np.asarray(ys, dtype=float), 0.0)  # +inf at y = -inf
+        return (1.0 - np.exp(-s * up)) / s
 
     def mass_at(self, x: float) -> float:
         return 1.0 if x == self.value else 0.0
@@ -242,6 +273,17 @@ class Uniform(ScalarDistribution):
         else:
             return 0.0
         return tail / self.mean()
+
+    def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.lo, self.hi
+        xx = np.minimum(x, hi)
+        tail = np.where(
+            xx <= lo,
+            (lo - xx) + 0.5 * (hi - lo),
+            0.5 * np.square(hi - xx) / (hi - lo),
+        )
+        return np.where(x >= hi, 0.0, tail / self.mean())
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.lo, self.hi)
@@ -315,6 +357,17 @@ class HyperExponential(ScalarDistribution):
         )
         return tail / self.mean()
 
+    def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
+        xx = np.maximum(np.asarray(x, dtype=float), 0.0)
+        tail = sum(w * np.exp(-r * xx) / r for w, r in zip(self.weights, self.rates))
+        return tail / self.mean()
+
+    def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
+        return sum(
+            w * Exponential(r).shifted_exp_integral_array(ys, s)
+            for w, r in zip(self.weights, self.rates)
+        )
+
 
 @dataclass(frozen=True)
 class PointMassZero(ScalarDistribution):
@@ -341,6 +394,14 @@ class PointMassZero(ScalarDistribution):
 
     def excess_survival(self, x: float) -> float:
         raise ConfigError("excess lifetime undefined for the point mass at zero")
+
+    def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
+        raise ConfigError("excess lifetime undefined for the point mass at zero")
+
+    def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
+        ys = np.asarray(ys, dtype=float)
+        up = np.where(np.isneginf(ys), np.inf, np.maximum(-ys, 0.0))
+        return (1.0 - np.exp(-s * up)) / s
 
     def mass_at(self, x: float) -> float:
         return 1.0 if x == 0.0 else 0.0
@@ -371,74 +432,10 @@ def scalar_from_spec(spec: dict) -> ScalarDistribution:
     cls = _SCALAR_KINDS.get(kind)
     if cls is None:
         raise ConfigError(f"unknown scalar distribution kind {kind!r}")
-    if kind == "hyperexponential":
-        try:
-            params = {"weights": tuple(params["weights"]), "rates": tuple(params["rates"])}
-        except KeyError as exc:
-            raise ConfigError(f"hyperexponential spec missing {exc}") from None
     try:
         return cls(**params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for {kind!r}: {exc}") from None
-
-
-def scalar_to_spec(d: ScalarDistribution) -> dict:
-    out: dict = {"kind": d.kind}
-    if isinstance(d, Exponential):
-        out["rate"] = d.rate
-    elif isinstance(d, Deterministic):
-        out["value"] = d.value
-    elif isinstance(d, Uniform):
-        out.update(lo=d.lo, hi=d.hi)
-    elif isinstance(d, HyperExponential):
-        out.update(weights=list(d.weights), rates=list(d.rates))
-    return out
-
-
-def excess_lifetime_survival(dist: ScalarDistribution, x: float) -> float:
-    """Survival of the excess-lifetime (equilibrium) law of ``dist`` at x.
-
-    Equals (1/m) * int_x^inf P(X >= u) du with m the mean of ``dist``;
-    returns 1 for x <= 0.
-    """
-    return dist.excess_survival(x)
-
-
-def excess_survival_array(dist: ScalarDistribution, x: np.ndarray) -> np.ndarray:
-    """Vectorized ``excess_survival``; x may contain +/-inf."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(dist, Exponential):
-        return np.exp(-dist.rate * np.maximum(x, 0.0))
-    if isinstance(dist, Deterministic):
-        return np.clip(1.0 - x / dist.value, 0.0, 1.0)
-    if isinstance(dist, Uniform):
-        lo, hi, m = dist.lo, dist.hi, dist.mean()
-        xx = np.minimum(x, hi)
-        tail = np.where(
-            xx <= lo,
-            (lo - xx) + 0.5 * (hi - lo),
-            0.5 * np.square(hi - xx) / (hi - lo),
-        )
-        return np.where(x >= hi, 0.0, tail / m)
-    if isinstance(dist, HyperExponential):
-        xx = np.maximum(x, 0.0)
-        tail = sum(
-            w * np.exp(-r * xx) / r for w, r in zip(dist.weights, dist.rates)
-        )
-        return tail / dist.mean()
-    out = np.empty(x.shape)
-    flat, src = out.ravel(), x.ravel()
-    for i, v in enumerate(src):
-        flat[i] = dist.excess_survival(float(v))
-    return out
-
-
-def tail_integral_array(dist: ScalarDistribution, w: np.ndarray) -> np.ndarray:
-    """Vectorized ``tail_integral``; w may contain -inf (giving +inf)."""
-    w = np.asarray(w, dtype=float)
-    m = dist.mean()
-    pos = m * excess_survival_array(dist, np.maximum(w, 0.0)) if m > 0.0 else np.zeros(w.shape)
-    return np.where(w < 0.0, m - w, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +465,22 @@ class JointDistribution(ABC):
     @abstractmethod
     def service_mass_at_zero(self) -> float: ...
 
+    @abstractmethod
+    def service_upper(self) -> float:
+        """Supremum of the service support (may be inf)."""
+
+    @abstractmethod
+    def lead_upper(self) -> float:
+        """Supremum of the lead support (may be inf)."""
+
+    @abstractmethod
+    def service_breakpoints(self) -> tuple[float, ...]:
+        """Service values where quadrant sections have a kink or a jump."""
+
+    @abstractmethod
+    def lead_breakpoints(self) -> tuple[float, ...]:
+        """Lead values where quadrant sections have a kink or a jump."""
+
     moment_exponent: float
 
     def service_std(self) -> float:
@@ -479,8 +492,29 @@ class JointDistribution(ABC):
             raise ConfigError(f"residual threshold must be >= 0, got {x}")
 
 
+class _ScalarServiceJoint(JointDistribution):
+    """Joint laws whose service marginal is the scalar law ``service``."""
+
+    service: ScalarDistribution
+
+    def mean_service(self) -> float:
+        return self.service.mean()
+
+    def service_moment(self, k: float) -> float:
+        return self.service.moment(k)
+
+    def service_mass_at_zero(self) -> float:
+        return self.service.mass_at(0.0)
+
+    def service_upper(self) -> float:
+        return self.service.support_upper()
+
+    def service_breakpoints(self) -> tuple[float, ...]:
+        return self.service.breakpoints()
+
+
 @dataclass(frozen=True)
-class ProductJoint(JointDistribution):
+class ProductJoint(_ScalarServiceJoint):
     """Independent service and lead."""
 
     service: ScalarDistribution
@@ -503,18 +537,15 @@ class ProductJoint(JointDistribution):
         l = self.lead.sample(rng)
         return v, l
 
-    def mean_service(self) -> float:
-        return self.service.mean()
+    def lead_upper(self) -> float:
+        return self.lead.support_upper()
 
-    def service_moment(self, k: float) -> float:
-        return self.service.moment(k)
-
-    def service_mass_at_zero(self) -> float:
-        return self.service.mass_at(0.0)
+    def lead_breakpoints(self) -> tuple[float, ...]:
+        return self.lead.breakpoints()
 
 
 @dataclass(frozen=True)
-class LinearJoint(JointDistribution):
+class LinearJoint(_ScalarServiceJoint):
     """Lead proportional to service: lead = c * service, c > 0."""
 
     service: ScalarDistribution
@@ -538,14 +569,11 @@ class LinearJoint(JointDistribution):
         v = self.service.sample(rng)
         return v, self.c * v
 
-    def mean_service(self) -> float:
-        return self.service.mean()
+    def lead_upper(self) -> float:
+        return self.c * self.service.support_upper()
 
-    def service_moment(self, k: float) -> float:
-        return self.service.moment(k)
-
-    def service_mass_at_zero(self) -> float:
-        return self.service.mass_at(0.0)
+    def lead_breakpoints(self) -> tuple[float, ...]:
+        return tuple(self.c * s for s in self.service.breakpoints())
 
 
 @dataclass(frozen=True)
@@ -600,6 +628,18 @@ class EmpiricalJoint(JointDistribution):
     def service_mass_at_zero(self) -> float:
         return sum(w for (s, _), w in zip(self.points, self.weights) if s == 0.0)
 
+    def service_upper(self) -> float:
+        return max(s for s, _ in self.points)
+
+    def lead_upper(self) -> float:
+        return max(l for _, l in self.points)
+
+    def service_breakpoints(self) -> tuple[float, ...]:
+        return tuple(sorted({s for s, _ in self.points}))
+
+    def lead_breakpoints(self) -> tuple[float, ...]:
+        return tuple(sorted({l for _, l in self.points}))
+
 
 _JOINT_KINDS = {c.kind: c for c in (ProductJoint, LinearJoint, EmpiricalJoint)}
 
@@ -634,33 +674,19 @@ def joint_from_spec(spec: dict) -> JointDistribution:
         raise ConfigError(f"joint spec for {kind!r} missing field {exc}") from None
 
 
-def joint_to_spec(d: JointDistribution) -> dict:
-    if isinstance(d, ProductJoint):
-        return {
-            "kind": "product",
-            "service": scalar_to_spec(d.service),
-            "lead": scalar_to_spec(d.lead),
-            "moment_exponent": d.moment_exponent,
-        }
-    if isinstance(d, LinearJoint):
-        return {
-            "kind": "linear",
-            "service": scalar_to_spec(d.service),
-            "c": d.c,
-            "moment_exponent": d.moment_exponent,
-        }
-    assert isinstance(d, EmpiricalJoint)
-    return {
-        "kind": "empirical",
-        "points": [list(p) for p in d.points],
-        "weights": list(d.weights),
-        "moment_exponent": d.moment_exponent,
-    }
+def to_spec(d: ScalarDistribution | JointDistribution) -> dict:
+    """Plain-dict form of a scalar or joint law, read back by
+    ``scalar_from_spec`` / ``joint_from_spec``: the kind plus every
+    dataclass field, with nested laws as nested specs and tuples as lists."""
+    return {"kind": d.kind, **{f.name: _plain(getattr(d, f.name)) for f in fields(d)}}
 
 
-def quadrant_survival(d: JointDistribution, x: float, y: float) -> float:
-    """Mass the joint law puts on the closed quadrant [x, oo) x [y, oo)."""
-    return d.quadrant_survival(x, y)
+def _plain(v):
+    if isinstance(v, (ScalarDistribution, JointDistribution)):
+        return to_spec(v)
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import fsum
 
@@ -46,7 +45,6 @@ from .measures import PointMeasure, QuadrantGrid, grid_quadrant_masses
 __all__ = [
     "ScenarioConfig",
     "JobRecord",
-    "EngineState",
     "PathLog",
     "SimOutput",
     "TrafficStream",
@@ -83,6 +81,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.interarrival.mean() <= 0.0:
             raise ConfigError("interarrival law must have positive mean")
         if not (self.lead_scale > 0.0 and math.isfinite(self.lead_scale)):
@@ -217,18 +217,6 @@ class SimOutput:
         if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise ConfigError(f"no snapshot recorded at t={t}; nearest is {times[i]}")
         return self.snapshots[i]
-
-    def service_integral_at(self, t: float) -> float:
-        """S at a recorded event time (exact lookup, last event at t)."""
-        times = self.path.times
-        i = bisect_left(times, t)
-        hits = [k for k in (i - 1, i, i + 1) if 0 <= k < times.size and times[k] == t]
-        if not hits:
-            raise ConfigError(f"t={t} is not a recorded event time")
-        k = hits[-1]
-        while k + 1 < times.size and times[k + 1] == t:
-            k += 1
-        return float(self.path.s[k])
 
 
 _PRIORITY = {"departure": 0, "arrival": 1, "snapshot": 2, "end": 3}

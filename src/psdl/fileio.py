@@ -13,15 +13,16 @@ schema_version, an optional output_dir, and exactly one request block:
 Floats in CSVs are printed with 17 significant digits and JSON is
 dumped with sorted keys, so identical runs produce identical bytes.
 Unknown keys anywhere are rejected: a typo should fail loudly, not
-silently fall back to a default.
+silently fall back to a default.  A missing field or a value of the
+wrong type or form raises ConfigError as well.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,9 @@ from .distributions import (
 )
 from .engine import ScenarioConfig, SimOutput
 from .errors import ConfigError
-from .harness import CollapseReport, SweepConfig
+from .harness import CollapseReport, SweepConfig, SweepRow
 from .measures import QuadrantGrid, default_grid
-from .rbm import RBMSpec
+from .rbm import RBMPath, RBMSpec
 
 __all__ = [
     "ConfigFile",
@@ -49,6 +50,8 @@ __all__ = [
     "parse_lift",
     "parse_profile",
     "parse_rbm",
+    "format_value",
+    "write_json",
     "write_departures_csv",
     "write_path_csv",
     "write_snapshots_csv",
@@ -56,13 +59,18 @@ __all__ = [
     "write_report_json",
     "write_collapse_vs_r_csv",
     "write_profile_overlay_csv",
+    "write_lift_csv",
+    "write_profile_csv",
+    "write_rbm_path_csv",
 ]
 
 _FMT = "%.17g"
 _REQUEST_KEYS = ("scenario", "sweep", "lift", "profile", "rbm")
 
 
-def _fmt(v) -> str:
+def format_value(v) -> str:
+    """CSV cell text: empty for None, integers and strings as they are,
+    floats with 17 significant digits."""
     if v is None:
         return ""
     if isinstance(v, (int, np.integer)):
@@ -76,6 +84,27 @@ def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
     extra = set(d) - allowed
     if extra:
         raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
+
+
+def _parser(where: str):
+    """Make a parse_* function report a missing field, or a value it cannot
+    convert, in the ``where`` block as ConfigError."""
+
+    def decorate(parse):
+        @functools.wraps(parse)
+        def checked(*args, **kwargs):
+            try:
+                return parse(*args, **kwargs)
+            except ConfigError:
+                raise
+            except KeyError as exc:
+                raise ConfigError(f"{where} missing required field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value in {where}: {exc}") from None
+
+        return checked
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -120,6 +149,7 @@ def load_config(path) -> ConfigFile:
 # ---------------------------------------------------------------------------
 
 
+@_parser("scenario")
 def parse_scenario(payload: dict, seed_override: int | None = None) -> ScenarioConfig:
     allowed = {
         "interarrival",
@@ -134,12 +164,9 @@ def parse_scenario(payload: dict, seed_override: int | None = None) -> ScenarioC
         "label",
     }
     _reject_unknown(payload, allowed, "scenario")
-    try:
-        interarrival = scalar_from_spec(payload["interarrival"])
-        joint = joint_from_spec(payload["joint"])
-        horizon = float(payload["horizon"])
-    except KeyError as exc:
-        raise ConfigError(f"scenario missing required field {exc}") from None
+    interarrival = scalar_from_spec(payload["interarrival"])
+    joint = joint_from_spec(payload["joint"])
+    horizon = float(payload["horizon"])
     first = payload.get("first_interarrival")
     init = payload.get("initial_jobs", "empty")
     if init == "empty":
@@ -170,15 +197,8 @@ def _parse_grid(spec: dict | None) -> QuadrantGrid:
         return default_grid()
     allowed = {"x_max", "x_step", "y_min", "y_max", "y_step"}
     _reject_unknown(spec, allowed, "grid")
-    try:
-        x_max, x_step = float(spec["x_max"]), float(spec["x_step"])
-        y_min, y_max, y_step = (
-            float(spec["y_min"]),
-            float(spec["y_max"]),
-            float(spec["y_step"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"grid spec missing field {exc}") from None
+    x_max, x_step = float(spec["x_max"]), float(spec["x_step"])
+    y_min, y_max, y_step = float(spec["y_min"]), float(spec["y_max"]), float(spec["y_step"])
     if x_step <= 0 or y_step <= 0 or x_max <= 0 or y_max <= y_min:
         raise ConfigError("grid steps must be positive and y_max > y_min")
     nx = int(round(x_max / x_step))
@@ -188,6 +208,7 @@ def _parse_grid(spec: dict | None) -> QuadrantGrid:
     return QuadrantGrid(xs, ys)
 
 
+@_parser("sweep")
 def parse_sweep(payload: dict, seed_override: int | None = None) -> SweepConfig:
     allowed = {
         "joint",
@@ -203,25 +224,22 @@ def parse_sweep(payload: dict, seed_override: int | None = None) -> SweepConfig:
         "grid",
     }
     _reject_unknown(payload, allowed, "sweep")
-    try:
-        seed_base = int(payload["seed_base"])
-        if seed_override is not None:
-            seed_base = seed_override
-        return SweepConfig(
-            joint=joint_from_spec(payload["joint"]),
-            alpha=float(payload["alpha"]),
-            gamma=float(payload["gamma"]),
-            r_values=tuple(float(r) for r in payload["r_values"]),
-            T=float(payload["T"]),
-            snapshot_times=tuple(float(t) for t in payload["snapshot_times"]),
-            replications=int(payload["replications"]),
-            seed_base=seed_base,
-            sojourn_window=float(payload.get("sojourn_window", 300.0)),
-            interarrival_kind=str(payload.get("interarrival_kind", "exponential")),
-            grid=_parse_grid(payload.get("grid")),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"sweep missing required field {exc}") from None
+    seed_base = int(payload["seed_base"])
+    if seed_override is not None:
+        seed_base = seed_override
+    return SweepConfig(
+        joint=joint_from_spec(payload["joint"]),
+        alpha=float(payload["alpha"]),
+        gamma=float(payload["gamma"]),
+        r_values=tuple(float(r) for r in payload["r_values"]),
+        T=float(payload["T"]),
+        snapshot_times=tuple(float(t) for t in payload["snapshot_times"]),
+        replications=int(payload["replications"]),
+        seed_base=seed_base,
+        sojourn_window=float(payload.get("sojourn_window", 300.0)),
+        interarrival_kind=str(payload.get("interarrival_kind", "exponential")),
+        grid=_parse_grid(payload.get("grid")),
+    )
 
 
 @dataclass(frozen=True)
@@ -234,20 +252,18 @@ class LiftRequest:
     grid: QuadrantGrid
 
 
+@_parser("lift")
 def parse_lift(payload: dict) -> LiftRequest:
     allowed = {"joint", "alpha", "z", "method", "tol", "grid"}
     _reject_unknown(payload, allowed, "lift")
-    try:
-        return LiftRequest(
-            joint=joint_from_spec(payload["joint"]),
-            alpha=float(payload["alpha"]),
-            z=float(payload["z"]),
-            method=str(payload.get("method", "auto")),
-            tol=float(payload.get("tol", 1e-6)),
-            grid=_parse_grid(payload.get("grid")),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"lift request missing field {exc}") from None
+    return LiftRequest(
+        joint=joint_from_spec(payload["joint"]),
+        alpha=float(payload["alpha"]),
+        z=float(payload["z"]),
+        method=str(payload.get("method", "auto")),
+        tol=float(payload.get("tol", 1e-6)),
+        grid=_parse_grid(payload.get("grid")),
+    )
 
 
 _PROFILE_KINDS = ("lead_product", "time_in_queue", "sojourn", "linear_deadline")
@@ -264,24 +280,19 @@ class ProfileRequest:
     c: float | None = None
 
 
+@_parser("profile")
 def parse_profile(payload: dict) -> ProfileRequest:
     allowed = {"profile", "nu", "lam", "alpha", "c", "z", "y_values"}
     _reject_unknown(payload, allowed, "profile")
     kind = payload.get("profile")
     if kind not in _PROFILE_KINDS:
         raise ConfigError(f"profile must be one of {_PROFILE_KINDS}, got {kind!r}")
-    try:
-        nu = scalar_from_spec(payload["nu"])
-        z = float(payload["z"])
-        ys_spec = payload["y_values"]
-    except KeyError as exc:
-        raise ConfigError(f"profile request missing field {exc}") from None
+    nu = scalar_from_spec(payload["nu"])
+    z = float(payload["z"])
+    ys_spec = payload["y_values"]
     if isinstance(ys_spec, dict):
         _reject_unknown(ys_spec, {"y_min", "y_max", "n"}, "y_values")
-        try:
-            ys = np.linspace(float(ys_spec["y_min"]), float(ys_spec["y_max"]), int(ys_spec["n"]))
-        except KeyError as exc:
-            raise ConfigError(f"y_values range missing field {exc}") from None
+        ys = np.linspace(float(ys_spec["y_min"]), float(ys_spec["y_max"]), int(ys_spec["n"]))
         y_values = tuple(float(y) for y in ys)
     else:
         y_values = tuple(float(y) for y in ys_spec)
@@ -312,19 +323,17 @@ class RBMRequest:
     quantiles: tuple[float, ...]
 
 
+@_parser("rbm")
 def parse_rbm(payload: dict, seed_override: int | None = None) -> RBMRequest:
     allowed = {"drift", "variance", "x0", "horizon", "dt", "seed", "quantiles"}
     _reject_unknown(payload, allowed, "rbm")
-    try:
-        spec = RBMSpec(
-            drift=float(payload["drift"]),
-            variance=float(payload["variance"]),
-            x0=float(payload.get("x0", 0.0)),
-        )
-        horizon = float(payload["horizon"])
-        dt = float(payload["dt"])
-    except KeyError as exc:
-        raise ConfigError(f"rbm request missing field {exc}") from None
+    spec = RBMSpec(
+        drift=float(payload["drift"]),
+        variance=float(payload["variance"]),
+        x0=float(payload.get("x0", 0.0)),
+    )
+    horizon = float(payload["horizon"])
+    dt = float(payload["dt"])
     seed = int(payload.get("seed", 0))
     if seed_override is not None:
         seed = seed_override
@@ -347,7 +356,13 @@ def _write_csv(path, header: list[str], rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([_fmt(v) for v in row])
+            w.writerow([format_value(v) for v in row])
+
+
+def write_json(data: dict, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_departures_csv(out: SimOutput, path) -> None:
@@ -382,27 +397,12 @@ def write_snapshots_csv(out: SimOutput, path) -> None:
 
 
 def write_rows_csv(report: CollapseReport, path) -> None:
-    header = [
-        "r",
-        "replication",
-        "t",
-        "n_jobs",
-        "z_scaled",
-        "w_scaled",
-        "collapse_error",
-        "lead_profile_error",
-        "lateness_fraction",
-        "sojourn_n",
-        "sojourn_ks",
-        "sojourn_flag",
-    ]
-    _write_csv(path, header, (tuple(row.as_dict()[k] for k in header) for row in report.rows))
+    header = [f.name for f in fields(SweepRow)]
+    _write_csv(path, header, (astuple(row) for row in report.rows))
 
 
 def write_report_json(report: CollapseReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_json_dict(), path)
 
 
 def write_collapse_vs_r_csv(report: CollapseReport, path) -> None:
@@ -431,3 +431,22 @@ def write_profile_overlay_csv(report: CollapseReport, path) -> None:
                 yield (ov.r, ov.t, y, e, l)
 
     _write_csv(path, ["r", "t", "y", "empirical_survival", "limit_survival"], rows())
+
+
+def write_lift_csv(table: np.ndarray, grid: QuadrantGrid, path) -> None:
+    """One row per grid node: the quadrant mass table[i, j] at (x_i, y_j)."""
+    rows = (
+        (x, y, table[i, j])
+        for i, x in enumerate(grid.x_values)
+        for j, y in enumerate(grid.y_values)
+    )
+    _write_csv(path, ["x", "y", "mass"], rows)
+
+
+def write_profile_csv(values, label: str, path) -> None:
+    """(y, profile value) pairs under the header y,<label>."""
+    _write_csv(path, ["y", label], values)
+
+
+def write_rbm_path_csv(rbm: RBMPath, path) -> None:
+    _write_csv(path, ["t", "x"], zip(rbm.times, rbm.values))

@@ -22,23 +22,21 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .distributions import (
     Deterministic,
-    EmpiricalJoint,
     Exponential,
     JointDistribution,
-    LinearJoint,
-    ProductJoint,
     ScalarDistribution,
     Uniform,
     check_assumptions,
-    joint_to_spec,
+    to_spec,
 )
 from .engine import ScenarioConfig, SimOutput, run
 from .errors import ConfigError
@@ -104,6 +102,8 @@ class SweepConfig:
         object.__setattr__(self, "snapshot_times", ts)
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.seed_base < 0:
+            raise ConfigError(f"seed_base must be >= 0, got {self.seed_base}")
         if self.sojourn_window < 0.0:
             raise ConfigError("sojourn_window must be >= 0")
         if self.interarrival_kind not in _INTERARRIVAL_KINDS:
@@ -193,12 +193,6 @@ def _ks_distance(samples: np.ndarray, cdf: Callable[[float], float]) -> float:
     return float(max(np.max(steps[1:] - f), np.max(f - steps[:-1])))
 
 
-def _service_law(joint: JointDistribution) -> ScalarDistribution | None:
-    if isinstance(joint, (ProductJoint, LinearJoint)):
-        return joint.service
-    return None
-
-
 def sojourn_snapshot_experiment(
     out: SimOutput, r: float, t: float, window: float, nu: ScalarDistribution
 ) -> SojournSample:
@@ -253,20 +247,7 @@ class SweepRow:
     sojourn_flag: str
 
     def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "replication": self.replication,
-            "t": self.t,
-            "n_jobs": self.n_jobs,
-            "z_scaled": self.z_scaled,
-            "w_scaled": self.w_scaled,
-            "collapse_error": self.collapse_error,
-            "lead_profile_error": self.lead_profile_error,
-            "lateness_fraction": self.lateness_fraction,
-            "sojourn_n": self.sojourn_n,
-            "sojourn_ks": self.sojourn_ks,
-            "sojourn_flag": self.sojourn_flag,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -300,7 +281,7 @@ class CollapseReport:
 def _run_cell(sweep: SweepConfig, r_idx: int, replication: int) -> tuple[list[SweepRow], list[OverlayCurve]]:
     r = sweep.r_values[r_idx]
     out = run(build_scenario(sweep, r, replication))
-    nu = _service_law(sweep.joint)
+    nu = getattr(sweep.joint, "service", None)  # empirical laws have no service marginal
     grid = sweep.grid
     rows: list[SweepRow] = []
     overlays: list[OverlayCurve] = []
@@ -413,8 +394,9 @@ def _grid_echo(grid: QuadrantGrid) -> dict:
 def run_sweep(sweep: SweepConfig, threads: int = 1) -> CollapseReport:
     """Execute every (r, replication) cell and assemble the report.
 
-    threads > 1 fans cells out to a process pool; row order, and hence
-    serialized output, is independent of the worker count.
+    threads > 1 fans cells out to a process pool of at most one worker
+    per task and per CPU; row order, and hence serialized output, is
+    independent of the worker count.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -423,9 +405,10 @@ def run_sweep(sweep: SweepConfig, threads: int = 1) -> CollapseReport:
         for ri in range(len(sweep.r_values))
         for rep in range(sweep.replications)
     ]
-    if threads > 1:
-        chunk = max(1, len(tasks) // (threads * 4))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell_star, tasks, chunksize=chunk))
     else:
         results = [_run_cell_star(args) for args in tasks]
@@ -436,7 +419,7 @@ def run_sweep(sweep: SweepConfig, threads: int = 1) -> CollapseReport:
     a = _interarrival_law(sweep.interarrival_kind, sweep.alpha).std()
     theory = ht_params(sweep.alpha, a, sweep.joint.service_std(), sweep.gamma)
     config_echo = {
-        "joint": joint_to_spec(sweep.joint),
+        "joint": to_spec(sweep.joint),
         "alpha": sweep.alpha,
         "gamma": sweep.gamma,
         "r_values": list(sweep.r_values),
@@ -448,20 +431,9 @@ def run_sweep(sweep: SweepConfig, threads: int = 1) -> CollapseReport:
         "interarrival_kind": sweep.interarrival_kind,
         "grid": _grid_echo(sweep.grid),
     }
-    theory_echo = {
-        "alpha": theory.alpha,
-        "interarrival_std": theory.interarrival_std,
-        "service_std": theory.service_std,
-        "gamma": theory.gamma,
-        "queue_workload_ratio": theory.queue_workload_ratio,
-        "workload_drift": theory.workload_drift,
-        "workload_var": theory.workload_var,
-        "queue_drift": theory.queue_drift,
-        "queue_var": theory.queue_var,
-    }
     return CollapseReport(
         config=config_echo,
-        theory=theory_echo,
+        theory=asdict(theory),
         rows=rows,
         overlays=overlays,
         aggregates=_aggregate(sweep, rows),

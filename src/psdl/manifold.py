@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .distributions import (
     Deterministic,
-    EmpiricalJoint,
     Exponential,
     HyperExponential,
     JointDistribution,
@@ -43,10 +41,6 @@ from .distributions import (
     PointMassZero,
     ProductJoint,
     ScalarDistribution,
-    Uniform,
-    excess_lifetime_survival,
-    excess_survival_array,
-    tail_integral_array,
 )
 from .errors import ConfigError
 from .measures import QuadrantFunction
@@ -63,7 +57,7 @@ __all__ = [
     "ht_params",
 ]
 
-_METHODS = ("auto", "quadrature", "closed_form_product", "closed_form_linear", "closed_form_tiq")
+_METHODS = ("auto", "quadrature")
 
 
 @dataclass(frozen=True)
@@ -89,47 +83,15 @@ class InvariantMeasure:
 
 
 # ---------------------------------------------------------------------------
-# closed-form builders; each returns a vectorized grid function, the
-# scalar eval just runs it on a 1 x 1 grid
+# closed-form builders; each returns a vectorized grid function
 # ---------------------------------------------------------------------------
-
-
-def _from_grid_fn(grid_fn: Callable, total: float) -> QuadrantFunction:
-    def ev(x: float, y: float) -> float:
-        return float(grid_fn(np.array([x]), np.array([y]))[0, 0])
-
-    return QuadrantFunction(eval_fn=ev, total_mass=total, grid_fn=grid_fn)
-
-
-def _shifted_exp_integral_grid(lam: ScalarDistribution, ys: np.ndarray, s: float) -> np.ndarray:
-    """H(y) = int_0^inf e^{-s u} P(lead >= y + u) du for scalar lead laws."""
-    ys = np.asarray(ys, dtype=float)
-    if isinstance(lam, PointMassZero):
-        up = np.where(np.isneginf(ys), np.inf, np.maximum(-ys, 0.0))
-        return (1.0 - np.exp(-s * up)) / s
-    if isinstance(lam, Exponential):
-        m = lam.rate
-        yn = np.minimum(ys, 0.0)
-        yp = np.maximum(ys, 0.0)
-        e = np.exp(s * yn)  # 0 at y = -inf
-        return np.where(ys >= 0.0, np.exp(-m * yp) / (s + m), (1.0 - e) / s + e / (s + m))
-    if isinstance(lam, Deterministic):
-        up = np.maximum(lam.value - ys, 0.0)  # +inf at y = -inf
-        return (1.0 - np.exp(-s * up)) / s
-    if isinstance(lam, HyperExponential):
-        out = np.zeros(ys.shape)
-        for w, r in zip(lam.weights, lam.rates):
-            out = out + w * _shifted_exp_integral_grid(Exponential(r), ys, s)
-        return out
-    raise ConfigError(f"no closed form for lead law {lam.kind!r} with exponential service")
 
 
 def _exp_service_builder(nu: Exponential, lam: ScalarDistribution, alpha: float, z: float):
     n = nu.rate
-    s = n / z
 
     def grid_fn(xs, ys):
-        h = _shifted_exp_integral_grid(lam, ys, s)
+        h = lam.shifted_exp_integral_array(ys, n / z)
         return alpha * np.exp(-n * np.asarray(xs, dtype=float))[:, None] * h[None, :]
 
     return grid_fn
@@ -141,8 +103,8 @@ def _det_lead_builder(nu: ScalarDistribution, lead_value: float, alpha: float, z
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         window = np.where(np.isneginf(ys), np.inf, np.maximum(lead_value - ys, 0.0))
-        t0 = tail_integral_array(nu, xs)[:, None]
-        t1 = tail_integral_array(nu, xs[:, None] + window[None, :] / z)
+        t0 = nu.tail_integral_array(xs)[:, None]
+        t1 = nu.tail_integral_array(xs[:, None] + window[None, :] / z)
         return alpha * z * (t0 - t1)
 
     return grid_fn
@@ -157,8 +119,8 @@ def _det_service_builder(nu: Deterministic, lam: ScalarDistribution, alpha: floa
         span = z * np.maximum(d - xs, 0.0)  # u-window where the service tail is 1
         neg = np.isneginf(ys)
         ysf = np.where(neg, 0.0, ys)
-        t0 = tail_integral_array(lam, ysf)[None, :]
-        t1 = tail_integral_array(lam, ysf[None, :] + span[:, None])
+        t0 = lam.tail_integral_array(ysf)[None, :]
+        t1 = lam.tail_integral_array(ysf[None, :] + span[:, None])
         out = alpha * (t0 - t1)
         if np.any(neg):
             out[:, neg] = alpha * span[:, None]
@@ -203,51 +165,21 @@ def _linear_exp_builder(nu: Exponential, c: float, alpha: float, z: float):
 # ---------------------------------------------------------------------------
 
 
-def _service_upper(joint: JointDistribution) -> float:
-    if isinstance(joint, (ProductJoint, LinearJoint)):
-        return joint.service.support_upper()
-    assert isinstance(joint, EmpiricalJoint)
-    return max(s for s, _ in joint.points)
-
-
-def _lead_upper(joint: JointDistribution) -> float:
-    if isinstance(joint, ProductJoint):
-        return joint.lead.support_upper()
-    if isinstance(joint, LinearJoint):
-        return joint.c * joint.service.support_upper()
-    assert isinstance(joint, EmpiricalJoint)
-    return max(l for _, l in joint.points)
-
-
-def _service_breaks(joint: JointDistribution) -> tuple[float, ...]:
-    if isinstance(joint, (ProductJoint, LinearJoint)):
-        return joint.service.breakpoints()
-    assert isinstance(joint, EmpiricalJoint)
-    return tuple(sorted({s for s, _ in joint.points}))
-
-
-def _lead_breaks(joint: JointDistribution) -> tuple[float, ...]:
-    if isinstance(joint, ProductJoint):
-        return joint.lead.breakpoints()
-    if isinstance(joint, LinearJoint):
-        return tuple(joint.c * s for s in joint.service.breakpoints())
-    assert isinstance(joint, EmpiricalJoint)
-    return tuple(sorted({l for _, l in joint.points}))
-
-
 def _quadrature_builder(joint: JointDistribution, alpha: float, z: float, tol: float):
     mean = joint.mean_service()
     step = z * mean / 50.0
+    su, lu = joint.service_upper(), joint.lead_upper()
+    service_breaks, lead_breaks = joint.service_breakpoints(), joint.lead_breakpoints()
+    # the deadline line c v = y crosses the residual line at one u
+    c = joint.c if isinstance(joint, LinearJoint) and z != joint.c else None
 
     def ev(x: float, y: float) -> float:
         def g(u: float) -> float:
             return joint.quadrant_survival(x + u / z, y + u)
 
         bounds = []
-        su = _service_upper(joint)
         if math.isfinite(su):
             bounds.append(z * max(su - x, 0.0))
-        lu = _lead_upper(joint)
         if not math.isinf(y) and math.isfinite(lu):
             bounds.append(max(lu - y, 0.0))
         if bounds:
@@ -257,17 +189,22 @@ def _quadrature_builder(joint: JointDistribution, alpha: float, z: float, tol: f
         if upper <= 0.0:
             return 0.0
 
-        cuts = [z * (s - x) for s in _service_breaks(joint)]
+        cuts = [z * (s - x) for s in service_breaks]
         if not math.isinf(y):
-            cuts.extend(l - y for l in _lead_breaks(joint))
-            if isinstance(joint, LinearJoint) and z != joint.c:
-                cuts.append(z * (y - joint.c * x) / (joint.c - z))
+            cuts.extend(l - y for l in lead_breaks)
+            if c is not None:
+                cuts.append(z * (y - c * x) / (c - z))
         cuts = [u for u in cuts if 0.0 < u < upper]
         return alpha * integrate(
             g, 0.0, upper, tol=tol / alpha, breakpoints=cuts, initial_step=step
         )
 
-    return ev
+    def grid_fn(xs, ys):
+        # Python floats: numpy scalars would slow every integrand call
+        ys = np.asarray(ys, dtype=float).tolist()
+        return np.array([[ev(x, y) for y in ys] for x in np.asarray(xs, dtype=float).tolist()])
+
+    return grid_fn
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +212,23 @@ def _quadrature_builder(joint: JointDistribution, alpha: float, z: float, tol: f
 # ---------------------------------------------------------------------------
 
 
-def _resolve_method(joint: JointDistribution) -> str:
+def _closed_form(joint: JointDistribution, alpha: float, z: float):
+    """(method, grid_fn) of the closed form installed for the family, or None."""
     if isinstance(joint, ProductJoint):
-        if isinstance(joint.lead, PointMassZero):
-            return "closed_form_tiq"
-        if isinstance(joint.service, Exponential) and isinstance(
-            joint.lead, (Exponential, Deterministic, HyperExponential)
+        nu, lam = joint.service, joint.lead
+        if isinstance(lam, PointMassZero):
+            return "closed_form_tiq", _det_lead_builder(nu, 0.0, alpha, z)
+        if isinstance(nu, Exponential) and isinstance(
+            lam, (Exponential, Deterministic, HyperExponential)
         ):
-            return "closed_form_product"
-        if isinstance(joint.service, Deterministic) or isinstance(joint.lead, Deterministic):
-            return "closed_form_product"
-        return "quadrature"
-    if isinstance(joint, LinearJoint):
-        return "closed_form_linear" if isinstance(joint.service, Exponential) else "quadrature"
-    return "quadrature"
+            return "closed_form_product", _exp_service_builder(nu, lam, alpha, z)
+        if isinstance(nu, Deterministic):
+            return "closed_form_product", _det_service_builder(nu, lam, alpha, z)
+        if isinstance(lam, Deterministic):
+            return "closed_form_product", _det_lead_builder(nu, lam.value, alpha, z)
+    if isinstance(joint, LinearJoint) and isinstance(joint.service, Exponential):
+        return "closed_form_linear", _linear_exp_builder(joint.service, joint.c, alpha, z)
+    return None
 
 
 def lift(
@@ -302,9 +242,8 @@ def lift(
     """Mass-z member of the invariant family for (joint, alpha).
 
     method "auto" picks a closed form when one is installed for the
-    family and falls back to adaptive quadrature; naming a closed form
-    explicitly raises ConfigError when it does not apply.  z = 0 gives
-    the zero measure.
+    family and falls back to adaptive quadrature; "quadrature" always
+    integrates.  z = 0 gives the zero measure.
     """
     if method not in _METHODS:
         raise ConfigError(f"unknown lift method {method!r}; expected one of {_METHODS}")
@@ -313,46 +252,11 @@ def lift(
     if not (z >= 0.0 and math.isfinite(z)):
         raise ConfigError(f"total mass must be nonnegative and finite, got {z}")
 
-    resolved = _resolve_method(joint)
-    if method == "quadrature":
-        resolved = "quadrature"
-    elif method != "auto" and method != resolved:
-        raise ConfigError(
-            f"method {method!r} does not apply to this family (resolved {resolved!r})"
-        )
-
-    total = alpha * z * joint.mean_service()
+    found = _closed_form(joint, alpha, z) if method == "auto" else None
+    resolved, grid_fn = found or ("quadrature", _quadrature_builder(joint, alpha, z, tol))
     if z == 0.0:
-        qf = QuadrantFunction(
-            eval_fn=lambda x, y: 0.0,
-            total_mass=0.0,
-            grid_fn=lambda xs, ys: np.zeros((np.size(xs), np.size(ys))),
-        )
-        return InvariantMeasure(joint, alpha, 0.0, resolved, qf)
-
-    if resolved == "closed_form_tiq":
-        assert isinstance(joint, ProductJoint)
-        qf = _from_grid_fn(_det_lead_builder(joint.service, 0.0, alpha, z), total)
-    elif resolved == "closed_form_product":
-        assert isinstance(joint, ProductJoint)
-        if isinstance(joint.service, Exponential) and isinstance(
-            joint.lead, (Exponential, Deterministic, HyperExponential)
-        ):
-            qf = _from_grid_fn(_exp_service_builder(joint.service, joint.lead, alpha, z), total)
-        elif isinstance(joint.service, Deterministic):
-            qf = _from_grid_fn(_det_service_builder(joint.service, joint.lead, alpha, z), total)
-        else:
-            assert isinstance(joint.lead, Deterministic)
-            qf = _from_grid_fn(
-                _det_lead_builder(joint.service, joint.lead.value, alpha, z), total
-            )
-    elif resolved == "closed_form_linear":
-        assert isinstance(joint, LinearJoint) and isinstance(joint.service, Exponential)
-        qf = _from_grid_fn(_linear_exp_builder(joint.service, joint.c, alpha, z), total)
-    else:
-        qf = QuadrantFunction(
-            eval_fn=_quadrature_builder(joint, alpha, z, tol), total_mass=total
-        )
+        grid_fn = lambda xs, ys: np.zeros((np.size(xs), np.size(ys)))
+    qf = QuadrantFunction(grid_fn, alpha * z * joint.mean_service())
     return InvariantMeasure(joint, alpha, z, resolved, qf)
 
 
@@ -397,7 +301,7 @@ def time_in_queue_profile(nu: ScalarDistribution, z: float, y: float) -> float:
         raise ConfigError(f"total mass must be >= 0, got {z}")
     if z == 0.0:
         return 0.0
-    return z * excess_lifetime_survival(nu, y / z)
+    return z * nu.excess_survival(y / z)
 
 
 def sojourn_limit_cdf(nu: ScalarDistribution, z: float, y: float) -> float:
@@ -427,7 +331,7 @@ def linear_deadline_profile(
         raise ConfigError(f"total mass must be nonnegative, got {z}")
     if z == 0.0:
         return 0.0
-    ex = lambda w: excess_lifetime_survival(nu, w)
+    ex = nu.excess_survival
     if z <= c:
         if y <= 0.0:
             return z

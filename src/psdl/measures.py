@@ -11,15 +11,13 @@ read as a measure on [0, oo) x R.  Analytical limit objects enter as
 rows giving residual half-spaces), and the working distance between two
 states is the maximum absolute mass discrepancy over the grid quadrants.
 
-Diffusion and fluid scalings act on points as (v, l, w) -> (v, l/r, w/r);
-they differ only in the time change applied by the caller.
+The diffusion scaling acts on points as (v, l, w) -> (v, l/r, w/r).
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,19 +30,13 @@ __all__ = [
     "QuadrantFunction",
     "LeadProfile",
     "default_grid",
-    "quadrant_mass",
     "scale_diffusion",
-    "scale_fluid",
     "project_lead",
     "mass_moment_chi",
     "grid_quadrant_masses",
     "quadrant_distance",
     "discretize_quadrant_function",
-    "point_measure_to_csv",
-    "quadrant_function_to_csv",
 ]
-
-_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -137,31 +129,25 @@ def default_grid() -> QuadrantGrid:
 class QuadrantFunction:
     """An analytic measure given by its closed-quadrant mass function.
 
-    eval_fn(x, y) returns the mass of [x, oo) x [y, oo); y may be -inf.
-    grid_fn, when present, tabulates eval_fn on coordinate arrays in one
-    vectorized call and must agree with it pointwise.
+    grid_fn(xs, ys) returns the (len(xs), len(ys)) table whose entry
+    (i, j) is the mass of [xs[i], oo) x [ys[j], oo); ys may hold -inf.
     """
 
-    eval_fn: Callable[[float, float], float]
+    grid_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     total_mass: float
-    grid_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False
-    )
 
     def eval(self, x: float, y: float) -> float:
         if math.isnan(x) or x < 0.0:
             raise ConfigError(f"residual threshold must be >= 0, got {x}")
-        return float(self.eval_fn(x, y))
+        return float(self.grid_fn(np.array([x]), np.array([y]))[0, 0])
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        if self.grid_fn is not None:
-            out = np.asarray(self.grid_fn(xs, ys), dtype=float)
-            if out.shape != (xs.size, ys.size):
-                raise ConfigError("grid_fn returned a wrong-shaped table")
-            return out
-        return np.array([[self.eval(x, y) for y in ys] for x in xs])
+        out = np.asarray(self.grid_fn(xs, ys), dtype=float)
+        if out.shape != (xs.size, ys.size):
+            raise ConfigError("grid_fn returned a wrong-shaped table")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +155,12 @@ class QuadrantFunction:
 # ---------------------------------------------------------------------------
 
 
-def quadrant_mass(m: PointMeasure, x: float, y: float) -> float:
-    """Mass of the closed quadrant [x, oo) x [y, oo)."""
-    return m.quadrant_mass(x, y)
-
-
-def _scaled(m: PointMeasure, r: float) -> PointMeasure:
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ConfigError(f"scaling parameter must be positive and finite, got {r}")
-    return PointMeasure(m.residuals, m.leads / r, m.weights / r)
-
-
 def scale_diffusion(m: PointMeasure, r: float) -> PointMeasure:
     """Diffusion-scale a snapshot taken at unscaled time r^2 t:
     residuals kept, leads divided by r, mass divided by r."""
-    return _scaled(m, r)
-
-
-def scale_fluid(m: PointMeasure, r: float) -> PointMeasure:
-    """Fluid-scale a snapshot taken at unscaled time r t; same point map
-    as the diffusion scaling -- only the time change differs."""
-    return _scaled(m, r)
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ConfigError(f"scaling parameter must be positive and finite, got {r}")
+    return PointMeasure(m.residuals, m.leads / r, m.weights / r)
 
 
 @dataclass(frozen=True)
@@ -288,25 +259,3 @@ def discretize_quadrant_function(
     ii, jj = np.nonzero(keep)
     return PointMeasure(cx[ii], cy[jj], cell[ii, jj])
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def point_measure_to_csv(m: PointMeasure, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["residual", "lead", "weight"])
-        for r, l, wt in zip(m.residuals, m.leads, m.weights):
-            w.writerow([_FMT % r, _FMT % l, _FMT % wt])
-
-
-def quadrant_function_to_csv(qf: QuadrantFunction, grid: QuadrantGrid, path) -> None:
-    table = grid_quadrant_masses(qf, grid)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "mass"])
-        for i, x in enumerate(grid.x_values):
-            for j, y in enumerate(grid.y_values):
-                w.writerow([_FMT % x, _FMT % y, _FMT % table[i, j]])

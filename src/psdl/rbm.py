@@ -64,6 +64,8 @@ def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
         raise ConfigError(f"horizon must be positive, got {horizon}")
     if not (0.0 < dt <= horizon):
         raise ConfigError(f"dt must lie in (0, horizon], got {dt}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     n = int(math.ceil(horizon / dt - 1e-12))
     rng = np.random.default_rng(seed)
     values = np.empty(n + 1)

@@ -1,9 +1,13 @@
 """End-to-end command tests: configs in, files out, exit codes."""
 
+import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psdl.cli import main
 
@@ -18,6 +22,39 @@ def write_config(tmp_path, body, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(body))
     return str(p)
+
+
+# the README scenario, and small lift, sweep and rbm requests
+SCENARIO = {
+    "interarrival": {"kind": "exponential", "rate": 0.9},
+    "joint": {
+        "kind": "product",
+        "service": {"kind": "exponential", "rate": 1.0},
+        "lead": {"kind": "uniform", "lo": 0.0, "hi": 2.0},
+    },
+    "horizon": 1000.0,
+    "snapshot_times": [250.0, 500.0],
+    "seed": 7,
+}
+LIFT = {
+    "joint": MM1_JOINT,
+    "alpha": 1.0,
+    "z": 1.5,
+    "method": "auto",
+    "tol": 1e-6,
+    "grid": {"x_max": 2.0, "x_step": 0.5, "y_min": -2.0, "y_max": 2.0, "y_step": 0.5},
+}
+SWEEP = {
+    "joint": MM1_JOINT,
+    "alpha": 1.0,
+    "gamma": 0.5,
+    "r_values": [3.0],
+    "T": 1.0,
+    "snapshot_times": [1.0],
+    "replications": 1,
+    "seed_base": 9,
+}
+RBM = {"drift": -1.0, "variance": 2.0, "horizon": 1.0, "dt": 0.01, "seed": 4}
 
 
 def scenario_config(tmp_path, **extra):
@@ -179,6 +216,24 @@ def test_exit_code_bad_config(tmp_path):
         name="unknown_key.json",
     )
     assert main(["simulate", "--config", cfg3, "--out", str(tmp_path / "z")]) == 2
+    # valid JSON, bad values: each must exit 2, not raise
+    bad = [
+        ("simulate", {"scenario": {**SCENARIO, "seed": -3}}),
+        ("simulate", {"scenario": {**SCENARIO, "initial_jobs": [[1.0]]}}),
+        ("simulate", {"scenario": {**SCENARIO, "horizon": "x"}}),
+        ("lift", {"lift": {**LIFT, "joint": {"kind": "empirical", "points": [[1.0, 2.0, 3.0]]}}}),
+        ("sweep", {"sweep": {**SWEEP, "seed_base": -1}}),
+        ("rbm", {"rbm": {**RBM, "seed": -1}}),
+    ]
+    for i, (cmd, body) in enumerate(bad):
+        cfg = write_config(tmp_path, {"schema_version": 1, **body}, name=f"bad{i}.json")
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path / f"bad{i}")]) == 2, body
+    for i, (cmd, body) in enumerate(
+        [("simulate", {"scenario": SCENARIO}), ("sweep", {"sweep": SWEEP}), ("rbm", {"rbm": RBM})]
+    ):
+        cfg = write_config(tmp_path, {"schema_version": 1, **body}, name=f"neg{i}.json")
+        argv = [cmd, "--config", cfg, "--out", str(tmp_path / f"neg{i}"), "--seed-override", "-1"]
+        assert main(argv) == 2
 
 
 def test_exit_code_wrong_request_kind(tmp_path):
@@ -196,3 +251,51 @@ def test_exit_code_runtime_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "cmd_simulate", boom)
     cfg = scenario_config(tmp_path)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
+
+
+def _leaves(node, path=()):
+    """Paths to every non-dict value of a JSON tree, lists and their items included."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _leaves(v, path + (k,))
+        return
+    yield path
+    if isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _leaves(v, path + (i,))
+
+
+FUZZ_BASES = [
+    ("simulate", {"schema_version": 1, "scenario": SCENARIO, "output_dir": "out/demo"}),
+    ("lift", {"schema_version": 1, "lift": LIFT}),
+]
+FUZZ_VALUES = [-3, "x", None, [], [1.0], {}, True]
+FUZZ_CASES = [
+    (cmd, path, value)
+    for cmd, base in FUZZ_BASES
+    for path in _leaves(base)
+    for value in FUZZ_VALUES
+]
+
+
+def _raises_number(old, new) -> bool:
+    # a numeric leaf may only go down, so no case runs longer than its base
+    num = (int, float)
+    return isinstance(old, num) and isinstance(new, num) and new > old
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FUZZ_CASES))
+def test_cli_contract_fuzz(case):
+    cmd, path, value = case
+    body = copy.deepcopy(dict(FUZZ_BASES)[cmd])
+    parent = body
+    for key in path[:-1]:
+        parent = parent[key]
+    if _raises_number(parent[path[-1]], value):
+        return
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as d:
+        cfg = Path(d) / "config.json"
+        cfg.write_text(json.dumps(body))
+        assert main([cmd, "--config", str(cfg), "--out", str(Path(d) / "out")]) in (0, 2, 3)

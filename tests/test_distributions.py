@@ -17,13 +17,11 @@ from psdl import (
     ProductJoint,
     Uniform,
     check_assumptions,
-    excess_lifetime_survival,
     joint_from_spec,
-    joint_to_spec,
     scalar_from_spec,
-    scalar_to_spec,
+    to_spec,
 )
-from psdl.distributions import excess_survival_array, tail_integral_array
+from psdl.quadrature import integrate
 
 
 def test_exponential_moments_and_survival():
@@ -124,24 +122,55 @@ def test_invalid_parameters():
 def test_excess_lifetime_survival_matches_tail_integral():
     d = Uniform(0.5, 1.5)
     for x in (0.0, 0.4, 1.0, 1.4):
-        assert excess_lifetime_survival(d, x) == pytest.approx(
+        assert d.excess_survival(x) == pytest.approx(
             d.tail_integral(x) / d.mean()
         )
 
 
+SCALAR_LAWS = (
+    Exponential(1.5),
+    Deterministic(1.0),
+    Uniform(0.5, 2.0),
+    HyperExponential((0.3, 0.7), (0.5, 2.0)),
+    PointMassZero(),
+)
+
+
 def test_array_helpers_match_scalars():
     xs = np.array([0.0, 0.3, 1.0, 2.5, np.inf])
-    for d in (Exponential(1.5), Deterministic(1.0), Uniform(0.5, 2.0)):
-        vec = excess_survival_array(d, xs)
-        ref = np.array([d.excess_survival(x) if np.isfinite(x) else 0.0 for x in xs])
-        np.testing.assert_allclose(vec, ref, atol=1e-12)
     ws = np.array([-np.inf, -1.0, 0.0, 0.7, np.inf])
-    d = Exponential(2.0)
-    vec = tail_integral_array(d, ws)
-    assert vec[0] == np.inf
-    ref = np.array([d.tail_integral(w) for w in ws[1:-1]])
-    np.testing.assert_allclose(vec[1:-1], ref, atol=1e-12)
-    assert vec[-1] == 0.0
+    ys = np.array([-np.inf, -1.5, -0.2, 0.0, 0.6, 1.7])
+    s = 0.8
+    for d in SCALAR_LAWS:
+        if isinstance(d, PointMassZero):
+            with pytest.raises(ConfigError):
+                d.excess_survival_array(xs)
+        else:
+            ref = np.array([d.excess_survival(x) for x in xs])
+            np.testing.assert_allclose(d.excess_survival_array(xs), ref, rtol=0.0, atol=1e-12)
+        ref = np.array([d.tail_integral(w) for w in ws])
+        np.testing.assert_allclose(d.tail_integral_array(ws), ref, rtol=0.0, atol=1e-12)
+        if isinstance(d, Uniform):
+            with pytest.raises(ConfigError):
+                d.shifted_exp_integral_array(ys, s)
+            continue
+        # H(y) = int_0^inf e^{-s u} P(X >= y + u) du, integrated pointwise
+        ref = [
+            1.0 / s
+            if y == -np.inf
+            else integrate(
+                lambda u: math.exp(-s * u) * d.survival(y + u),
+                0.0,
+                60.0 / s,
+                tol=1e-14,
+                breakpoints=[b - y for b in d.breakpoints()],
+                initial_step=0.5,
+            )
+            for y in ys
+        ]
+        np.testing.assert_allclose(
+            d.shifted_exp_integral_array(ys, s), ref, rtol=0.0, atol=1e-12
+        )
 
 
 def test_scalar_spec_round_trip():
@@ -152,7 +181,7 @@ def test_scalar_spec_round_trip():
         HyperExponential((0.3, 0.7), (1.0, 4.0)),
         PointMassZero(),
     ):
-        assert scalar_from_spec(scalar_to_spec(d)) == d
+        assert scalar_from_spec(to_spec(d)) == d
     with pytest.raises(ConfigError):
         scalar_from_spec({"kind": "cauchy"})
 
@@ -212,7 +241,7 @@ def test_joint_spec_round_trip():
         LinearJoint(Exponential(2.0), 0.5),
         EmpiricalJoint(((1.0, 0.0),), (1.0,)),
     ):
-        assert joint_from_spec(joint_to_spec(j)) == j
+        assert joint_from_spec(to_spec(j)) == j
 
 
 def test_check_assumptions_pass():

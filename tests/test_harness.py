@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from psdl import (
     scale_diffusion,
     sojourn_snapshot_experiment,
 )
+from psdl import harness
 from psdl.measures import default_grid, mass_moment_chi
 
 MM1 = ProductJoint(Exponential(1.0), Exponential(1.0))
@@ -49,6 +51,8 @@ def test_sweep_validation():
         tiny_sweep(snapshot_times=(0.0, 0.5))
     with pytest.raises(ConfigError):
         tiny_sweep(replications=0)
+    with pytest.raises(ConfigError):
+        tiny_sweep(seed_base=-1)  # numpy seeds must be nonnegative
     with pytest.raises(ConfigError):
         tiny_sweep(joint=ProductJoint(Exponential(2.0), Exponential(1.0)))  # mean != 1/alpha
 
@@ -166,3 +170,29 @@ def test_aggregate_counts():
         assert per_r["n_rows"] == sweep.replications * len(sweep.snapshot_times)
         assert 0 <= per_r["n_nonempty"] <= per_r["n_rows"]
     assert len(agg["per_r_t"]) == len(sweep.r_values) * len(sweep.snapshot_times)
+
+
+def test_run_sweep_caps_workers(monkeypatch):
+    # a huge thread count asks for at most one worker per task and per CPU;
+    # the recorder stands in for the pool, so no process starts
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    sweep = tiny_sweep(r_values=(3.0,), replications=2)
+    report = run_sweep(sweep, threads=10**9)
+    workers = min(2, os.cpu_count() or 1)
+    assert started == ([workers] if workers > 1 else [])
+    assert report.rows == run_sweep(sweep).rows

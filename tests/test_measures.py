@@ -1,6 +1,7 @@
 """Point measures on the half-plane, grids, scalings, distances."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from psdl import (
     mass_moment_chi,
     project_lead,
     quadrant_distance,
-    quadrant_mass,
     scale_diffusion,
-    scale_fluid,
 )
-from psdl.measures import grid_quadrant_masses, point_measure_to_csv
+from psdl.fileio import write_snapshots_csv
+from psdl.measures import grid_quadrant_masses
 
 
 def small_measure():
@@ -28,6 +28,14 @@ def small_measure():
         np.array([2.0, 0.5, 1.0]),
         np.array([-3.0, 1.0, 0.0]),
         np.array([1.0, 1.0, 2.0]),
+    )
+
+
+def as_quadrant_function(m):
+    """The point measure m given by its quadrant mass function."""
+    return QuadrantFunction(
+        lambda xs, ys: np.array([[m.quadrant_mass(x, y) for y in ys] for x in xs]),
+        m.total_mass,
     )
 
 
@@ -44,9 +52,9 @@ def test_quadrant_mass_closed_corners():
     m = small_measure()
     assert m.total_mass == 4.0
     # thresholds are inclusive: atoms sitting exactly on the corner count
-    assert quadrant_mass(m, 1.0, 0.0) == pytest.approx(2.0)
-    assert quadrant_mass(m, 0.0, -math.inf) == pytest.approx(4.0)
-    assert quadrant_mass(m, 2.5, -math.inf) == 0.0
+    assert m.quadrant_mass(1.0, 0.0) == pytest.approx(2.0)
+    assert m.quadrant_mass(0.0, -math.inf) == pytest.approx(4.0)
+    assert m.quadrant_mass(2.5, -math.inf) == 0.0
 
 
 def test_scale_diffusion_moves_leads_and_mass():
@@ -55,8 +63,6 @@ def test_scale_diffusion_moves_leads_and_mass():
     assert s.residuals[0] == 2.0      # residuals are not rescaled
     assert s.leads[0] == -1.5
     assert s.weights[0] == 0.5
-    f = scale_fluid(m, 2.0)
-    assert (f.residuals[0], f.leads[0], f.weights[0]) == (2.0, -1.5, 0.5)
 
 
 def test_workload_moment():
@@ -100,10 +106,9 @@ def test_separating_quadrant_distance():
 
 def test_distance_against_quadrant_function():
     m = small_measure()
-    qf = QuadrantFunction(
-        eval_fn=lambda x, y: m.quadrant_mass(x, y), total_mass=m.total_mass
-    )
+    qf = as_quadrant_function(m)
     assert quadrant_distance(m, qf, default_grid()) == 0.0
+    assert qf.eval(1.0, 0.0) == m.quadrant_mass(1.0, 0.0)
 
 
 @st.composite
@@ -135,9 +140,7 @@ def test_grid_quadrant_masses_matrix():
 def test_discretize_quadrant_function_reconstructs():
     # discretizing the quadrant function of an atom recovers its mass nearby
     m = PointMeasure.from_points([(1.05, 0.55), (2.55, -1.45)], weight=0.5)
-    qf = QuadrantFunction(
-        eval_fn=lambda x, y: m.quadrant_mass(x, y), total_mass=m.total_mass
-    )
+    qf = as_quadrant_function(m)
     cloud = discretize_quadrant_function(
         qf, np.linspace(0.0, 5.0, 51), np.linspace(-5.0, 5.0, 101)
     )
@@ -150,9 +153,12 @@ def test_discretize_quadrant_function_reconstructs():
 def test_point_measure_csv_round_trip(tmp_path):
     m = small_measure()
     path = tmp_path / "m.csv"
-    point_measure_to_csv(m, path)
+    # the snapshot writer reads only the (time, S, measure) snapshot list
+    write_snapshots_csv(SimpleNamespace(snapshots=((0.0, 0.0, m),)), path)
     rows = path.read_text().strip().splitlines()
-    assert rows[0] == "residual,lead,weight"
+    assert rows[0] == "time_index,residual,lead,weight"
     got = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    np.testing.assert_allclose(got[:, 0], m.residuals)
-    np.testing.assert_allclose(got[:, 2], m.weights)
+    np.testing.assert_array_equal(got[:, 0], 0.0)
+    np.testing.assert_array_equal(got[:, 1], m.residuals)
+    np.testing.assert_array_equal(got[:, 2], m.leads)
+    np.testing.assert_array_equal(got[:, 3], m.weights)

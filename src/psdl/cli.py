@@ -61,6 +61,9 @@ def cmd_simulate(args) -> int:
         "seed": scenario.seed,
         "snapshot_times": list(scenario.snapshot_times),
         "busy_rate_check": busy_rate_check(out),
+        "event_counts": out.event_counts,
+        "max_z": out.max_z,
+        "workload_check": out.workload_check,
     }
     fileio.write_json(summary, d / "simulate_summary.json")
     print(f"simulate: {len(out.jobs)} jobs, {len(out.departures())} departures -> {d}")

@@ -80,6 +80,12 @@ class ScalarDistribution(ABC):
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> float: ...
 
+    def exponential_scale(self) -> float | None:
+        """The scale c for which ``sample(rng)`` is exactly
+        ``c * rng.standard_exponential()``, or None for a law that draws
+        otherwise.  Lets callers batch draws without changing the stream."""
+        return None
+
     @abstractmethod
     def excess_survival(self, x: float) -> float:
         """Survival of the excess-lifetime law; 1 for x <= 0."""
@@ -166,6 +172,10 @@ class Exponential(ScalarDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rate))
+
+    def exponential_scale(self) -> float | None:
+        # numpy's exponential(scale) is scale * standard_exponential()
+        return 1.0 / self.rate
 
     def excess_survival(self, x: float) -> float:
         # memoryless: the excess law is the law itself
@@ -456,6 +466,12 @@ class JointDistribution(ABC):
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> tuple[float, float]: ...
 
+    def exponential_scales(self) -> tuple[float, float] | None:
+        """Scales (c_v, c_l) for which ``sample(rng)`` is exactly
+        (c_v * E1, c_l * E2) with E1, E2 the next two
+        ``rng.standard_exponential()`` draws, or None."""
+        return None
+
     @abstractmethod
     def mean_service(self) -> float: ...
 
@@ -536,6 +552,10 @@ class ProductJoint(_ScalarServiceJoint):
         v = self.service.sample(rng)
         l = self.lead.sample(rng)
         return v, l
+
+    def exponential_scales(self) -> tuple[float, float] | None:
+        cv, cl = self.service.exponential_scale(), self.lead.exponential_scale()
+        return None if cv is None or cl is None else (cv, cl)
 
     def lead_upper(self) -> float:
         return self.lead.support_upper()

@@ -24,16 +24,26 @@ snapshots, then the horizon stop; ties within a class go by job id.
 
 A snapshot at time t is the point measure {(target_i - S, deadline_i - t)}
 over jobs still in service, the state descriptor the limit theory
-speaks about.  The path log keeps (t, kind, Z, W, S) at every event
-with the workload W = sum of residuals refreshed by exact summation,
-so conservation checks need no replay.
+speaks about.  The path log keeps (t, kind, Z, W, S) at every event,
+so conservation checks need no replay.  The workload is
+
+    W = sum of residuals = (sum of targets) - Z * S,
+
+with the target sum kept as a compensated (Neumaier) running sum that
+is reset to exactly 0 whenever the system empties.  An event therefore
+costs O(log Z), the heap operation, instead of a sum over every job.
+Between events the targets and Z are fixed, so the logged W falls by
+Z times the advance of S: the busy-rate check still tests how S
+advances.  At each snapshot the exact sum of residuals is taken as a
+cross-check; ``SimOutput.workload_check`` is the largest gap seen.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import fsum
 
 import numpy as np
@@ -105,7 +115,7 @@ class ScenarioConfig:
         return 1.0 / self.interarrival.mean()
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
     """One job's ledger entry; departure_time stays None if it is still
     in service at the horizon."""
@@ -132,23 +142,6 @@ class JobRecord:
         return max(0.0, self.departure_time - self.deadline)
 
 
-@dataclass
-class EngineState:
-    """Mutable clock state while a run is in flight."""
-
-    clock: float = 0.0
-    service_integral: float = 0.0
-    active: list[tuple[float, int]] = field(default_factory=list)  # heap of (target, id)
-
-    @property
-    def z(self) -> int:
-        return len(self.active)
-
-    def workload(self) -> float:
-        # exact summation; a job at its departure instant contributes 0.0
-        return fsum(t - self.service_integral for t, _ in self.active)
-
-
 @dataclass(frozen=True)
 class PathLog:
     """Event-indexed path: state just after each event."""
@@ -164,26 +157,56 @@ class PathLog:
         return int(self.times.size)
 
 
+_BLOCK_ROWS = 256  # arrivals per batched draw
+
+
 class TrafficStream:
     """Lazily samples (arrival_time, service, scaled lead) in a fixed
     draw order (gap, then the joint pair), shared by the event engine
-    and the brute-force reference so both see identical traffic."""
+    and the brute-force reference so both see identical traffic.
+
+    When the interarrival law and both joint marginals are scaled
+    standard exponentials, rows after the first are drawn
+    _BLOCK_ROWS at a time as one (rows, 3) array of standard
+    exponentials times the three scales.  numpy fills that array in the
+    same order as the scalar draws and multiplies by the scale the same
+    way, so the stream is bit for bit the scalar one.  The first row
+    stays scalar because ``first_interarrival`` may replace its gap.
+    """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
         self._config = config
         self._rng = rng
         self._clock = 0.0
         self._first = True
+        gap_scale = config.interarrival.exponential_scale()
+        joint_scales = config.joint.exponential_scales()
+        self._scales = (
+            None if gap_scale is None or joint_scales is None
+            else np.array((gap_scale, *joint_scales))
+        )
+        self._rows: list[float] = []  # drawn gap, v, l triples, flattened
+        self._pos = 0
 
     def next(self) -> tuple[float, float, float]:
         cfg = self._config
-        gap_law = cfg.first_interarrival if (self._first and cfg.first_interarrival) else cfg.interarrival
-        self._first = False
-        gap = gap_law.sample(self._rng)
+        if self._first or self._scales is None:
+            gap_law = cfg.first_interarrival if (self._first and cfg.first_interarrival) else cfg.interarrival
+            self._first = False
+            gap = gap_law.sample(self._rng)
+            v, l = cfg.joint.sample(self._rng)
+        else:
+            if self._pos == len(self._rows):
+                block = self._rng.standard_exponential(3 * _BLOCK_ROWS).reshape(-1, 3)
+                with np.errstate(over="ignore"):  # an inf row fails its check below
+                    self._rows = (block * self._scales).ravel().tolist()
+                self._pos = 0
+            i = self._pos
+            gap, v, l = self._rows[i : i + 3]
+            self._pos = i + 3
         if not (math.isfinite(gap) and gap >= 0.0):
             raise SimulationError(f"sampled interarrival {gap!r} is not a nonnegative real")
         self._clock += gap
-        v, l = cfg.joint.sample(self._rng)
         if not (math.isfinite(v) and v > 0.0):
             raise SimulationError(
                 f"sampled service {v!r} at t={self._clock} is not strictly positive"
@@ -199,11 +222,33 @@ class SimOutput:
     jobs: tuple[JobRecord, ...]
     snapshots: tuple[tuple[float, float, PointMeasure], ...]  # (t, S at t, state)
     path: PathLog
+    # largest |running W - exact fsum of residuals| over the snapshot instants
+    workload_check: float
+    # departure times in the order the jobs left (nondecreasing) and the
+    # matching sojourns, for window queries by bisection
+    departure_times: np.ndarray
+    departure_sojourns: np.ndarray
+
+    @property
+    def event_counts(self) -> dict[str, int]:
+        """Path events by kind (init, arrival, departure, snapshot, end)."""
+        return dict(Counter(self.path.kinds))
+
+    @property
+    def max_z(self) -> int:
+        """Largest number of jobs in the system over the run."""
+        return int(self.path.z.max())
 
     def departures(self) -> list[JobRecord]:
         done = [j for j in self.jobs if j.departure_time is not None]
         done.sort(key=lambda j: (j.departure_time, j.job_id))
         return done
+
+    def sojourns_departing(self, t_lo: float, t_hi: float) -> np.ndarray:
+        """Sojourns of the jobs departing in [t_lo, t_hi], in departure order."""
+        t = self.departure_times
+        lo, hi = np.searchsorted(t, t_lo, "left"), np.searchsorted(t, t_hi, "right")
+        return self.departure_sojourns[lo:hi]
 
     def snapshot_at(self, t: float) -> tuple[float, float, PointMeasure]:
         """(time, S, measure) of the recorded snapshot nearest to t;
@@ -219,115 +264,126 @@ class SimOutput:
         return self.snapshots[i]
 
 
-_PRIORITY = {"departure": 0, "arrival": 1, "snapshot": 2, "end": 3}
+def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
+    """Add x to the compensated sum total + comp."""
+    t = total + x
+    if abs(total) >= abs(x):
+        comp += (total - t) + x
+    else:
+        comp += (x - t) + total
+    return t, comp
 
 
 def run(config: ScenarioConfig) -> SimOutput:
     """Simulate one scenario to its horizon."""
-    rng = np.random.default_rng(config.seed)
-    stream = TrafficStream(config, rng)
-    state = EngineState()
+    stream = TrafficStream(config, np.random.default_rng(config.seed))
     jobs: list[JobRecord] = []
+    heap: list[tuple[float, int]] = []  # (target, job id) of the jobs in service
+    tsum = tcomp = 0.0  # compensated sum of the heap targets
 
     for v, l in config.initial_jobs:
         rec = JobRecord(len(jobs), 0.0, v, l, 0.0, v, l)
         jobs.append(rec)
-        heapq.heappush(state.active, (rec.target, rec.job_id))
+        heappush(heap, (rec.target, rec.job_id))
+        tsum, tcomp = _neumaier_add(tsum, tcomp, rec.target)
 
-    next_arrival = stream.next()
+    horizon = config.horizon
     snap_times = config.snapshot_times
     snap_idx = 0
+    t_snap = snap_times[0] if snap_times else math.inf
     snapshots: list[tuple[float, float, PointMeasure]] = []
+    workload_check = 0.0
+    departed: list[float] = []  # departure time, arrival time per departure
+    clock = s = 0.0
 
-    times: list[float] = []
-    kinds: list[str] = []
-    zs: list[int] = []
-    w_pre: list[float] = []
-    w_post: list[float] = []
-    s_vals: list[float] = []
-
-    def record(kind: str, before: float, after: float) -> None:
-        times.append(state.clock)
-        kinds.append(kind)
-        zs.append(state.z)
-        w_pre.append(before)
-        w_post.append(after)
-        s_vals.append(state.service_integral)
-
-    w0 = state.workload()
-    record("init", w0, w0)
+    w0 = tsum + tcomp
+    # flat event log, six fields per event: t, kind, Z after, W before, W after, S
+    log = [clock, "init", len(heap), w0, w0, s]
+    u, v, l = stream.next()
+    t_arr = u if u <= horizon else math.inf
 
     while True:
-        heap = state.active
-        candidates: list[tuple[float, int, str]] = [(config.horizon, _PRIORITY["end"], "end")]
-        if heap:
-            t_dep = state.clock + state.z * (heap[0][0] - state.service_integral)
-            candidates.append((max(t_dep, state.clock), _PRIORITY["departure"], "departure"))
-        if next_arrival[0] <= config.horizon:
-            candidates.append((next_arrival[0], _PRIORITY["arrival"], "arrival"))
-        if snap_idx < len(snap_times):
-            candidates.append((snap_times[snap_idx], _PRIORITY["snapshot"], "snapshot"))
-        t_next, _, kind = min(candidates)
-        t_next = max(t_next, state.clock)
+        z = len(heap)
+        t_dep = math.inf
+        if z:
+            top = heap[0][0]
+            t_dep = clock + z * (top - s)
+            if t_dep < clock:
+                t_dep = clock
 
-        if kind == "departure":
-            state.service_integral = heap[0][0]  # exact landing on the target
-        elif heap and t_next > state.clock:
-            advanced = state.service_integral + (t_next - state.clock) / state.z
+        # simultaneous events: departure, then arrival, snapshot, end
+        if t_dep <= t_arr and t_dep <= t_snap and t_dep <= horizon:
+            s = top  # exact landing on the target
+            clock = t_dep
+            w_pre = (tsum + tcomp) - z * s
+            _, jid = heappop(heap)
+            rec = jobs[jid]
+            rec.departure_time = clock
+            departed.extend((clock, rec.arrival_time))
+            if heap:
+                tsum, tcomp = _neumaier_add(tsum, tcomp, -top)
+            else:
+                tsum = tcomp = 0.0  # drop the rounding left by the finished busy period
+            log.extend((clock, "departure", z - 1, w_pre, (tsum + tcomp) - (z - 1) * s, s))
+            continue
+
+        t_next = t_arr if t_arr <= t_snap else t_snap
+        if horizon < t_next:
+            t_next = horizon
+        if z and t_next > clock:
             # drift may not overshoot the nearest target; equality leaves a
             # zero-residual job that departs in the following zero-dt event
-            state.service_integral = min(advanced, heap[0][0])
-        state.clock = t_next
+            s += (t_next - clock) / z
+            if s > top:
+                s = top
+        clock = t_next
+        w_pre = (tsum + tcomp) - z * s
 
-        before = state.workload()
-        if kind == "departure":
-            _, jid = heapq.heappop(heap)
-            jobs[jid].departure_time = state.clock
-            record(kind, before, before)
-        elif kind == "arrival":
-            u, v, l = next_arrival
-            rec = JobRecord(
-                len(jobs), u, v, l, state.service_integral, state.service_integral + v, u + l
-            )
+        if t_arr == t_next:
+            rec = JobRecord(len(jobs), u, v, l, s, s + v, u + l)
             jobs.append(rec)
-            heapq.heappush(heap, (rec.target, rec.job_id))
-            record(kind, before, before + v)
-            next_arrival = stream.next()
-        elif kind == "snapshot":
-            snapshots.append(
-                (state.clock, state.service_integral, _snapshot_measure(state, jobs))
-            )
+            heappush(heap, (rec.target, rec.job_id))
+            tsum, tcomp = _neumaier_add(tsum, tcomp, rec.target)
+            log.extend((clock, "arrival", z + 1, w_pre, (tsum + tcomp) - (z + 1) * s, s))
+            u, v, l = stream.next()
+            t_arr = u if u <= horizon else math.inf
+        elif t_snap == t_next:
+            snapshots.append((clock, s, _snapshot_measure(heap, jobs, s, clock)))
+            workload_check = max(workload_check, abs(w_pre - fsum(t - s for t, _ in heap)))
+            log.extend((clock, "snapshot", z, w_pre, w_pre, s))
             snap_idx += 1
-            record(kind, before, before)
+            t_snap = snap_times[snap_idx] if snap_idx < len(snap_times) else math.inf
         else:
-            record(kind, before, before)
+            log.extend((clock, "end", z, w_pre, w_pre, s))
             break
 
+    departure_times = np.array(departed[0::2], dtype=float)
     return SimOutput(
         config=config,
         jobs=tuple(jobs),
         snapshots=tuple(snapshots),
         path=PathLog(
-            times=np.array(times),
-            kinds=tuple(kinds),
-            z=np.array(zs, dtype=int),
-            w_pre=np.array(w_pre),
-            w_post=np.array(w_post),
-            s=np.array(s_vals),
+            times=np.array(log[0::6]),
+            kinds=tuple(log[1::6]),
+            z=np.array(log[2::6], dtype=int),
+            w_pre=np.array(log[3::6]),
+            w_post=np.array(log[4::6]),
+            s=np.array(log[5::6]),
         ),
+        workload_check=workload_check,
+        departure_times=departure_times,
+        departure_sojourns=departure_times - np.array(departed[1::2], dtype=float),
     )
 
 
-def _snapshot_measure(state: EngineState, jobs: list[JobRecord]) -> PointMeasure:
+def _snapshot_measure(
+    heap: list[tuple[float, int]], jobs: list[JobRecord], s: float, clock: float
+) -> PointMeasure:
     # a job whose residual has just hit zero belongs to the departure at
     # this same instant, not to the right-continuous state
-    entries = sorted(
-        (jid, target - state.service_integral)
-        for target, jid in state.active
-        if target - state.service_integral > 0.0
-    )
+    entries = sorted((jid, target - s) for target, jid in heap if target - s > 0.0)
     res = np.array([r for _, r in entries])
-    leads = np.array([jobs[jid].deadline - state.clock for jid, _ in entries])
+    leads = np.array([jobs[jid].deadline - clock for jid, _ in entries])
     return PointMeasure(res, leads, np.ones(res.size))
 
 

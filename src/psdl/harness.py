@@ -210,13 +210,7 @@ def sojourn_snapshot_experiment(
         return SojournSample(r, t, 0, None, z, "window_exceeds_horizon")
     if z <= 0.0:
         return SojournSample(r, t, 0, None, z, "empty_snapshot")
-    soj = np.array(
-        [
-            j.sojourn / r
-            for j in out.jobs
-            if j.departure_time is not None and t_lo <= j.departure_time <= t_hi
-        ]
-    )
+    soj = out.sojourns_departing(t_lo, t_hi) / r
     if soj.size == 0:
         return SojournSample(r, t, 0, None, z, "no_departures")
     if soj.size < 20:

@@ -85,6 +85,12 @@ def test_simulate_outputs(tmp_path):
     summary = json.loads((out / "simulate_summary.json").read_text())
     assert summary["snapshot_times"] == [5.0, 10.0]
     assert summary["busy_rate_check"] <= 1e-9 * 20.0
+    counts = summary["event_counts"]
+    assert counts["arrival"] == summary["n_jobs"]
+    assert counts["departure"] == summary["n_departures"]
+    assert (counts["snapshot"], counts["init"], counts["end"]) == (2, 1, 1)
+    assert summary["max_z"] >= 1
+    assert 0.0 <= summary["workload_check"] <= 1e-9
 
 
 def test_simulate_deterministic_bytes(tmp_path):

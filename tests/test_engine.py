@@ -91,6 +91,32 @@ def test_hand_trace_staggered_pair():
         assert j.sojourn >= j.service_req - 1e-12
 
 
+def test_simultaneous_event_order():
+    # the initial job finishes at t=1 exactly when the first arrival lands,
+    # and a snapshot shares that instant: departure, then arrival, then
+    # snapshot; at the horizon the snapshot precedes the end
+    cfg = ScenarioConfig(
+        interarrival=Deterministic(100.0),
+        joint=ProductJoint(Deterministic(1.0), Deterministic(10.0)),
+        horizon=3.0,
+        snapshot_times=(1.0, 3.0),
+        seed=1,
+        initial_jobs=((1.0, 5.0),),
+        first_interarrival=Deterministic(1.0),
+    )
+    out = run(cfg)
+    assert out.path.kinds == (
+        "init", "departure", "arrival", "snapshot", "departure", "snapshot", "end"
+    )
+    assert [j.departure_time for j in out.jobs] == [1.0, 2.0]
+    assert out.jobs[1].service_offset == 1.0
+    _, _, m1 = out.snapshot_at(1.0)
+    assert (list(m1.residuals), list(m1.leads)) == ([1.0], [10.0])
+    assert out.event_counts == {"init": 1, "arrival": 1, "departure": 2, "snapshot": 2, "end": 1}
+    assert out.max_z == 1
+    assert out.workload_check == 0.0
+
+
 def test_empty_scenario():
     cfg = ScenarioConfig(
         interarrival=Deterministic(100.0),

@@ -1,0 +1,198 @@
+"""Property tests of the event engine over random laws and seeds.
+
+Each property is a structural fact the engine must honour for any
+admissible input, so hypothesis draws the interarrival law, the joint
+(service, lead) law and the seed; horizons stay small to keep the suite
+fast.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from psdl import (
+    Deterministic,
+    EmpiricalJoint,
+    Exponential,
+    HyperExponential,
+    LinearJoint,
+    PointMassZero,
+    ProductJoint,
+    ScenarioConfig,
+    SimulationError,
+    Uniform,
+    run,
+    step_simulate,
+)
+from psdl.engine import TrafficStream
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@st.composite
+def positive_laws(draw, lo=0.3, hi=1.5):
+    """A scalar law on (0, oo) with mean in [lo, hi]."""
+    m = draw(st.floats(min_value=lo, max_value=hi))
+    kind = draw(st.sampled_from(("exponential", "deterministic", "uniform", "hyperexponential")))
+    if kind == "exponential":
+        return Exponential(1.0 / m)
+    if kind == "deterministic":
+        return Deterministic(m)
+    if kind == "uniform":
+        half = m * draw(st.floats(min_value=0.1, max_value=1.0))
+        return Uniform(m - half, m + half)
+    w = draw(st.floats(min_value=0.1, max_value=0.9))
+    # two phases with means m/2 and m(1 - w/2)/(1 - w): overall mean m
+    return HyperExponential((w, 1.0 - w), (2.0 / m, (1.0 - w) / (m * (1.0 - 0.5 * w))))
+
+
+@st.composite
+def joint_laws(draw):
+    kind = draw(st.sampled_from(("product", "linear", "empirical")))
+    if kind == "product":
+        lead = draw(st.one_of(positive_laws(0.2, 3.0), st.just(PointMassZero())))
+        return ProductJoint(draw(positive_laws()), lead)
+    if kind == "linear":
+        return LinearJoint(draw(positive_laws()), draw(st.floats(min_value=0.2, max_value=3.0)))
+    pts = draw(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.05, max_value=2.0),
+                st.floats(min_value=-1.0, max_value=3.0),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return EmpiricalJoint(tuple(pts))
+
+
+@st.composite
+def scenarios(draw, horizon=20.0):
+    return ScenarioConfig(
+        interarrival=draw(positive_laws(0.6, 2.0)),
+        joint=draw(joint_laws()),
+        horizon=horizon,
+        snapshot_times=(0.25 * horizon, horizon),
+        seed=draw(seeds),
+        lead_scale=draw(st.floats(min_value=0.1, max_value=50.0)),
+        initial_jobs=tuple(
+            draw(
+                st.lists(
+                    st.tuples(st.floats(min_value=0.05, max_value=3.0), st.floats(-2.0, 2.0)),
+                    max_size=3,
+                )
+            )
+        ),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(), st.floats(min_value=0.01, max_value=100.0))
+def test_lead_scale_leaves_departures_unchanged(cfg, c):
+    # processor sharing ignores deadlines: stretching leads moves no departure
+    a = run(cfg)
+    b = run(replace(cfg, lead_scale=c))
+    assert [(j.arrival_time, j.service_req, j.departure_time) for j in a.jobs] == [
+        (j.arrival_time, j.service_req, j.departure_time) for j in b.jobs
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_running_workload_matches_exact_sum(cfg):
+    out = run(cfg)
+    p = out.path
+    targets = np.array([j.target for j in out.jobs])
+    n_init = len(cfg.initial_jobs)
+    arrivals_through = np.cumsum([k == "arrival" for k in p.kinds])
+    for i in range(len(p)):
+        # S never decreases and lands exactly on each departing target, so
+        # a job admitted by event i is in service iff target > S(t_i)
+        n_post = n_init + int(arrivals_through[i])
+        n_pre = n_post - (p.kinds[i] == "arrival")
+        for w, n in ((p.w_pre[i], n_pre), (p.w_post[i], n_post)):
+            exact = math.fsum(np.maximum(targets[:n] - p.s[i], 0.0))
+            assert abs(w - exact) <= 1e-9 * max(1.0, exact)
+    assert out.workload_check <= 1e-9 * max(1.0, float(p.w_post.max()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seeds,
+    st.floats(min_value=0.05, max_value=20.0),
+    st.floats(min_value=0.05, max_value=20.0),
+    st.one_of(
+        st.floats(min_value=0.05, max_value=20.0).map(Exponential),
+        st.just(Uniform(0.0, 2.0)),
+    ),
+    st.floats(min_value=0.1, max_value=200.0),
+    st.one_of(st.none(), st.just(Deterministic(0.5)), st.just(Exponential(3.0))),
+)
+def test_stream_matches_scalar_draw_order(seed, arrival_rate, service_rate, lead, lead_scale, first):
+    cfg = ScenarioConfig(
+        interarrival=Exponential(arrival_rate),
+        joint=ProductJoint(Exponential(service_rate), lead),
+        horizon=1.0,
+        seed=seed,
+        lead_scale=lead_scale,
+        first_interarrival=first,
+    )
+    assert (cfg.joint.exponential_scales() is None) == isinstance(lead, Uniform)
+    rng = np.random.default_rng(seed)
+    clock, expected = 0.0, []
+    for k in range(1000):  # spans several draw blocks
+        gap_law = first if (k == 0 and first) else cfg.interarrival
+        clock += gap_law.sample(rng)
+        v, l = cfg.joint.sample(rng)
+        expected.append((clock, v, lead_scale * l))
+    stream = TrafficStream(cfg, np.random.default_rng(seed))
+    assert [stream.next() for _ in expected] == expected
+
+
+def test_stream_raises_at_the_offending_row():
+    # leads of scale 1e308 overflow to inf whenever the standard
+    # exponential draw exceeds ~1.8; the batched stream must fail on the
+    # same row as the scalar draws, not when the block is drawn
+    cfg = ScenarioConfig(
+        interarrival=Exponential(1.0),
+        joint=ProductJoint(Exponential(1.0), Exponential(1e-308)),
+        horizon=1.0,
+        seed=6,
+    )
+    rng = np.random.default_rng(cfg.seed)
+    bad = next(
+        k
+        for k in range(10_000)
+        if not math.isfinite(cfg.interarrival.sample(rng) + sum(cfg.joint.sample(rng)))
+    )
+    assert bad >= 2  # the failure lies in a batched row
+    stream = TrafficStream(cfg, np.random.default_rng(cfg.seed))
+    for _ in range(bad):
+        stream.next()
+    with pytest.raises(SimulationError, match="lead"):
+        stream.next()
+
+
+@settings(max_examples=15, deadline=None)
+@given(scenarios(horizon=8.0))
+def test_engine_matches_naive_oracle(cfg):
+    out = run(cfg)
+    assume(1 <= len(out.jobs) <= 20)
+    deps = {j.job_id: j.departure_time for j in out.departures()}
+    # as in gate 3: only departures the step size can resolve, nothing
+    # finishing within 0.01 of the horizon on either side
+    _, _, snap = out.snapshot_at(cfg.horizon)
+    assume(not deps or min(cfg.horizon - t for t in deps.values()) > 0.01)
+    assume(not snap.residuals.size or snap.residuals.min() > 0.01)
+    dt = 1e-4
+    ref = step_simulate(cfg, dt=dt)
+    assert set(ref) == set(deps)
+    # each arrival activates and each departure fires up to one step late,
+    # and a late event delays every other job by at most that step
+    tol = dt * (len(out.path) + 1)
+    for job_id, t in deps.items():
+        assert ref[job_id] == pytest.approx(t, abs=tol)

@@ -11,7 +11,6 @@ inside the simulator or a numerical routine.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -38,17 +37,22 @@ def _out_dir(args, cfg: fileio.ConfigFile) -> Path:
     return d
 
 
-def _require(cfg: fileio.ConfigFile, kind: str) -> dict:
+def _require(
+    cfg: fileio.ConfigFile, kind: str, seed_override: int | None = None, seed_key: str = "seed"
+) -> dict:
+    """The config's request block, with --seed-override written over its seed_key."""
     if cfg.kind != kind:
         raise ConfigError(
             f"config contains a {cfg.kind!r} request; this command needs {kind!r}"
         )
-    return cfg.payload
+    if seed_override is None:
+        return cfg.payload
+    return {**cfg.payload, seed_key: seed_override}
 
 
 def cmd_simulate(args) -> int:
     cfg = fileio.load_config(args.config)
-    scenario = fileio.parse_scenario(_require(cfg, "scenario"), args.seed_override)
+    scenario = fileio.parse_scenario(_require(cfg, "scenario", args.seed_override))
     out = run(scenario)
     d = _out_dir(args, cfg)
     fileio.write_departures_csv(out, d / "departures.csv")
@@ -73,7 +77,7 @@ def cmd_simulate(args) -> int:
 def cmd_lift(args) -> int:
     cfg = fileio.load_config(args.config)
     req = fileio.parse_lift(_require(cfg, "lift"))
-    meas = lift(req.joint, req.alpha, req.z, method=req.method, tol=req.tol)
+    meas = lift(req.joint, req.alpha, req.z, **req.lift_options())
     d = _out_dir(args, cfg)
     table = grid_quadrant_masses(meas.quadrant, req.grid)
     fileio.write_lift_csv(table, req.grid, d / "lift.csv")
@@ -113,7 +117,7 @@ def cmd_profiles(args) -> int:
 
 def cmd_rbm(args) -> int:
     cfg = fileio.load_config(args.config)
-    req = fileio.parse_rbm(_require(cfg, "rbm"), args.seed_override)
+    req = fileio.parse_rbm(_require(cfg, "rbm", args.seed_override))
     path = simulate(req.spec, req.horizon, req.dt, req.seed)
     d = _out_dir(args, cfg)
     fileio.write_rbm_path_csv(path, d / "rbm_path.csv")
@@ -136,22 +140,10 @@ def cmd_rbm(args) -> int:
     return 0
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("PSDL_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"PSDL_THREADS must be an integer, got {env!r}") from None
-    return 1
-
-
 def cmd_sweep(args) -> int:
     cfg = fileio.load_config(args.config)
-    sweep = fileio.parse_sweep(_require(cfg, "sweep"), args.seed_override)
-    report = run_sweep(sweep, threads=_resolve_threads(args))
+    sweep = fileio.parse_sweep(_require(cfg, "sweep", args.seed_override, "seed_base"))
+    report = run_sweep(sweep, threads=args.threads)
     d = _out_dir(args, cfg)
     fileio.write_report_json(report, d / "report.json")
     fileio.write_rows_csv(report, d / "rows.csv")
@@ -179,16 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument(
-            "--seed-override", type=int, default=None, help="replace the config seed"
-        )
-        if name == "sweep":
+        if name in ("simulate", "rbm", "sweep"):
             p.add_argument(
-                "--threads",
-                type=int,
-                default=None,
-                help="worker processes (default: PSDL_THREADS or 1)",
+                "--seed-override", type=int, default=None, help="replace the config seed"
             )
+        if name == "sweep":
+            p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
         p.set_defaults(fn=fn)
     return parser
 

@@ -433,19 +433,26 @@ _SCALAR_KINDS: dict[str, type] = {
 }
 
 
-def scalar_from_spec(spec: dict) -> ScalarDistribution:
-    """Build a scalar law from a plain dict like {"kind": "exponential", "rate": 2.0}."""
+def _from_spec(kinds: dict[str, type], spec: dict, what: str, convert: dict):
+    """Build the law named by spec["kind"] from the rest of the spec: the
+    keys are the class's fields, each value goes through its converter
+    in ``convert`` (or is taken as it is), and unknown keys are rejected."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"scalar distribution spec must be a dict with 'kind': {spec!r}")
+        raise ConfigError(f"{what} distribution spec must be a dict with 'kind': {spec!r}")
     kind = spec["kind"]
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    cls = _SCALAR_KINDS.get(kind)
+    cls = kinds.get(kind)
     if cls is None:
-        raise ConfigError(f"unknown scalar distribution kind {kind!r}")
+        raise ConfigError(f"unknown {what} distribution kind {kind!r}")
     try:
+        params = {k: convert[k](v) if k in convert else v for k, v in spec.items() if k != "kind"}
         return cls(**params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for {kind!r}: {exc}") from None
+
+
+def scalar_from_spec(spec: dict) -> ScalarDistribution:
+    """Build a scalar law from a plain dict like {"kind": "exponential", "rate": 2.0}."""
+    return _from_spec(_SCALAR_KINDS, spec, "scalar", {})
 
 
 # ---------------------------------------------------------------------------
@@ -662,36 +669,18 @@ class EmpiricalJoint(JointDistribution):
 
 
 _JOINT_KINDS = {c.kind: c for c in (ProductJoint, LinearJoint, EmpiricalJoint)}
+# empirical points and weights are converted by EmpiricalJoint itself
+_JOINT_CONVERT = {
+    "service": scalar_from_spec,
+    "lead": scalar_from_spec,
+    "c": float,
+    "moment_exponent": float,
+}
 
 
 def joint_from_spec(spec: dict) -> JointDistribution:
     """Build a joint law from a plain dict; scalar components are nested specs."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"joint distribution spec must be a dict with 'kind': {spec!r}")
-    kind = spec["kind"]
-    if kind not in _JOINT_KINDS:
-        raise ConfigError(f"unknown joint distribution kind {kind!r}")
-    p = float(spec.get("moment_exponent", 1.0))
-    try:
-        if kind == "product":
-            return ProductJoint(
-                service=scalar_from_spec(spec["service"]),
-                lead=scalar_from_spec(spec["lead"]),
-                moment_exponent=p,
-            )
-        if kind == "linear":
-            return LinearJoint(
-                service=scalar_from_spec(spec["service"]),
-                c=float(spec["c"]),
-                moment_exponent=p,
-            )
-        return EmpiricalJoint(
-            points=tuple((float(s), float(l)) for s, l in spec["points"]),
-            weights=tuple(spec["weights"]) if spec.get("weights") is not None else None,
-            moment_exponent=p,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"joint spec for {kind!r} missing field {exc}") from None
+    return _from_spec(_JOINT_KINDS, spec, "joint", _JOINT_CONVERT)
 
 
 def to_spec(d: ScalarDistribution | JointDistribution) -> dict:

@@ -50,7 +50,7 @@ import numpy as np
 
 from .distributions import JointDistribution, ScalarDistribution
 from .errors import ConfigError, SimulationError
-from .measures import PointMeasure, QuadrantGrid, grid_quadrant_masses
+from .measures import PointMeasure, QuadrantGrid, quadrant_distance
 
 __all__ = [
     "ScenarioConfig",
@@ -435,6 +435,4 @@ def verify_dynamic_equation(
     lead_all = np.concatenate(parts_lead)
     transported = PointMeasure(res_all, lead_all, np.ones(res_all.size))
 
-    ma = grid_quadrant_masses(transported, grid)
-    mb = grid_quadrant_masses(snap1, grid)
-    return float(np.abs(ma - mb).max())
+    return quadrant_distance(transported, snap1, grid)

@@ -10,11 +10,14 @@ schema_version, an optional output_dir, and exactly one request block:
     profile   -> profiles     (profile.csv)
     rbm       -> rbm          (rbm_path.csv, rbm_summary.json)
 
-Floats in CSVs are printed with 17 significant digits and JSON is
-dumped with sorted keys, so identical runs produce identical bytes.
-Unknown keys anywhere are rejected: a typo should fail loudly, not
-silently fall back to a default.  A missing field or a value of the
-wrong type or form raises ConfigError as well.
+Each block but rbm is read into its dataclass, whose fields are the
+block's keys and whose defaults fill the keys left out, so a request is
+declared once.  Floats in CSVs are printed with 17 significant digits
+and JSON is dumped with sorted keys, so identical runs produce
+identical bytes.  Unknown keys anywhere, distribution specs included,
+are rejected: a typo should fail loudly, not silently fall back to a
+default.  A missing field or a value of the wrong type or form raises
+ConfigError as well.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -149,47 +152,48 @@ def load_config(path) -> ConfigFile:
 # ---------------------------------------------------------------------------
 
 
-@_parser("scenario")
-def parse_scenario(payload: dict, seed_override: int | None = None) -> ScenarioConfig:
-    allowed = {
-        "interarrival",
-        "first_interarrival",
-        "joint",
-        "horizon",
-        "snapshot_times",
-        "seed",
-        "lead_scale",
-        "initial_jobs",
-        "r",
-        "label",
-    }
-    _reject_unknown(payload, allowed, "scenario")
-    interarrival = scalar_from_spec(payload["interarrival"])
-    joint = joint_from_spec(payload["joint"])
-    horizon = float(payload["horizon"])
-    first = payload.get("first_interarrival")
-    init = payload.get("initial_jobs", "empty")
-    if init == "empty":
-        init_jobs: tuple = ()
-    elif isinstance(init, list):
-        init_jobs = tuple((float(v), float(l)) for v, l in init)
-    else:
+def _optional(convert):
+    """Converter for a field whose JSON null means None."""
+    return lambda v: None if v is None else convert(v)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _from_payload(cls, payload: dict, where: str, convert: dict):
+    """Build the request dataclass ``cls`` from its block: the accepted keys
+    are the fields of ``cls``, each present key goes through its converter
+    in ``convert`` (or is taken as it is), and absent keys take the field's
+    default.  Float fields convert with float() so that a JSON 300 is
+    echoed in the outputs as 300.0."""
+    _reject_unknown(payload, {f.name for f in fields(cls)}, where)
+    return cls(**{k: convert[k](v) if k in convert else v for k, v in payload.items()})
+
+
+def _initial_jobs(spec) -> tuple[tuple[float, float], ...]:
+    if spec == "empty":
+        return ()
+    if not isinstance(spec, list):
         raise ConfigError('initial_jobs must be "empty" or a list of [service, lead] pairs')
-    seed = int(payload.get("seed", 0))
-    if seed_override is not None:
-        seed = seed_override
-    return ScenarioConfig(
-        interarrival=interarrival,
-        joint=joint,
-        horizon=horizon,
-        snapshot_times=tuple(float(t) for t in payload.get("snapshot_times", ())),
-        seed=seed,
-        lead_scale=float(payload.get("lead_scale", 1.0)),
-        first_interarrival=scalar_from_spec(first) if first is not None else None,
-        initial_jobs=init_jobs,
-        r=float(payload.get("r", 1.0)),
-        label=str(payload.get("label", "")),
-    )
+    return tuple((float(v), float(l)) for v, l in spec)
+
+
+@_parser("scenario")
+def parse_scenario(payload: dict) -> ScenarioConfig:
+    convert = {
+        "interarrival": scalar_from_spec,
+        "first_interarrival": _optional(scalar_from_spec),
+        "joint": joint_from_spec,
+        "horizon": float,
+        "snapshot_times": _floats,
+        "seed": int,
+        "lead_scale": float,
+        "initial_jobs": _initial_jobs,
+        "r": float,
+        "label": str,
+    }
+    return _from_payload(ScenarioConfig, payload, "scenario", convert)
 
 
 def _parse_grid(spec: dict | None) -> QuadrantGrid:
@@ -209,61 +213,50 @@ def _parse_grid(spec: dict | None) -> QuadrantGrid:
 
 
 @_parser("sweep")
-def parse_sweep(payload: dict, seed_override: int | None = None) -> SweepConfig:
-    allowed = {
-        "joint",
-        "alpha",
-        "gamma",
-        "r_values",
-        "T",
-        "snapshot_times",
-        "replications",
-        "seed_base",
-        "sojourn_window",
-        "interarrival_kind",
-        "grid",
+def parse_sweep(payload: dict) -> SweepConfig:
+    convert = {
+        "joint": joint_from_spec,
+        "alpha": float,
+        "gamma": float,
+        "r_values": _floats,
+        "T": float,
+        "snapshot_times": _floats,
+        "replications": int,
+        "seed_base": int,
+        "sojourn_window": float,
+        "interarrival_kind": str,
+        "grid": _parse_grid,
     }
-    _reject_unknown(payload, allowed, "sweep")
-    seed_base = int(payload["seed_base"])
-    if seed_override is not None:
-        seed_base = seed_override
-    return SweepConfig(
-        joint=joint_from_spec(payload["joint"]),
-        alpha=float(payload["alpha"]),
-        gamma=float(payload["gamma"]),
-        r_values=tuple(float(r) for r in payload["r_values"]),
-        T=float(payload["T"]),
-        snapshot_times=tuple(float(t) for t in payload["snapshot_times"]),
-        replications=int(payload["replications"]),
-        seed_base=seed_base,
-        sojourn_window=float(payload.get("sojourn_window", 300.0)),
-        interarrival_kind=str(payload.get("interarrival_kind", "exponential")),
-        grid=_parse_grid(payload.get("grid")),
-    )
+    return _from_payload(SweepConfig, payload, "sweep", convert)
 
 
 @dataclass(frozen=True)
 class LiftRequest:
+    """A lift request; method and tol, when absent, keep ``lift``'s defaults."""
+
     joint: JointDistribution
     alpha: float
     z: float
-    method: str
-    tol: float
-    grid: QuadrantGrid
+    method: str | None = None
+    tol: float | None = None
+    grid: QuadrantGrid = field(default_factory=default_grid)
+
+    def lift_options(self) -> dict:
+        """The keyword arguments of ``lift`` that this request sets."""
+        return {k: v for k in ("method", "tol") if (v := getattr(self, k)) is not None}
 
 
 @_parser("lift")
 def parse_lift(payload: dict) -> LiftRequest:
-    allowed = {"joint", "alpha", "z", "method", "tol", "grid"}
-    _reject_unknown(payload, allowed, "lift")
-    return LiftRequest(
-        joint=joint_from_spec(payload["joint"]),
-        alpha=float(payload["alpha"]),
-        z=float(payload["z"]),
-        method=str(payload.get("method", "auto")),
-        tol=float(payload.get("tol", 1e-6)),
-        grid=_parse_grid(payload.get("grid")),
-    )
+    convert = {
+        "joint": joint_from_spec,
+        "alpha": float,
+        "z": float,
+        "method": str,
+        "tol": float,
+        "grid": _parse_grid,
+    }
+    return _from_payload(LiftRequest, payload, "lift", convert)
 
 
 _PROFILE_KINDS = ("lead_product", "time_in_queue", "sojourn", "linear_deadline")
@@ -279,39 +272,33 @@ class ProfileRequest:
     alpha: float | None = None
     c: float | None = None
 
+    def __post_init__(self):
+        if self.profile not in _PROFILE_KINDS:
+            raise ConfigError(f"profile must be one of {_PROFILE_KINDS}, got {self.profile!r}")
+        if self.profile == "lead_product" and (self.lam is None or self.alpha is None):
+            raise ConfigError("lead_product profile needs 'lam' and 'alpha'")
+        if self.profile == "linear_deadline" and self.c is None:
+            raise ConfigError("linear_deadline profile needs 'c'")
+
+
+def _y_values(spec) -> tuple[float, ...]:
+    if isinstance(spec, dict):
+        _reject_unknown(spec, {"y_min", "y_max", "n"}, "y_values")
+        spec = np.linspace(float(spec["y_min"]), float(spec["y_max"]), int(spec["n"]))
+    return _floats(spec)
+
 
 @_parser("profile")
 def parse_profile(payload: dict) -> ProfileRequest:
-    allowed = {"profile", "nu", "lam", "alpha", "c", "z", "y_values"}
-    _reject_unknown(payload, allowed, "profile")
-    kind = payload.get("profile")
-    if kind not in _PROFILE_KINDS:
-        raise ConfigError(f"profile must be one of {_PROFILE_KINDS}, got {kind!r}")
-    nu = scalar_from_spec(payload["nu"])
-    z = float(payload["z"])
-    ys_spec = payload["y_values"]
-    if isinstance(ys_spec, dict):
-        _reject_unknown(ys_spec, {"y_min", "y_max", "n"}, "y_values")
-        ys = np.linspace(float(ys_spec["y_min"]), float(ys_spec["y_max"]), int(ys_spec["n"]))
-        y_values = tuple(float(y) for y in ys)
-    else:
-        y_values = tuple(float(y) for y in ys_spec)
-    lam = payload.get("lam")
-    alpha = payload.get("alpha")
-    c = payload.get("c")
-    if kind == "lead_product" and (lam is None or alpha is None):
-        raise ConfigError("lead_product profile needs 'lam' and 'alpha'")
-    if kind == "linear_deadline" and c is None:
-        raise ConfigError("linear_deadline profile needs 'c'")
-    return ProfileRequest(
-        profile=kind,
-        nu=nu,
-        z=z,
-        y_values=y_values,
-        lam=scalar_from_spec(lam) if lam is not None else None,
-        alpha=float(alpha) if alpha is not None else None,
-        c=float(c) if c is not None else None,
-    )
+    convert = {
+        "nu": scalar_from_spec,
+        "z": float,
+        "y_values": _y_values,
+        "lam": _optional(scalar_from_spec),
+        "alpha": _optional(float),
+        "c": _optional(float),
+    }
+    return _from_payload(ProfileRequest, payload, "profile", convert)
 
 
 @dataclass(frozen=True)
@@ -324,7 +311,7 @@ class RBMRequest:
 
 
 @_parser("rbm")
-def parse_rbm(payload: dict, seed_override: int | None = None) -> RBMRequest:
+def parse_rbm(payload: dict) -> RBMRequest:
     allowed = {"drift", "variance", "x0", "horizon", "dt", "seed", "quantiles"}
     _reject_unknown(payload, allowed, "rbm")
     spec = RBMSpec(
@@ -332,17 +319,12 @@ def parse_rbm(payload: dict, seed_override: int | None = None) -> RBMRequest:
         variance=float(payload["variance"]),
         x0=float(payload.get("x0", 0.0)),
     )
-    horizon = float(payload["horizon"])
-    dt = float(payload["dt"])
-    seed = int(payload.get("seed", 0))
-    if seed_override is not None:
-        seed = seed_override
     return RBMRequest(
         spec=spec,
-        horizon=horizon,
-        dt=dt,
-        seed=seed,
-        quantiles=tuple(float(q) for q in payload.get("quantiles", ())),
+        horizon=float(payload["horizon"]),
+        dt=float(payload["dt"]),
+        seed=int(payload.get("seed", 0)),
+        quantiles=_floats(payload.get("quantiles", ())),
     )
 
 

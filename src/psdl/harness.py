@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -47,6 +47,7 @@ from .measures import (
     default_grid,
     grid_quadrant_masses,
     mass_moment_chi,
+    quadrant_distance,
     scale_diffusion,
 )
 
@@ -104,8 +105,8 @@ class SweepConfig:
             raise ConfigError("replications must be >= 1")
         if self.seed_base < 0:
             raise ConfigError(f"seed_base must be >= 0, got {self.seed_base}")
-        if self.sojourn_window < 0.0:
-            raise ConfigError("sojourn_window must be >= 0")
+        if not (self.sojourn_window >= 0.0):
+            raise ConfigError(f"sojourn_window must be >= 0, got {self.sojourn_window}")
         if self.interarrival_kind not in _INTERARRIVAL_KINDS:
             raise ConfigError(
                 f"interarrival_kind must be one of {_INTERARRIVAL_KINDS}, "
@@ -159,10 +160,7 @@ def collapse_error(
     """Distance between the diffusion-scaled snapshot and the invariant
     member carrying the same mass, over the grid quadrants."""
     scaled = scale_diffusion(snapshot, r)
-    inv = lift(joint, alpha, scaled.total_mass)
-    emp = grid_quadrant_masses(scaled, grid)
-    th = grid_quadrant_masses(inv.quadrant, grid)
-    return float(np.abs(emp - th).max())
+    return quadrant_distance(scaled, lift(joint, alpha, scaled.total_mass).quadrant, grid)
 
 
 def lateness_fraction(scaled_snapshot: PointMeasure) -> float | None:
@@ -380,6 +378,10 @@ def _aggregate(sweep: SweepConfig, rows: tuple[SweepRow, ...]) -> dict:
     return {"per_r": per_r, "per_r_t": per_r_t}
 
 
+def _json_value(v):
+    return list(v) if isinstance(v, tuple) else v
+
+
 def _grid_echo(grid: QuadrantGrid) -> dict:
     ys = ["-inf" if math.isinf(y) else float(y) for y in grid.y_values]
     return {"x_values": [float(x) for x in grid.x_values], "y_values": ys}
@@ -412,18 +414,9 @@ def run_sweep(sweep: SweepConfig, threads: int = 1) -> CollapseReport:
 
     a = _interarrival_law(sweep.interarrival_kind, sweep.alpha).std()
     theory = ht_params(sweep.alpha, a, sweep.joint.service_std(), sweep.gamma)
+    echo = {"joint": to_spec, "grid": _grid_echo}
     config_echo = {
-        "joint": to_spec(sweep.joint),
-        "alpha": sweep.alpha,
-        "gamma": sweep.gamma,
-        "r_values": list(sweep.r_values),
-        "T": sweep.T,
-        "snapshot_times": list(sweep.snapshot_times),
-        "replications": sweep.replications,
-        "seed_base": sweep.seed_base,
-        "sojourn_window": sweep.sojourn_window,
-        "interarrival_kind": sweep.interarrival_kind,
-        "grid": _grid_echo(sweep.grid),
+        f.name: echo.get(f.name, _json_value)(getattr(sweep, f.name)) for f in fields(SweepConfig)
     }
     return CollapseReport(
         config=config_echo,

@@ -251,6 +251,8 @@ def lift(
         raise ConfigError(f"arrival rate must be positive and finite, got {alpha}")
     if not (z >= 0.0 and math.isfinite(z)):
         raise ConfigError(f"total mass must be nonnegative and finite, got {z}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
 
     found = _closed_form(joint, alpha, z) if method == "auto" else None
     resolved, grid_fn = found or ("quadrature", _quadrature_builder(joint, alpha, z, tol))

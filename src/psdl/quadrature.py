@@ -35,8 +35,8 @@ def _adaptive_panel(
     whole: float,
     tol: float,
     depth: int,
-) -> tuple[float, float]:
-    """Returns (integral, error bound actually achieved) for one panel."""
+) -> float:
+    """The integral over one panel, refined until its error estimate meets tol."""
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
@@ -44,15 +44,15 @@ def _adaptive_panel(
     right = _simpson(fm, frm, fb, b - m)
     delta = left + right - whole
     if abs(delta) <= 15.0 * tol or (b - a) <= 1e-14 * max(1.0, abs(a)):
-        return left + right + delta / 15.0, abs(delta) / 15.0
+        return left + right + delta / 15.0
     if depth >= _MAX_DEPTH:
         raise SimulationError(
             f"quadrature failed to converge on [{a}, {b}]: "
             f"achieved error estimate {abs(delta) / 15.0:.3e} > {tol:.3e}"
         )
-    li, le = _adaptive_panel(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1)
-    ri, re = _adaptive_panel(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1)
-    return li + ri, le + re
+    li = _adaptive_panel(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1)
+    ri = _adaptive_panel(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1)
+    return li + ri
 
 
 def integrate(
@@ -72,6 +72,8 @@ def integrate(
     """
     if not (b >= a):
         raise ConfigError(f"bad interval [{a}, {b}]")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
     if b == a:
         return 0.0
     cuts = sorted({float(c) for c in breakpoints if a < c < b})
@@ -93,8 +95,7 @@ def integrate(
         m = 0.5 * (lo + hi)
         fm = f(m)
         whole = _simpson(flo, fm, fhi, hi - lo)
-        val, _ = _adaptive_panel(f, lo, hi, flo, fm, fhi, whole, budget, 0)
-        total += val
+        total += _adaptive_panel(f, lo, hi, flo, fm, fhi, whole, budget, 0)
     return total
 
 

@@ -16,6 +16,7 @@ MM1_JOINT = {
     "service": {"kind": "exponential", "rate": 1.0},
     "lead": {"kind": "exponential", "rate": 1.0},
 }
+LINEAR_JOINT = {"kind": "linear", "service": {"kind": "exponential", "rate": 1.0}, "c": 1.0}
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -55,6 +56,14 @@ SWEEP = {
     "seed_base": 9,
 }
 RBM = {"drift": -1.0, "variance": 2.0, "horizon": 1.0, "dt": 0.01, "seed": 4}
+PROFILE = {
+    "profile": "lead_product",
+    "nu": {"kind": "exponential", "rate": 1.0},
+    "lam": {"kind": "exponential", "rate": 1.0},
+    "alpha": 1.0,
+    "z": 1.5,
+    "y_values": [-1.0, 0.0, 1.0],
+}
 
 
 def scenario_config(tmp_path, **extra):
@@ -230,6 +239,12 @@ def test_exit_code_bad_config(tmp_path):
         ("lift", {"lift": {**LIFT, "joint": {"kind": "empirical", "points": [[1.0, 2.0, 3.0]]}}}),
         ("sweep", {"sweep": {**SWEEP, "seed_base": -1}}),
         ("rbm", {"rbm": {**RBM, "seed": -1}}),
+        # tol = 0 can never be met, so quadrature would refine forever
+        ("lift", {"lift": {**LIFT, "method": "quadrature", "tol": 0.0}}),
+        ("sweep", {"sweep": {**SWEEP, "sojourn_window": math.nan}}),
+        # keys the joint law's class does not have
+        ("simulate", {"scenario": {**SCENARIO, "joint": {**SCENARIO["joint"], "c": 2.0}}}),
+        ("lift", {"lift": {**LIFT, "joint": {**LINEAR_JOINT, "lead": MM1_JOINT["lead"]}}}),
     ]
     for i, (cmd, body) in enumerate(bad):
         cfg = write_config(tmp_path, {"schema_version": 1, **body}, name=f"bad{i}.json")
@@ -240,6 +255,13 @@ def test_exit_code_bad_config(tmp_path):
         cfg = write_config(tmp_path, {"schema_version": 1, **body}, name=f"neg{i}.json")
         argv = [cmd, "--config", cfg, "--out", str(tmp_path / f"neg{i}"), "--seed-override", "-1"]
         assert main(argv) == 2
+    # lift and profiles have no seed to override
+    for i, (cmd, body) in enumerate([("lift", {"lift": LIFT}), ("profiles", {"profile": PROFILE})]):
+        cfg = write_config(tmp_path, {"schema_version": 1, **body}, name=f"noseed{i}.json")
+        argv = [cmd, "--config", cfg, "--out", str(tmp_path / f"noseed{i}"), "--seed-override", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_exit_code_wrong_request_kind(tmp_path):
@@ -274,6 +296,9 @@ def _leaves(node, path=()):
 FUZZ_BASES = [
     ("simulate", {"schema_version": 1, "scenario": SCENARIO, "output_dir": "out/demo"}),
     ("lift", {"schema_version": 1, "lift": LIFT}),
+    ("sweep", {"schema_version": 1, "sweep": SWEEP}),
+    ("rbm", {"schema_version": 1, "rbm": RBM}),
+    ("profiles", {"schema_version": 1, "profile": PROFILE}),
 ]
 FUZZ_VALUES = [-3, "x", None, [], [1.0], {}, True]
 FUZZ_CASES = [

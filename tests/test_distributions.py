@@ -242,6 +242,12 @@ def test_joint_spec_round_trip():
         EmpiricalJoint(((1.0, 0.0),), (1.0,)),
     ):
         assert joint_from_spec(to_spec(j)) == j
+    # a key the law's class does not have is rejected, not ignored
+    product = to_spec(ProductJoint(Exponential(1.0), Exponential(1.0)))
+    linear = to_spec(LinearJoint(Exponential(2.0), 0.5))
+    for spec in ({**product, "c": 2.0}, {**linear, "lead": to_spec(Exponential(1.0))}):
+        with pytest.raises(ConfigError):
+            joint_from_spec(spec)
 
 
 def test_check_assumptions_pass():

@@ -36,6 +36,13 @@ def test_degenerate_interval():
         integrate(lambda x: x, 2.0, 1.0)
 
 
+def test_bad_tolerance():
+    # a tolerance that can never be met would refine forever
+    for tol in (0.0, -1e-6, math.nan):
+        with pytest.raises(ConfigError):
+            integrate(lambda x: x, 0.0, 1.0, tol=tol)
+
+
 def test_truncation_point_exponential():
     u = truncation_point(lambda x: math.exp(-x), 1.0, cutoff=1e-10)
     assert math.exp(-u) <= 1e-10

@@ -55,14 +55,11 @@ from .manifold import (
     time_in_queue_profile,
 )
 from .measures import (
-    LeadProfile,
     PointMeasure,
     QuadrantFunction,
     QuadrantGrid,
     default_grid,
-    discretize_quadrant_function,
     mass_moment_chi,
-    project_lead,
     quadrant_distance,
     scale_diffusion,
 )

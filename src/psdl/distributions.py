@@ -74,6 +74,10 @@ class ScalarDistribution(ABC):
         """P(X >= x); equals 1 for x <= 0."""
 
     @abstractmethod
+    def survival_array(self, x: np.ndarray) -> np.ndarray:
+        """Vectorized ``survival``; x may contain +/-inf."""
+
+    @abstractmethod
     def quantile(self, q: float) -> float:
         """Smallest x with P(X <= x) >= q, for q in [0, 1)."""
 
@@ -166,6 +170,9 @@ class Exponential(ScalarDistribution):
     def survival(self, x: float) -> float:
         return 1.0 if x <= 0.0 else math.exp(-self.rate * x)
 
+    def survival_array(self, x: np.ndarray) -> np.ndarray:
+        return self.excess_survival_array(x)
+
     def quantile(self, q: float) -> float:
         _check_q(q)
         return -math.log1p(-q) / self.rate
@@ -192,6 +199,9 @@ class Exponential(ScalarDistribution):
         e = np.exp(s * yn)  # 0 at y = -inf
         return np.where(ys >= 0.0, np.exp(-m * yp) / (s + m), (1.0 - e) / s + e / (s + m))
 
+    def breakpoints(self) -> tuple[float, ...]:
+        return (0.0,)
+
 
 @dataclass(frozen=True)
 class Deterministic(ScalarDistribution):
@@ -210,6 +220,9 @@ class Deterministic(ScalarDistribution):
 
     def survival(self, x: float) -> float:
         return 1.0 if x <= self.value else 0.0
+
+    def survival_array(self, x: np.ndarray) -> np.ndarray:
+        return np.where(np.asarray(x) <= self.value, 1.0, 0.0)
 
     def quantile(self, q: float) -> float:
         _check_q(q)
@@ -266,6 +279,9 @@ class Uniform(ScalarDistribution):
         if x >= self.hi:
             return 0.0
         return (self.hi - x) / (self.hi - self.lo)
+
+    def survival_array(self, x: np.ndarray) -> np.ndarray:
+        return np.clip((self.hi - np.asarray(x, dtype=float)) / (self.hi - self.lo), 0.0, 1.0)
 
     def quantile(self, q: float) -> float:
         _check_q(q)
@@ -332,6 +348,11 @@ class HyperExponential(ScalarDistribution):
             return 1.0
         return sum(w * math.exp(-r * x) for w, r in zip(self.weights, self.rates))
 
+    def survival_array(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        tail = sum(w * np.exp(-r * np.maximum(x, 0.0)) for w, r in zip(self.weights, self.rates))
+        return np.where(x <= 0.0, 1.0, tail)  # exactly 1, as the weights sum to 1 only within 1e-9
+
     def quantile(self, q: float) -> float:
         _check_q(q)
         if q == 0.0:
@@ -378,6 +399,9 @@ class HyperExponential(ScalarDistribution):
             for w, r in zip(self.weights, self.rates)
         )
 
+    def breakpoints(self) -> tuple[float, ...]:
+        return (0.0,)
+
 
 @dataclass(frozen=True)
 class PointMassZero(ScalarDistribution):
@@ -394,6 +418,9 @@ class PointMassZero(ScalarDistribution):
 
     def survival(self, x: float) -> float:
         return 1.0 if x <= 0.0 else 0.0
+
+    def survival_array(self, x: np.ndarray) -> np.ndarray:
+        return np.where(np.asarray(x) <= 0.0, 1.0, 0.0)
 
     def quantile(self, q: float) -> float:
         _check_q(q)
@@ -436,18 +463,26 @@ _SCALAR_KINDS: dict[str, type] = {
 def _from_spec(kinds: dict[str, type], spec: dict, what: str, convert: dict):
     """Build the law named by spec["kind"] from the rest of the spec: the
     keys are the class's fields, each value goes through its converter
-    in ``convert`` (or is taken as it is), and unknown keys are rejected."""
+    in ``convert`` (or is taken as it is), and unknown keys and boolean
+    values are rejected."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{what} distribution spec must be a dict with 'kind': {spec!r}")
     kind = spec["kind"]
     cls = kinds.get(kind)
     if cls is None:
         raise ConfigError(f"unknown {what} distribution kind {kind!r}")
+    flags = sorted(k for k, v in spec.items() if _has_bool(v))
+    if flags:
+        raise ConfigError(f"bad parameters for {kind!r}: booleans in {flags}")
     try:
         params = {k: convert[k](v) if k in convert else v for k, v in spec.items() if k != "kind"}
         return cls(**params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for {kind!r}: {exc}") from None
+
+
+def _has_bool(v) -> bool:
+    return isinstance(v, bool) or (isinstance(v, (list, tuple)) and any(map(_has_bool, v)))
 
 
 def scalar_from_spec(spec: dict) -> ScalarDistribution:
@@ -465,10 +500,16 @@ class JointDistribution(ABC):
 
     kind: ClassVar[str]
 
-    @abstractmethod
     def quadrant_survival(self, x: float, y: float) -> float:
         """Mass of the closed quadrant [x, oo) x [y, oo); x must be >= 0,
         y may be any real or -inf (giving the service marginal survival)."""
+        if math.isnan(x) or x < 0.0:
+            raise ConfigError(f"residual threshold must be >= 0, got {x}")
+        return float(self.quadrant_survival_array(np.float64(x), np.float64(y)))
+
+    @abstractmethod
+    def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Vectorized ``quadrant_survival`` on broadcastable arrays (x >= 0)."""
 
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> tuple[float, float]: ...
@@ -510,10 +551,6 @@ class JointDistribution(ABC):
         v = self.service_moment(2.0) - self.mean_service() ** 2
         return math.sqrt(max(v, 0.0))
 
-    def _check_x(self, x: float) -> None:
-        if math.isnan(x) or x < 0.0:
-            raise ConfigError(f"residual threshold must be >= 0, got {x}")
-
 
 class _ScalarServiceJoint(JointDistribution):
     """Joint laws whose service marginal is the scalar law ``service``."""
@@ -549,10 +586,9 @@ class ProductJoint(_ScalarServiceJoint):
         if self.moment_exponent <= 0.0:
             raise ConfigError("moment_exponent must be positive")
 
-    def quadrant_survival(self, x: float, y: float) -> float:
-        self._check_x(x)
-        lead_surv = 1.0 if y == -math.inf else self.lead.survival(y)
-        return self.service.survival(x) * lead_surv
+    def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # every lead survival is 1 at y = -inf
+        return self.service.survival_array(x) * self.lead.survival_array(y)
 
     def sample(self, rng: np.random.Generator) -> tuple[float, float]:
         # fixed draw order (service, then lead) keeps streams reproducible
@@ -586,11 +622,9 @@ class LinearJoint(_ScalarServiceJoint):
         if self.moment_exponent <= 0.0:
             raise ConfigError("moment_exponent must be positive")
 
-    def quadrant_survival(self, x: float, y: float) -> float:
+    def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # {v >= x, c v >= y} collapses to a single service tail
-        self._check_x(x)
-        threshold = x if y == -math.inf else max(x, y / self.c)
-        return self.service.survival(threshold)
+        return self.service.survival_array(np.maximum(x, np.asarray(y) / self.c))
 
     def sample(self, rng: np.random.Generator) -> tuple[float, float]:
         v = self.service.sample(rng)
@@ -631,11 +665,12 @@ class EmpiricalJoint(JointDistribution):
         if self.moment_exponent <= 0.0:
             raise ConfigError("moment_exponent must be positive")
 
-    def quadrant_survival(self, x: float, y: float) -> float:
-        self._check_x(x)
-        return sum(
-            w for (s, l), w in zip(self.points, self.weights) if s >= x and l >= y
-        )
+    def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # one pass per atom keeps the working set at the size of x
+        out = np.zeros(np.broadcast(x, y).shape)
+        for (s, l), w in zip(self.points, self.weights):
+            out += w * ((s >= x) & (l >= y))
+        return out
 
     def sample(self, rng: np.random.Generator) -> tuple[float, float]:
         u = rng.random()

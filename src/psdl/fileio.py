@@ -157,6 +157,14 @@ def _optional(convert):
     return lambda v: None if v is None else convert(v)
 
 
+def _int(v) -> int:
+    """An integer field: integral numbers only, never a boolean."""
+    integral = isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+    if isinstance(v, bool) or not integral:
+        raise ConfigError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
@@ -187,7 +195,7 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         "joint": joint_from_spec,
         "horizon": float,
         "snapshot_times": _floats,
-        "seed": int,
+        "seed": _int,
         "lead_scale": float,
         "initial_jobs": _initial_jobs,
         "r": float,
@@ -221,8 +229,8 @@ def parse_sweep(payload: dict) -> SweepConfig:
         "r_values": _floats,
         "T": float,
         "snapshot_times": _floats,
-        "replications": int,
-        "seed_base": int,
+        "replications": _int,
+        "seed_base": _int,
         "sojourn_window": float,
         "interarrival_kind": str,
         "grid": _parse_grid,
@@ -284,7 +292,7 @@ class ProfileRequest:
 def _y_values(spec) -> tuple[float, ...]:
     if isinstance(spec, dict):
         _reject_unknown(spec, {"y_min", "y_max", "n"}, "y_values")
-        spec = np.linspace(float(spec["y_min"]), float(spec["y_max"]), int(spec["n"]))
+        spec = np.linspace(float(spec["y_min"]), float(spec["y_max"]), _int(spec["n"]))
     return _floats(spec)
 
 
@@ -323,7 +331,7 @@ def parse_rbm(payload: dict) -> RBMRequest:
         spec=spec,
         horizon=float(payload["horizon"]),
         dt=float(payload["dt"]),
-        seed=int(payload.get("seed", 0)),
+        seed=_int(payload.get("seed", 0)),
         quantiles=_floats(payload.get("quantiles", ())),
     )
 

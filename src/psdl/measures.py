@@ -28,14 +28,11 @@ __all__ = [
     "PointMeasure",
     "QuadrantGrid",
     "QuadrantFunction",
-    "LeadProfile",
     "default_grid",
     "scale_diffusion",
-    "project_lead",
     "mass_moment_chi",
     "grid_quadrant_masses",
     "quadrant_distance",
-    "discretize_quadrant_function",
 ]
 
 
@@ -163,39 +160,6 @@ def scale_diffusion(m: PointMeasure, r: float) -> PointMeasure:
     return PointMeasure(m.residuals, m.leads / r, m.weights / r)
 
 
-@dataclass(frozen=True)
-class LeadProfile:
-    """Lead marginal of a point measure, queryable from both tails."""
-
-    leads: np.ndarray  # sorted
-    cum_weights: np.ndarray  # cumulative weights in sorted order
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.cum_weights[-1]) if self.cum_weights.size else 0.0
-
-    def survival(self, y: float) -> float:
-        """Mass with lead >= y."""
-        if self.cum_weights.size == 0:
-            return 0.0
-        i = int(np.searchsorted(self.leads, y, side="left"))
-        below = self.cum_weights[i - 1] if i > 0 else 0.0
-        return float(self.total_mass - below)
-
-    def cdf(self, y: float) -> float:
-        """Mass with lead <= y."""
-        if self.cum_weights.size == 0:
-            return 0.0
-        i = int(np.searchsorted(self.leads, y, side="right"))
-        return float(self.cum_weights[i - 1]) if i > 0 else 0.0
-
-
-def project_lead(m: PointMeasure) -> LeadProfile:
-    """Push a point measure onto its lead coordinate."""
-    order = np.argsort(m.leads, kind="stable")
-    return LeadProfile(m.leads[order], np.cumsum(m.weights[order]))
-
-
 def mass_moment_chi(m: PointMeasure) -> float:
     """First residual moment: the workload carried by the measure."""
     if m.count == 0:
@@ -231,31 +195,3 @@ def quadrant_distance(
     ma = grid_quadrant_masses(a, grid)
     mb = grid_quadrant_masses(b, grid)
     return float(np.abs(ma - mb).max())
-
-
-def discretize_quadrant_function(
-    qf: QuadrantFunction, xs: np.ndarray, ys: np.ndarray
-) -> PointMeasure:
-    """Approximate an analytic measure by atoms at cell centers.
-
-    xs/ys are finite, strictly increasing edge coordinates; the cell
-    [x_i, x_{i+1}) x [y_j, y_{j+1}) receives its exact mass (a mixed
-    second difference of the quadrant function) at the cell center.
-    Mass outside the covered rectangle is dropped, so the edges should
-    extend past the effective support.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size < 2 or ys.size < 2 or not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ConfigError("discretization edges must be finite arrays of length >= 2")
-    table = qf.eval_grid(xs, ys)
-    cell = table[:-1, :-1] - table[1:, :-1] - table[:-1, 1:] + table[1:, 1:]
-    cell = np.where((cell < 0.0) & (cell > -1e-9), 0.0, cell)
-    if np.any(cell < 0.0):
-        raise ConfigError("quadrant function is not a measure on the given cells")
-    cx = 0.5 * (xs[:-1] + xs[1:])
-    cy = 0.5 * (ys[:-1] + ys[1:])
-    keep = cell > 0.0
-    ii, jj = np.nonzero(keep)
-    return PointMeasure(cx[ii], cy[jj], cell[ii, jj])
-

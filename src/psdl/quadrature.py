@@ -1,117 +1,94 @@
-"""Adaptive composite Simpson integration on [a, b].
+"""Adaptive Gauss–Kronrod 7/15 integration over arrays of panels.
 
 The integrands here are quadrant-survival sections: bounded, piecewise
-smooth, with isolated kinks or jumps at known abscissae.  The interval
-is first split at those breakpoints, each cell starts from a coarse
-composite subdivision, and every panel is refined by Simpson halving
-with the usual 1/15 Richardson error estimate until the per-panel
-budget is met.  Refinement failure raises instead of returning a bad
-value; the error message carries the achieved estimate.
+smooth, with isolated kinks or jumps at known abscissae.  The caller
+cuts every integration range at those abscissae, so each starting panel
+holds a smooth piece; ``integrate`` then refines all panels of all
+points at once.  Each pass evaluates the 15 Kronrod nodes of every live
+panel in one call, keeps the panels whose |K15 - G7| fits their share
+of the tolerance, and bisects the rest.  Refinement failure raises
+instead of returning a bad value; the error message carries the
+achieved estimate.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+from typing import Callable
 
-from .errors import ConfigError, SimulationError
+import numpy as np
 
-__all__ = ["integrate", "truncation_point"]
+from .errors import SimulationError
 
-_MAX_DEPTH = 48
+__all__ = ["integrate", "tail_cut"]
 
+# Kronrod nodes on [0, 1], outermost first; every second one (0.949...,
+# 0.741..., 0.405..., 0) is a 7-point Gauss node.  Weights from QUADPACK's qk15.
+_XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+       0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0)
+_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+       0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
+_NODES = np.array([-x for x in _XK[:-1]] + list(_XK[::-1]))
+_K_WEIGHTS = np.array(_WK + _WK[-2::-1])
+_G_WEIGHTS = np.array(_WG + _WG[-2::-1])  # on _NODES[1::2]
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return (fa + 4.0 * fm + fb) * h / 6.0
-
-
-def _adaptive_panel(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    tol: float,
-    depth: int,
-) -> float:
-    """The integral over one panel, refined until its error estimate meets tol."""
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol or (b - a) <= 1e-14 * max(1.0, abs(a)):
-        return left + right + delta / 15.0
-    if depth >= _MAX_DEPTH:
-        raise SimulationError(
-            f"quadrature failed to converge on [{a}, {b}]: "
-            f"achieved error estimate {abs(delta) / 15.0:.3e} > {tol:.3e}"
-        )
-    li = _adaptive_panel(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1)
-    ri = _adaptive_panel(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1)
-    return li + ri
+_MAX_PASSES = 48  # bisection depth
+_MAX_LIVE = 1 << 15  # unconverged panels one call may carry into a bisection
 
 
 def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    tol: float = 1e-6,
-    breakpoints: Sequence[float] = (),
-    initial_step: float | None = None,
-) -> float:
-    """Integrate f over [a, b] to absolute tolerance tol.
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    owner: np.ndarray,
+    n: int,
+    budget: np.ndarray,
+) -> np.ndarray:
+    """Integrals over the panels [a[k], b[k]], summed per point owner[k].
 
-    breakpoints inside (a, b) become hard cell boundaries so kinks and
-    jumps never sit inside a Simpson panel.  initial_step bounds the
-    width of the coarse panels before refinement.
+    f(u, owner) is the integrand of each point owner[k] at the nodes
+    u[k, :].  A panel is accepted once its |K15 - G7| is at most
+    budget[owner] times its width, so a point's error stays under its
+    budget times its total panel width.  Returns the n per-point sums.
     """
-    if not (b >= a):
-        raise ConfigError(f"bad interval [{a}, {b}]")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
-    if b == a:
-        return 0.0
-    cuts = sorted({float(c) for c in breakpoints if a < c < b})
-    edges = [a, *cuts, b]
-
-    # coarse composite subdivision inside each cell
-    panels: list[tuple[float, float]] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = 1
-        if initial_step is not None and initial_step > 0.0:
-            n = min(max(int(math.ceil((hi - lo) / initial_step)), 1), 4096)
-        w = (hi - lo) / n
-        panels.extend((lo + i * w, lo + (i + 1) * w) for i in range(n))
-
-    budget = tol / len(panels)
-    total = 0.0
-    for lo, hi in panels:
-        flo, fhi = f(lo), f(hi)
-        m = 0.5 * (lo + hi)
-        fm = f(m)
-        whole = _simpson(flo, fm, fhi, hi - lo)
-        total += _adaptive_panel(f, lo, hi, flo, fm, fhi, whole, budget, 0)
-    return total
+    total = np.zeros(n)
+    cap = max(_MAX_LIVE, a.size)
+    for depth in range(_MAX_PASSES + 1):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        vals = f(mid[:, None] + half[:, None] * _NODES, owner)
+        k15 = half * (vals @ _K_WEIGHTS)
+        err = np.abs(k15 - half * (vals[:, 1::2] @ _G_WEIGHTS))
+        done = err <= budget[owner] * (b - a)
+        total += np.bincount(owner[done], weights=k15[done], minlength=n)
+        live = ~done
+        if not live.any():
+            return total
+        a, b, mid, owner, err = a[live], b[live], mid[live], owner[live], err[live]
+        if depth == _MAX_PASSES or 2 * a.size > cap:
+            break
+        a, b, owner = np.concatenate((a, mid)), np.concatenate((mid, b)), np.tile(owner, 2)
+    raise SimulationError(
+        f"quadrature failed to converge: {a.size} panels still above their error "
+        f"share after {depth} bisections (largest estimate {err.max():.3e})"
+    )
 
 
-def truncation_point(
-    f: Callable[[float], float],
+def tail_cut(
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     start: float,
+    n: int,
     cutoff: float = 1e-10,
     max_doublings: int = 60,
-) -> float:
-    """Smallest doubling of ``start`` at which a nonincreasing tail
-    integrand has dropped below ``cutoff``."""
-    u = max(start, 1e-12)
+) -> np.ndarray:
+    """Per point, the smallest doubling of ``start`` at which the
+    nonincreasing tail integrand g(u, points) has dropped below ``cutoff``."""
+    u = np.full(n, max(start, 1e-12))
+    todo = np.arange(n)
     for _ in range(max_doublings):
-        if f(u) < cutoff:
+        todo = todo[g(u[todo], todo) >= cutoff]
+        if todo.size == 0:
             return u
-        u *= 2.0
+        u[todo] *= 2.0
     raise SimulationError(
-        f"integrand tail still {f(u):.3e} >= {cutoff:.3e} at u = {u:.3e}"
+        f"integrand tail still >= {cutoff:.3e} at u = {u[todo[0]]:.3e} for {todo.size} points"
     )

@@ -56,6 +56,12 @@ SWEEP = {
     "seed_base": 9,
 }
 RBM = {"drift": -1.0, "variance": 2.0, "horizon": 1.0, "dt": 0.01, "seed": 4}
+# a lift on the quadrature path: no closed form for uniform service
+UNIFORM_LIFT = {
+    **LIFT,
+    "joint": {**MM1_JOINT, "service": {"kind": "uniform", "lo": 0.0, "hi": 2.0}},
+    "method": "quadrature",
+}
 PROFILE = {
     "profile": "lead_product",
     "nu": {"kind": "exponential", "rate": 1.0},
@@ -232,6 +238,9 @@ def test_exit_code_bad_config(tmp_path):
     )
     assert main(["simulate", "--config", cfg3, "--out", str(tmp_path / "z")]) == 2
     # valid JSON, bad values: each must exit 2, not raise
+    TRUE_RATE = {"kind": "exponential", "rate": True}
+    TRUE_HYPER = {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [True, 2.0]}
+    HALF_N = {"y_min": -1.0, "y_max": 1.0, "n": 2.5}
     bad = [
         ("simulate", {"scenario": {**SCENARIO, "seed": -3}}),
         ("simulate", {"scenario": {**SCENARIO, "initial_jobs": [[1.0]]}}),
@@ -245,6 +254,18 @@ def test_exit_code_bad_config(tmp_path):
         # keys the joint law's class does not have
         ("simulate", {"scenario": {**SCENARIO, "joint": {**SCENARIO["joint"], "c": 2.0}}}),
         ("lift", {"lift": {**LIFT, "joint": {**LINEAR_JOINT, "lead": MM1_JOINT["lead"]}}}),
+        # integer fields take integral numbers only, and no law takes a boolean
+        ("simulate", {"scenario": {**SCENARIO, "seed": 7.5}}),
+        ("simulate", {"scenario": {**SCENARIO, "seed": True}}),
+        ("sweep", {"sweep": {**SWEEP, "seed_base": 9.5}}),
+        ("sweep", {"sweep": {**SWEEP, "replications": True}}),
+        ("sweep", {"sweep": {**SWEEP, "replications": 1.5}}),
+        ("rbm", {"rbm": {**RBM, "seed": 4.5}}),
+        ("rbm", {"rbm": {**RBM, "seed": False}}),
+        ("profiles", {"profile": {**PROFILE, "y_values": HALF_N}}),
+        ("lift", {"lift": {**LIFT, "joint": {**MM1_JOINT, "service": TRUE_RATE}}}),
+        ("lift", {"lift": {**LIFT, "joint": {**LINEAR_JOINT, "c": True}}}),
+        ("simulate", {"scenario": {**SCENARIO, "interarrival": TRUE_HYPER}}),
     ]
     for i, (cmd, body) in enumerate(bad):
         cfg = write_config(tmp_path, {"schema_version": 1, **body}, name=f"bad{i}.json")
@@ -279,6 +300,12 @@ def test_exit_code_runtime_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "cmd_simulate", boom)
     cfg = scenario_config(tmp_path)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
+    monkeypatch.undo()
+    # a tolerance no refinement can meet ends in a numerical failure, not a hang
+    grid = {"x_max": 0.5, "x_step": 0.5, "y_min": -1.0, "y_max": 0.0, "y_step": 1.0}
+    lift = {**LIFT, "method": "quadrature", "tol": 1e-300, "grid": grid}
+    cfg = write_config(tmp_path, {"schema_version": 1, "lift": lift}, name="tiny_tol.json")
+    assert main(["lift", "--config", cfg, "--out", str(tmp_path / "u")]) == 3
 
 
 def _leaves(node, path=()):
@@ -296,14 +323,15 @@ def _leaves(node, path=()):
 FUZZ_BASES = [
     ("simulate", {"schema_version": 1, "scenario": SCENARIO, "output_dir": "out/demo"}),
     ("lift", {"schema_version": 1, "lift": LIFT}),
+    ("lift", {"schema_version": 1, "lift": UNIFORM_LIFT}),
     ("sweep", {"schema_version": 1, "sweep": SWEEP}),
     ("rbm", {"schema_version": 1, "rbm": RBM}),
     ("profiles", {"schema_version": 1, "profile": PROFILE}),
 ]
-FUZZ_VALUES = [-3, "x", None, [], [1.0], {}, True]
+FUZZ_VALUES = [-3, 0.5, "x", None, [], [1.0], {}, True]
 FUZZ_CASES = [
-    (cmd, path, value)
-    for cmd, base in FUZZ_BASES
+    (i, path, value)
+    for i, (_, base) in enumerate(FUZZ_BASES)
     for path in _leaves(base)
     for value in FUZZ_VALUES
 ]
@@ -318,8 +346,8 @@ def _raises_number(old, new) -> bool:
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(FUZZ_CASES))
 def test_cli_contract_fuzz(case):
-    cmd, path, value = case
-    body = copy.deepcopy(dict(FUZZ_BASES)[cmd])
+    i, path, value = case
+    cmd, body = copy.deepcopy(FUZZ_BASES[i])
     parent = body
     for key in path[:-1]:
         parent = parent[key]

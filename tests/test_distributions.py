@@ -21,7 +21,7 @@ from psdl import (
     scalar_from_spec,
     to_spec,
 )
-from psdl.quadrature import integrate
+from simpson_oracle import integrate, quadrant_survival
 
 
 def test_exponential_moments_and_survival():
@@ -142,6 +142,8 @@ def test_array_helpers_match_scalars():
     ys = np.array([-np.inf, -1.5, -0.2, 0.0, 0.6, 1.7])
     s = 0.8
     for d in SCALAR_LAWS:
+        ref = np.array([d.survival(x) for x in ws])
+        np.testing.assert_allclose(d.survival_array(ws), ref, rtol=0.0, atol=1e-12)
         if isinstance(d, PointMassZero):
             with pytest.raises(ConfigError):
                 d.excess_survival_array(xs)
@@ -171,6 +173,35 @@ def test_array_helpers_match_scalars():
         np.testing.assert_allclose(
             d.shifted_exp_integral_array(ys, s), ref, rtol=0.0, atol=1e-12
         )
+
+
+def test_breakpoints_list_the_kink_at_zero():
+    # a survival that is not C^1 at 0 needs a cut there: the lift integrand
+    # of a lead law crosses 0 inside its u-range whenever y < 0
+    h = 1e-6
+    for d in (*SCALAR_LAWS, Uniform(0.0, 2.0), Uniform(0.5, 1.5), Deterministic(0.2)):
+        left = (d.survival(-h) - d.survival(0.0)) / h
+        right = (d.survival(0.0) - d.survival(h)) / h
+        if abs(right - left) > 1e-3:
+            assert 0.0 in d.breakpoints(), d
+
+
+def test_quadrant_survival_array_matches_scalar():
+    x = np.array([0.0, 0.4, 1.0, 1.7, 3.0])
+    y = np.array([-np.inf, -0.5, 0.5, 1.0, 2.2])
+    hyper = HyperExponential((0.3, 0.7), (0.5, 2.0))
+    joints = (
+        ProductJoint(Uniform(0.5, 2.0), Exponential(1.0)),
+        ProductJoint(hyper, Deterministic(1.0)),
+        ProductJoint(Exponential(1.0), PointMassZero()),
+        LinearJoint(Uniform(0.0, 2.0), 0.5),
+        LinearJoint(Deterministic(1.0), 2.0),
+        EmpiricalJoint(((1.0, 0.5), (2.0, -1.0), (0.4, 1.0)), (0.25, 0.5, 0.25)),
+    )
+    for j in joints:
+        ref = [quadrant_survival(j, float(a), float(b)) for a in x for b in y]
+        got = j.quadrant_survival_array(x[:, None], y[None, :]).ravel()
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15, err_msg=repr(j))
 
 
 def test_scalar_spec_round_trip():

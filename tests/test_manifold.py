@@ -15,11 +15,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from psdl import (
     ConfigError,
     Deterministic,
+    EmpiricalJoint,
     Exponential,
     HyperExponential,
     LinearJoint,
@@ -33,6 +34,8 @@ from psdl import (
     sojourn_limit_cdf,
     time_in_queue_profile,
 )
+from psdl.errors import SimulationError
+from simpson_oracle import lift_mass
 
 EXP1 = Exponential(1.0)
 
@@ -162,6 +165,74 @@ def test_quadrature_refinement_consistency():
     for x in (0.0, 0.6):
         for y in (-1.0, 0.3, 1.1):
             assert abs(coarse.eval(x, y) - fine.eval(x, y)) < 1e-6
+
+
+_SCALAR = st.one_of(
+    # lo = 0 and lo > 0: the first survival kink at the origin or past it
+    st.builds(
+        lambda lo, w: Uniform(lo, lo + w), st.just(0.0) | st.floats(0.0, 1.0), st.floats(0.2, 2.0)
+    ),
+    st.builds(Deterministic, st.floats(0.2, 2.0)),
+    st.builds(Exponential, st.floats(0.3, 3.0)),
+    st.builds(
+        lambda p, r1, r2: HyperExponential((p, 1.0 - p), (r1, r2)),
+        st.floats(0.1, 0.9),
+        st.floats(0.3, 3.0),
+        st.floats(0.3, 3.0),
+    ),
+)
+_JOINT = st.one_of(
+    st.builds(ProductJoint, _SCALAR, _SCALAR),
+    st.builds(LinearJoint, _SCALAR, st.floats(0.3, 3.0)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+# a panel straddling the lead survival's kink at 0 (u = 0.8) fooled K15 - G7
+@example(ProductJoint(Uniform(0.0, 2.0), EXP1), 1.0, 1.6, [(0.9, -0.8)])
+@given(
+    _JOINT,
+    st.floats(0.5, 2.0),
+    st.floats(0.05, 4.0),
+    st.lists(
+        st.tuples(st.floats(0.0, 3.0), st.just(-math.inf) | st.floats(-4.0, 4.0)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_quadrature_matches_simpson_oracle(joint, alpha, z, points):
+    tol = 1e-6
+    m = lift(joint, alpha, z, method="quadrature", tol=tol)
+    for x, y in points:
+        assert abs(m.eval(x, y) - lift_mass(joint, alpha, z, x, y, tol)) <= 2 * tol
+
+
+def test_empirical_closed_form_matches_oracle():
+    rng = np.random.default_rng(3)
+    joint = EmpiricalJoint(
+        tuple(zip(rng.uniform(0.1, 2.0, 12), rng.normal(0.0, 1.0, 12))),
+        tuple(rng.dirichlet(np.ones(12))),
+    )
+    xs = np.array([0.0, 0.3, 1.1, 2.5])
+    ys = np.array([-math.inf, -1.2, 0.0, 0.4, 2.0])
+    for z in (0.4, 1.0, 2.7):
+        m = lift(joint, 1.3, z)
+        assert m.method == "closed_form_empirical"
+        table = m.eval_grid(xs, ys)
+        quad = lift(joint, 1.3, z, method="quadrature").eval_grid(xs, ys)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                ref = lift_mass(joint, 1.3, z, float(x), float(y), 1e-9)
+                assert abs(table[i, j] - ref) <= 2e-9
+                assert abs(quad[i, j] - ref) <= 2e-6
+        assert m.eval(0.0, -math.inf) == pytest.approx(1.3 * z * joint.mean_service(), abs=1e-12)
+
+
+def test_unreachable_tolerance_raises():
+    # bisection doubles the live panels each pass until the cap ends it
+    m = lift(ProductJoint(EXP1, EXP1), 1.0, 1.0, method="quadrature", tol=1e-300)
+    with pytest.raises(SimulationError, match="panels still above"):
+        m.eval_grid(np.linspace(0.0, 5.0, 51), np.linspace(-5.0, 5.0, 101))
 
 
 def test_explicit_method_mismatch():

@@ -13,9 +13,7 @@ from psdl import (
     QuadrantFunction,
     QuadrantGrid,
     default_grid,
-    discretize_quadrant_function,
     mass_moment_chi,
-    project_lead,
     quadrant_distance,
     scale_diffusion,
 )
@@ -67,16 +65,6 @@ def test_scale_diffusion_moves_leads_and_mass():
 
 def test_workload_moment():
     assert mass_moment_chi(small_measure()) == pytest.approx(2.0 * 1 + 0.5 * 1 + 1.0 * 2)
-
-
-def test_lead_profile():
-    p = project_lead(small_measure())
-    assert p.total_mass == 4.0
-    assert p.survival(-3.0) == 4.0    # atom at the threshold counts
-    assert p.survival(0.0) == 3.0
-    assert p.survival(1.5) == 0.0
-    assert p.cdf(0.0) == pytest.approx(3.0)  # mass with lead <= 0
-    assert p.cdf(-3.1) == 0.0
 
 
 def test_grid_validation():
@@ -135,19 +123,6 @@ def test_grid_quadrant_masses_matrix():
     mat = grid_quadrant_masses(m, g)
     assert mat.shape == (2, 3)
     np.testing.assert_allclose(mat, [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-
-
-def test_discretize_quadrant_function_reconstructs():
-    # discretizing the quadrant function of an atom recovers its mass nearby
-    m = PointMeasure.from_points([(1.05, 0.55), (2.55, -1.45)], weight=0.5)
-    qf = as_quadrant_function(m)
-    cloud = discretize_quadrant_function(
-        qf, np.linspace(0.0, 5.0, 51), np.linspace(-5.0, 5.0, 101)
-    )
-    assert cloud.total_mass == pytest.approx(1.0, abs=1e-9)
-    # mass should sit within one cell of the true atoms
-    d = quadrant_distance(cloud, m, default_grid())
-    assert d <= 1.0 + 1e-9  # atoms straddle grid lines, so cells can split mass
 
 
 def test_point_measure_csv_round_trip(tmp_path):

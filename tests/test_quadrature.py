@@ -1,11 +1,11 @@
-"""Adaptive Simpson integration against hand-computable integrals."""
+"""The adaptive Simpson oracle against hand-computable integrals."""
 
 import math
 
 import pytest
 
 from psdl.errors import ConfigError
-from psdl.quadrature import integrate, truncation_point
+from simpson_oracle import integrate, truncation_point
 
 
 def test_polynomial_exact():

@@ -24,26 +24,37 @@ snapshots, then the horizon stop; ties within a class go by job id.
 
 A snapshot at time t is the point measure {(target_i - S, deadline_i - t)}
 over jobs still in service, the state descriptor the limit theory
-speaks about.  The path log keeps (t, kind, Z, W, S) at every event,
-so conservation checks need no replay.  The workload is
+speaks about.  The workload is
 
     W = sum of residuals = (sum of targets) - Z * S,
 
 with the target sum kept as a compensated (Neumaier) running sum that
 is reset to exactly 0 whenever the system empties.  An event therefore
 costs O(log Z), the heap operation, instead of a sum over every job.
-Between events the targets and Z are fixed, so the logged W falls by
-Z times the advance of S: the busy-rate check still tests how S
-advances.  At each snapshot the exact sum of residuals is taken as a
-cross-check; ``SimOutput.workload_check`` is the largest gap seen.
+At each snapshot the exact sum of residuals is taken as a cross-check;
+``SimOutput.workload_check`` is the largest gap seen.
+
+The path log keeps (t, kind, Z, W before, W after, S) at every event,
+so conservation checks need no replay.  It is kept only for callers
+that read it: ``run(config)`` records it, while ``run(config,
+path=False)``, as a sweep cell runs, skips it and every W it would
+hold (W is then formed only at snapshots) and leaves
+``SimOutput.path`` None.  Between events the targets and Z are fixed,
+so the logged W falls by Z times the advance of S: the busy-rate check
+still tests how S advances.  Event counts by kind and the largest Z
+are counted in the loop either way.
+
+Jobs are kept as per-job columns indexed by job id (arrival time,
+service, lead, S on entry, departure time); the heap holds only
+(target, job id).  ``SimOutput.jobs`` builds the ``JobRecord`` tuple
+from the columns on first read and keeps it in their place.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
-from heapq import heappop, heappush
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from math import fsum
 
 import numpy as np
@@ -219,25 +230,36 @@ class TrafficStream:
 @dataclass(frozen=True)
 class SimOutput:
     config: ScenarioConfig
-    jobs: tuple[JobRecord, ...]
+    # per-job columns [arrival, service, lead, S on entry, departure], each
+    # indexed by job id, until ``jobs`` replaces them with records.  Listed
+    # ahead of the arrays: fields are freed in order, and freeing the jobs
+    # first left about 1 MB less resident after an r = 80 ``psdl simulate``
+    # followed by ``psdl rbm``.
+    _jobs: list[list] | tuple[JobRecord, ...] = field(repr=False, compare=False)
     snapshots: tuple[tuple[float, float, PointMeasure], ...]  # (t, S at t, state)
-    path: PathLog
+    path: PathLog | None  # None when run with path=False
     # largest |running W - exact fsum of residuals| over the snapshot instants
     workload_check: float
     # departure times in the order the jobs left (nondecreasing) and the
     # matching sojourns, for window queries by bisection
     departure_times: np.ndarray
     departure_sojourns: np.ndarray
+    # events by kind (init, arrival, departure, snapshot, end), keys in
+    # order of first appearance
+    event_counts: dict[str, int]
+    max_z: int  # largest number of jobs in the system over the run
 
     @property
-    def event_counts(self) -> dict[str, int]:
-        """Path events by kind (init, arrival, departure, snapshot, end)."""
-        return dict(Counter(self.path.kinds))
-
-    @property
-    def max_z(self) -> int:
-        """Largest number of jobs in the system over the run."""
-        return int(self.path.z.max())
+    def jobs(self) -> tuple[JobRecord, ...]:
+        """One record per admitted job, in job id order."""
+        if isinstance(self._jobs, list):
+            # first read: the records replace the columns, so one copy is kept
+            records = tuple(
+                JobRecord(i, u, v, l, s0, s0 + v, u + l, d)
+                for i, (u, v, l, s0, d) in enumerate(zip(*self._jobs))
+            )
+            object.__setattr__(self, "_jobs", records)
+        return self._jobs
 
     def departures(self) -> list[JobRecord]:
         done = [j for j in self.jobs if j.departure_time is not None]
@@ -274,18 +296,23 @@ def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
     return t, comp
 
 
-def run(config: ScenarioConfig) -> SimOutput:
-    """Simulate one scenario to its horizon."""
+def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
+    """Simulate one scenario to its horizon; ``path=False`` skips the
+    path log, leaving ``SimOutput.path`` None."""
     stream = TrafficStream(config, np.random.default_rng(config.seed))
-    jobs: list[JobRecord] = []
-    heap: list[tuple[float, int]] = []  # (target, job id) of the jobs in service
+    init = config.initial_jobs
+    n_init = max_z = len(init)
+    # per-job columns indexed by job id; initial jobs enter at t = 0, S = 0
+    arr: list[float] = [0.0] * n_init
+    svc: list[float] = [v for v, _ in init]
+    lead: list[float] = [l for _, l in init]
+    off: list[float] = [0.0] * n_init
+    dep: list[float | None] = [None] * n_init
+    heap = [(v, i) for i, v in enumerate(svc)]  # (target, job id) of the jobs in service
+    heapify(heap)
     tsum = tcomp = 0.0  # compensated sum of the heap targets
-
-    for v, l in config.initial_jobs:
-        rec = JobRecord(len(jobs), 0.0, v, l, 0.0, v, l)
-        jobs.append(rec)
-        heappush(heap, (rec.target, rec.job_id))
-        tsum, tcomp = _neumaier_add(tsum, tcomp, rec.target)
+    for v in svc:
+        tsum, tcomp = _neumaier_add(tsum, tcomp, v)
 
     horizon = config.horizon
     snap_times = config.snapshot_times
@@ -294,11 +321,12 @@ def run(config: ScenarioConfig) -> SimOutput:
     snapshots: list[tuple[float, float, PointMeasure]] = []
     workload_check = 0.0
     departed: list[float] = []  # departure time, arrival time per departure
+    kinds = ["init"]  # event kinds in order of first appearance
     clock = s = 0.0
 
     w0 = tsum + tcomp
     # flat event log, six fields per event: t, kind, Z after, W before, W after, S
-    log = [clock, "init", len(heap), w0, w0, s]
+    log = [clock, "init", n_init, w0, w0, s] if path else None
     u, v, l = stream.next()
     t_arr = u if u <= horizon else math.inf
 
@@ -315,16 +343,19 @@ def run(config: ScenarioConfig) -> SimOutput:
         if t_dep <= t_arr and t_dep <= t_snap and t_dep <= horizon:
             s = top  # exact landing on the target
             clock = t_dep
-            w_pre = (tsum + tcomp) - z * s
             _, jid = heappop(heap)
-            rec = jobs[jid]
-            rec.departure_time = clock
-            departed.extend((clock, rec.arrival_time))
+            dep[jid] = clock
+            if not departed:
+                kinds.append("departure")
+            departed.extend((clock, arr[jid]))
             if heap:
-                tsum, tcomp = _neumaier_add(tsum, tcomp, -top)
+                t1, c1 = _neumaier_add(tsum, tcomp, -top)
             else:
-                tsum = tcomp = 0.0  # drop the rounding left by the finished busy period
-            log.extend((clock, "departure", z - 1, w_pre, (tsum + tcomp) - (z - 1) * s, s))
+                t1 = c1 = 0.0  # drop the rounding left by the finished busy period
+            if log is not None:
+                w_pre, w_post = (tsum + tcomp) - z * s, (t1 + c1) - (z - 1) * s
+                log.extend((clock, "departure", z - 1, w_pre, w_post, s))
+            tsum, tcomp = t1, c1
             continue
 
         t_next = t_arr if t_arr <= t_snap else t_snap
@@ -337,32 +368,56 @@ def run(config: ScenarioConfig) -> SimOutput:
             if s > top:
                 s = top
         clock = t_next
-        w_pre = (tsum + tcomp) - z * s
 
         if t_arr == t_next:
-            rec = JobRecord(len(jobs), u, v, l, s, s + v, u + l)
-            jobs.append(rec)
-            heappush(heap, (rec.target, rec.job_id))
-            tsum, tcomp = _neumaier_add(tsum, tcomp, rec.target)
-            log.extend((clock, "arrival", z + 1, w_pre, (tsum + tcomp) - (z + 1) * s, s))
+            if len(arr) == n_init:
+                kinds.append("arrival")
+            if z == max_z:
+                max_z = z + 1
+            target = s + v
+            heappush(heap, (target, len(arr)))
+            arr.append(u)
+            svc.append(v)
+            lead.append(l)
+            off.append(s)
+            dep.append(None)
+            t1, c1 = _neumaier_add(tsum, tcomp, target)
+            if log is not None:
+                w_pre, w_post = (tsum + tcomp) - z * s, (t1 + c1) - (z + 1) * s
+                log.extend((clock, "arrival", z + 1, w_pre, w_post, s))
+            tsum, tcomp = t1, c1
             u, v, l = stream.next()
             t_arr = u if u <= horizon else math.inf
-        elif t_snap == t_next:
-            snapshots.append((clock, s, _snapshot_measure(heap, jobs, s, clock)))
+            continue
+
+        w_pre = (tsum + tcomp) - z * s
+        if t_snap == t_next:
+            if not snapshots:
+                kinds.append("snapshot")
+            snapshots.append((clock, s, _snapshot_measure(heap, arr, lead, s, clock)))
             workload_check = max(workload_check, abs(w_pre - fsum(t - s for t, _ in heap)))
-            log.extend((clock, "snapshot", z, w_pre, w_pre, s))
+            if log is not None:
+                log.extend((clock, "snapshot", z, w_pre, w_pre, s))
             snap_idx += 1
             t_snap = snap_times[snap_idx] if snap_idx < len(snap_times) else math.inf
         else:
-            log.extend((clock, "end", z, w_pre, w_pre, s))
+            kinds.append("end")
+            if log is not None:
+                log.extend((clock, "end", z, w_pre, w_pre, s))
             break
 
+    counts = {
+        "init": 1,
+        "arrival": len(arr) - n_init,
+        "departure": len(departed) // 2,
+        "snapshot": len(snapshots),
+        "end": 1,
+    }
     departure_times = np.array(departed[0::2], dtype=float)
     return SimOutput(
         config=config,
-        jobs=tuple(jobs),
         snapshots=tuple(snapshots),
-        path=PathLog(
+        path=None if log is None else PathLog(
             times=np.array(log[0::6]),
             kinds=tuple(log[1::6]),
             z=np.array(log[2::6], dtype=int),
@@ -373,17 +428,20 @@ def run(config: ScenarioConfig) -> SimOutput:
         workload_check=workload_check,
         departure_times=departure_times,
         departure_sojourns=departure_times - np.array(departed[1::2], dtype=float),
+        event_counts={k: counts[k] for k in kinds},
+        max_z=max_z,
+        _jobs=[arr, svc, lead, off, dep],
     )
 
 
 def _snapshot_measure(
-    heap: list[tuple[float, int]], jobs: list[JobRecord], s: float, clock: float
+    heap: list[tuple[float, int]], arr: list[float], lead: list[float], s: float, clock: float
 ) -> PointMeasure:
     # a job whose residual has just hit zero belongs to the departure at
     # this same instant, not to the right-continuous state
     entries = sorted((jid, target - s) for target, jid in heap if target - s > 0.0)
     res = np.array([r for _, r in entries])
-    leads = np.array([jobs[jid].deadline - clock for jid, _ in entries])
+    leads = np.array([(arr[jid] + lead[jid]) - clock for jid, _ in entries])
     return PointMeasure(res, leads, np.ones(res.size))
 
 
@@ -394,6 +452,8 @@ def busy_rate_check(out: SimOutput) -> float:
     workload must drain at exactly unit rate between events.
     """
     p = out.path
+    if p is None:
+        raise ConfigError("busy_rate_check needs a run that kept its path log")
     if len(p) < 2:
         return 0.0
     dt = p.times[1:] - p.times[:-1]

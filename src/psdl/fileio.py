@@ -165,15 +165,22 @@ def _int(v) -> int:
     return int(v)
 
 
+def _float(v) -> float:
+    """A float field: numbers only, never a boolean or a numeric string."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(_float(v) for v in values)
 
 
 def _from_payload(cls, payload: dict, where: str, convert: dict):
     """Build the request dataclass ``cls`` from its block: the accepted keys
     are the fields of ``cls``, each present key goes through its converter
     in ``convert`` (or is taken as it is), and absent keys take the field's
-    default.  Float fields convert with float() so that a JSON 300 is
+    default.  Float fields convert with _float() so that a JSON 300 is
     echoed in the outputs as 300.0."""
     _reject_unknown(payload, {f.name for f in fields(cls)}, where)
     return cls(**{k: convert[k](v) if k in convert else v for k, v in payload.items()})
@@ -184,7 +191,7 @@ def _initial_jobs(spec) -> tuple[tuple[float, float], ...]:
         return ()
     if not isinstance(spec, list):
         raise ConfigError('initial_jobs must be "empty" or a list of [service, lead] pairs')
-    return tuple((float(v), float(l)) for v, l in spec)
+    return tuple((_float(v), _float(l)) for v, l in spec)
 
 
 @_parser("scenario")
@@ -193,12 +200,12 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         "interarrival": scalar_from_spec,
         "first_interarrival": _optional(scalar_from_spec),
         "joint": joint_from_spec,
-        "horizon": float,
+        "horizon": _float,
         "snapshot_times": _floats,
         "seed": _int,
-        "lead_scale": float,
+        "lead_scale": _float,
         "initial_jobs": _initial_jobs,
-        "r": float,
+        "r": _float,
         "label": str,
     }
     return _from_payload(ScenarioConfig, payload, "scenario", convert)
@@ -209,8 +216,8 @@ def _parse_grid(spec: dict | None) -> QuadrantGrid:
         return default_grid()
     allowed = {"x_max", "x_step", "y_min", "y_max", "y_step"}
     _reject_unknown(spec, allowed, "grid")
-    x_max, x_step = float(spec["x_max"]), float(spec["x_step"])
-    y_min, y_max, y_step = float(spec["y_min"]), float(spec["y_max"]), float(spec["y_step"])
+    x_max, x_step = _float(spec["x_max"]), _float(spec["x_step"])
+    y_min, y_max, y_step = _float(spec["y_min"]), _float(spec["y_max"]), _float(spec["y_step"])
     if x_step <= 0 or y_step <= 0 or x_max <= 0 or y_max <= y_min:
         raise ConfigError("grid steps must be positive and y_max > y_min")
     nx = int(round(x_max / x_step))
@@ -224,14 +231,14 @@ def _parse_grid(spec: dict | None) -> QuadrantGrid:
 def parse_sweep(payload: dict) -> SweepConfig:
     convert = {
         "joint": joint_from_spec,
-        "alpha": float,
-        "gamma": float,
+        "alpha": _float,
+        "gamma": _float,
         "r_values": _floats,
-        "T": float,
+        "T": _float,
         "snapshot_times": _floats,
         "replications": _int,
         "seed_base": _int,
-        "sojourn_window": float,
+        "sojourn_window": _float,
         "interarrival_kind": str,
         "grid": _parse_grid,
     }
@@ -258,10 +265,10 @@ class LiftRequest:
 def parse_lift(payload: dict) -> LiftRequest:
     convert = {
         "joint": joint_from_spec,
-        "alpha": float,
-        "z": float,
+        "alpha": _float,
+        "z": _float,
         "method": str,
-        "tol": float,
+        "tol": _float,
         "grid": _parse_grid,
     }
     return _from_payload(LiftRequest, payload, "lift", convert)
@@ -292,7 +299,7 @@ class ProfileRequest:
 def _y_values(spec) -> tuple[float, ...]:
     if isinstance(spec, dict):
         _reject_unknown(spec, {"y_min", "y_max", "n"}, "y_values")
-        spec = np.linspace(float(spec["y_min"]), float(spec["y_max"]), _int(spec["n"]))
+        spec = np.linspace(_float(spec["y_min"]), _float(spec["y_max"]), _int(spec["n"]))
     return _floats(spec)
 
 
@@ -300,11 +307,11 @@ def _y_values(spec) -> tuple[float, ...]:
 def parse_profile(payload: dict) -> ProfileRequest:
     convert = {
         "nu": scalar_from_spec,
-        "z": float,
+        "z": _float,
         "y_values": _y_values,
         "lam": _optional(scalar_from_spec),
-        "alpha": _optional(float),
-        "c": _optional(float),
+        "alpha": _optional(_float),
+        "c": _optional(_float),
     }
     return _from_payload(ProfileRequest, payload, "profile", convert)
 
@@ -323,14 +330,14 @@ def parse_rbm(payload: dict) -> RBMRequest:
     allowed = {"drift", "variance", "x0", "horizon", "dt", "seed", "quantiles"}
     _reject_unknown(payload, allowed, "rbm")
     spec = RBMSpec(
-        drift=float(payload["drift"]),
-        variance=float(payload["variance"]),
-        x0=float(payload.get("x0", 0.0)),
+        drift=_float(payload["drift"]),
+        variance=_float(payload["variance"]),
+        x0=_float(payload.get("x0", 0.0)),
     )
     return RBMRequest(
         spec=spec,
-        horizon=float(payload["horizon"]),
-        dt=float(payload["dt"]),
+        horizon=_float(payload["horizon"]),
+        dt=_float(payload["dt"]),
         seed=_int(payload.get("seed", 0)),
         quantiles=_floats(payload.get("quantiles", ())),
     )

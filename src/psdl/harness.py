@@ -272,7 +272,7 @@ class CollapseReport:
 
 def _run_cell(sweep: SweepConfig, r_idx: int, replication: int) -> tuple[list[SweepRow], list[OverlayCurve]]:
     r = sweep.r_values[r_idx]
-    out = run(build_scenario(sweep, r, replication))
+    out = run(build_scenario(sweep, r, replication), path=False)
     nu = getattr(sweep.joint, "service", None)  # empirical laws have no service marginal
     grid = sweep.grid
     rows: list[SweepRow] = []

@@ -285,6 +285,35 @@ def test_exit_code_bad_config(tmp_path):
         assert exc.value.code == 2
 
 
+STRICT_FLOAT_CASES = [
+    ("lift", "lift", {**LIFT, "alpha": True}),
+    ("lift", "lift", {**LIFT, "z": "1.5"}),
+    ("lift", "lift", {**LIFT, "tol": True}),
+    ("lift", "lift", {**LIFT, "grid": {**LIFT["grid"], "x_step": "0.5"}}),
+    ("simulate", "scenario", {**SCENARIO, "horizon": True}),
+    ("simulate", "scenario", {**SCENARIO, "lead_scale": "2"}),
+    ("simulate", "scenario", {**SCENARIO, "snapshot_times": [250.0, True]}),
+    ("simulate", "scenario", {**SCENARIO, "initial_jobs": [[1.0, "0.5"]]}),
+    ("sweep", "sweep", {**SWEEP, "gamma": True}),
+    ("sweep", "sweep", {**SWEEP, "r_values": ["3"]}),
+    ("sweep", "sweep", {**SWEEP, "sojourn_window": "250"}),
+    ("profiles", "profile", {**PROFILE, "z": True}),
+    ("profiles", "profile", {**PROFILE, "alpha": "1"}),
+    ("profiles", "profile", {**PROFILE, "y_values": {"y_min": True, "y_max": 1.0, "n": 3}}),
+    ("rbm", "rbm", {**RBM, "drift": True}),
+    ("rbm", "rbm", {**RBM, "dt": "0.01"}),
+    ("rbm", "rbm", {**RBM, "quantiles": [True]}),
+]
+
+
+@pytest.mark.parametrize("cmd, key, block", STRICT_FLOAT_CASES)
+def test_float_fields_reject_booleans_and_strings(tmp_path, capsys, cmd, key, block):
+    cfg = write_config(tmp_path, {"schema_version": 1, key: block})
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "expected a number" in err and "Traceback" not in err
+
+
 def test_exit_code_wrong_request_kind(tmp_path):
     cfg = scenario_config(tmp_path)
     assert main(["lift", "--config", cfg, "--out", str(tmp_path / "w")]) == 2

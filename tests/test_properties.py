@@ -7,6 +7,7 @@ fast.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -26,8 +27,10 @@ from psdl import (
     Uniform,
     run,
     step_simulate,
+    verify_dynamic_equation,
 )
 from psdl.engine import TrafficStream
+from psdl.measures import default_grid
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -88,6 +91,87 @@ def scenarios(draw, horizon=20.0):
             )
         ),
     )
+
+
+def _with_t0_snapshot(cfg, t0):
+    return replace(cfg, snapshot_times=(0.0, *cfg.snapshot_times)) if t0 else cfg
+
+
+def _snapshot_bytes(out):
+    return [
+        (t, s, m.residuals.tobytes(), m.leads.tobytes(), m.weights.tobytes())
+        for t, s, m in out.snapshots
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(), st.booleans())
+def test_path_log_changes_no_output(cfg, t0):
+    cfg = _with_t0_snapshot(cfg, t0)
+    a = run(cfg)
+    b = run(cfg, path=False)
+    assert b.path is None
+    assert a.departure_times.tobytes() == b.departure_times.tobytes()
+    assert a.departure_sojourns.tobytes() == b.departure_sojourns.tobytes()
+    assert _snapshot_bytes(a) == _snapshot_bytes(b)
+    assert (a.workload_check, a.max_z) == (b.workload_check, b.max_z)
+    assert list(a.event_counts.items()) == list(b.event_counts.items())
+    # the loop's counters agree with the log, key order included
+    assert list(a.event_counts.items()) == list(Counter(a.path.kinds).items())
+    assert a.max_z == int(a.path.z.max())
+
+
+def _time_scaled(law, c):
+    """The law of c X for X drawn from ``law``, drawing the same variates."""
+    if isinstance(law, Exponential):
+        return Exponential(law.rate / c)
+    if isinstance(law, Deterministic):
+        return Deterministic(c * law.value)
+    if isinstance(law, Uniform):
+        return Uniform(c * law.lo, c * law.hi)
+    if isinstance(law, HyperExponential):
+        return HyperExponential(law.weights, tuple(r / c for r in law.rates))
+    if isinstance(law, ProductJoint):
+        return ProductJoint(_time_scaled(law.service, c), law.lead)
+    if isinstance(law, LinearJoint):
+        return LinearJoint(_time_scaled(law.service, c), law.c)
+    assert isinstance(law, EmpiricalJoint)
+    return EmpiricalJoint(tuple((c * v, l) for v, l in law.points), law.weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(), st.integers(min_value=-10, max_value=10))
+def test_time_scaling_scales_departures_exactly(cfg, k):
+    # every engine operation is +, -, *, / or a comparison, all exact under
+    # a power-of-two change of time unit: departures scale bit for bit
+    c = 2.0**k
+    scaled = replace(
+        cfg,
+        interarrival=_time_scaled(cfg.interarrival, c),
+        joint=_time_scaled(cfg.joint, c),
+        horizon=c * cfg.horizon,
+        snapshot_times=tuple(c * t for t in cfg.snapshot_times),
+        initial_jobs=tuple((c * v, l) for v, l in cfg.initial_jobs),
+    )
+    a = run(cfg, path=False)
+    b = run(scaled, path=False)
+    assert b.departure_times.tobytes() == (c * a.departure_times).tobytes()
+    assert b.departure_sojourns.tobytes() == (c * a.departure_sojourns).tobytes()
+    assert [(j.job_id, j.departure_time) for j in b.departures()] == [
+        (j.job_id, c * j.departure_time) for j in a.departures()
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenarios(), st.booleans(), st.data())
+def test_dynamic_equation_holds_between_snapshots(cfg, t0, data):
+    h = cfg.horizon
+    cfg = _with_t0_snapshot(replace(cfg, snapshot_times=(0.25 * h, 0.6 * h, h)), t0)
+    out = run(cfg, path=data.draw(st.booleans()))
+    times = cfg.snapshot_times
+    i = data.draw(st.integers(0, len(times) - 2))
+    j = data.draw(st.integers(i + 1, len(times) - 1))
+    assert verify_dynamic_equation(out, times[i], times[j] - times[i], default_grid()) == 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,30 +12,26 @@ schema_version, an optional output_dir, and exactly one request block:
 
 Each block but rbm is read into its dataclass, whose fields are the
 block's keys and whose defaults fill the keys left out, so a request is
-declared once.  Floats in CSVs are printed with 17 significant digits
-and JSON is dumped with sorted keys, so identical runs produce
-identical bytes.  Unknown keys anywhere, distribution specs included,
-are rejected: a typo should fail loudly, not silently fall back to a
+declared once.  Unknown keys anywhere, distribution specs included, are
+rejected: a typo should fail loudly, not silently fall back to a
 default.  A missing field or a value of the wrong type or form raises
 ConfigError as well.
+
+Writers hand each table as columns to _write_csv, which formats and
+writes it a block of rows at a time.  Floats print with 17 significant
+digits and JSON is dumped with sorted keys: identical runs, identical bytes.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import (
-    JointDistribution,
-    ScalarDistribution,
-    joint_from_spec,
-    scalar_from_spec,
-)
+from .distributions import JointDistribution, ScalarDistribution, joint_from_spec, scalar_from_spec
 from .engine import ScenarioConfig, SimOutput
 from .errors import ConfigError
 from .harness import CollapseReport, SweepConfig, SweepRow
@@ -68,6 +64,9 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+_FORMATS = {"f": _FMT, "i": "%d", "u": "%d"}  # row format by numpy dtype kind
+_BLOCK_ROWS = 4096  # rows formatted and written per write call
+_QUOTED = ',"\r\n'  # csv.writer quotes a cell holding any of these
 _REQUEST_KEYS = ("scenario", "sweep", "lift", "profile", "rbm")
 
 
@@ -348,12 +347,33 @@ def parse_rbm(payload: dict) -> RBMRequest:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path, header: list[str], rows) -> None:
+def _write_csv(path, header: list[str], columns) -> None:
+    """Write equal-length columns (float arrays as %.17g, integer arrays as
+    integers, others cell by cell through format_value) under a header row,
+    _BLOCK_ROWS rows per write call, in csv.writer's bytes.  A cell it would
+    quote (holding a comma, a double quote or a line break) raises
+    ValueError, as does a table of fewer than two columns."""
+    n = len(columns[0]) if columns else 0
+    if len(header) != len(columns) or len(columns) < 2 or any(len(c) != n for c in columns):
+        raise ValueError(f"{path}: need two or more equal-length columns, one per header name")
+    kinds = [c.dtype.kind if isinstance(c, np.ndarray) else "O" for c in columns]
+    row = ",".join(_FORMATS.get(k, "%s") for k in kinds) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([format_value(v) for v in row])
+        fh.write(",".join(_text(header)) + "\r\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            block = [c[lo : lo + _BLOCK_ROWS] for c in columns]
+            cells = [b.tolist() if k in _FORMATS else _text(b) for b, k in zip(block, kinds)]
+            fh.write("".join(map(row.__mod__, zip(*cells))))
+
+
+def _text(values) -> list[str]:
+    """format_value's cells, refusing any that csv.writer would quote."""
+    cells = [format_value(v) for v in values]
+    joined = "".join(cells)
+    if any(ch in joined for ch in _QUOTED):
+        bad = next(c for c in cells if any(ch in c for ch in _QUOTED))
+        raise ValueError(f"CSV cell would need quoting: {bad!r}")
+    return cells
 
 
 def write_json(data: dict, path) -> None:
@@ -363,39 +383,30 @@ def write_json(data: dict, path) -> None:
 
 
 def write_departures_csv(out: SimOutput, path) -> None:
-    _write_csv(
-        path,
-        ["id", "arrival", "sojourn", "service_req", "lateness"],
-        (
-            (j.job_id, j.arrival_time, j.sojourn, j.service_req, j.lateness)
-            for j in out.departures()
-        ),
-    )
+    header = ["id", "arrival", "sojourn", "service_req", "lateness"]
+    keys = ("job_id", "arrival_time", "sojourn", "service_req", "lateness")
+    deps = out.departures()
+    _write_csv(path, header, [np.array([getattr(j, k) for j in deps]) for k in keys])
 
 
 def write_path_csv(out: SimOutput, path) -> None:
     # one row per event; z and w are the post-event (right-continuous) values
     p = out.path
-    _write_csv(
-        path,
-        ["t", "z", "w", "s"],
-        ((p.times[i], int(p.z[i]), p.w_post[i], p.s[i]) for i in range(len(p))),
-    )
+    _write_csv(path, ["t", "z", "w", "s"], [p.times, p.z, p.w_post, p.s])
 
 
 def write_snapshots_csv(out: SimOutput, path) -> None:
     # time_index is the position in the snapshot schedule; times live in the summary
-    def rows():
-        for idx, (_, _, m) in enumerate(out.snapshots):
-            for res, lead, wt in zip(m.residuals, m.leads, m.weights):
-                yield (idx, res, lead, wt)
-
-    _write_csv(path, ["time_index", "residual", "lead", "weight"], rows())
+    ms = [m for _, _, m in out.snapshots]
+    columns = [np.repeat(np.arange(len(ms)), [m.residuals.size for m in ms])]
+    for k in ("residuals", "leads", "weights"):
+        columns.append(np.concatenate([getattr(m, k) for m in ms] or [[]]))
+    _write_csv(path, ["time_index", "residual", "lead", "weight"], columns)
 
 
 def write_rows_csv(report: CollapseReport, path) -> None:
     header = [f.name for f in fields(SweepRow)]
-    _write_csv(path, header, (astuple(row) for row in report.rows))
+    _write_csv(path, header, [[getattr(row, k) for row in report.rows] for k in header])
 
 
 def write_report_json(report: CollapseReport, path) -> None:
@@ -403,47 +414,29 @@ def write_report_json(report: CollapseReport, path) -> None:
 
 
 def write_collapse_vs_r_csv(report: CollapseReport, path) -> None:
-    header = [
-        "r",
-        "n_nonempty",
-        "median_collapse_error",
-        "q25_collapse_error",
-        "q75_collapse_error",
-        "median_lead_profile_error",
-        "slope_through_origin",
-    ]
-    _write_csv(
-        path,
-        header,
-        (tuple(entry[k] for k in header) for entry in report.aggregates["per_r"]),
-    )
+    header = ["r", "n_nonempty", "median_collapse_error", "q25_collapse_error"]
+    header += ["q75_collapse_error", "median_lead_profile_error", "slope_through_origin"]
+    per_r = report.aggregates["per_r"]
+    _write_csv(path, header, [[entry[k] for entry in per_r] for k in header])
 
 
 def write_profile_overlay_csv(report: CollapseReport, path) -> None:
     ys = report.config["grid"]["y_values"]
-
-    def rows():
-        for ov in report.overlays:
-            for y, e, l in zip(ys, ov.empirical, ov.limit):
-                yield (ov.r, ov.t, y, e, l)
-
-    _write_csv(path, ["r", "t", "y", "empirical_survival", "limit_survival"], rows())
+    rows = [(ov.r, ov.t, *c) for ov in report.overlays for c in zip(ys, ov.empirical, ov.limit)]
+    header = ["r", "t", "y", "empirical_survival", "limit_survival"]
+    _write_csv(path, header, [[row[k] for row in rows] for k in range(len(header))])
 
 
 def write_lift_csv(table: np.ndarray, grid: QuadrantGrid, path) -> None:
     """One row per grid node: the quadrant mass table[i, j] at (x_i, y_j)."""
-    rows = (
-        (x, y, table[i, j])
-        for i, x in enumerate(grid.x_values)
-        for j, y in enumerate(grid.y_values)
-    )
-    _write_csv(path, ["x", "y", "mass"], rows)
+    xs, ys = np.meshgrid(grid.x_values, grid.y_values, indexing="ij")
+    _write_csv(path, ["x", "y", "mass"], [xs.ravel(), ys.ravel(), table.ravel()])
 
 
 def write_profile_csv(values, label: str, path) -> None:
     """(y, profile value) pairs under the header y,<label>."""
-    _write_csv(path, ["y", label], values)
+    _write_csv(path, ["y", label], [[y for y, _ in values], [v for _, v in values]])
 
 
 def write_rbm_path_csv(rbm: RBMPath, path) -> None:
-    _write_csv(path, ["t", "x"], zip(rbm.times, rbm.values))
+    _write_csv(path, ["t", "x"], [rbm.times, rbm.values])

@@ -75,15 +75,21 @@ def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
     x = spec.x0
     pos = 1
     while pos <= n:
+        # Lindley, in place in s and in the block of values: X_k = S_k + max(x, -min_{j<=k} S_j)
         m = min(_BLOCK, n - pos + 1)
-        steps = mu + scale * rng.standard_normal(m)
-        s = np.cumsum(steps)
-        # Lindley: X_k = S_k + max(x, -min_{j<=k} S_j)
-        block = s + np.maximum(x, -np.minimum.accumulate(s))
-        values[pos : pos + m] = block
+        s = rng.standard_normal(m)
+        s *= scale
+        s += mu
+        np.cumsum(s, out=s)
+        block = np.minimum.accumulate(s, out=values[pos : pos + m])
+        np.maximum(x, np.negative(block, out=block), out=block)
+        block += s
         x = block[-1]
         pos += m
-    return RBMPath(times=np.arange(n + 1) * dt, values=values)
+    del s
+    times = np.arange(n + 1, dtype=float)
+    times *= dt
+    return RBMPath(times=times, values=values)
 
 
 def stationary_cdf(spec: RBMSpec, x: float) -> float:

@@ -1,0 +1,178 @@
+"""The column-wise CSV writer against the row-at-a-time csv.writer oracle."""
+
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import csv_oracle
+from psdl import (
+    Exponential,
+    LinearJoint,
+    ProductJoint,
+    RBMSpec,
+    ScenarioConfig,
+    SweepConfig,
+    Uniform,
+    default_grid,
+    lead_profile_product,
+    lift,
+    run,
+    run_sweep,
+    simulate,
+)
+from psdl import fileio
+from psdl.measures import grid_quadrant_masses
+
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1.0]
+# text csv.writer writes unquoted (no delimiter, quote character or line
+# break) and that a file can encode (no lone surrogates)
+PLAIN_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'), max_size=6
+)
+
+
+def _floats():
+    return st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+
+
+def _column(kind: str, n: int):
+    if kind == "float":
+        return st.lists(_floats(), min_size=n, max_size=n).map(np.array)
+    if kind == "int":
+        ints = st.integers(-(2**63), 2**63 - 1)
+        return st.lists(ints, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64))
+    cell = st.one_of(
+        st.none(),
+        st.integers(-(2**70), 2**70),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        _floats(),
+        _floats().map(np.float64),
+        PLAIN_TEXT,
+    )
+    return st.lists(cell, min_size=n, max_size=n)
+
+
+@st.composite
+def tables(draw):
+    """(block, header, columns): row counts 0, 1 and around the block size."""
+    block = draw(st.integers(2, 6))
+    n = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1]))
+    width = draw(st.integers(2, 4))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "mixed"]), min_size=width, max_size=width))
+    header = draw(st.lists(PLAIN_TEXT, min_size=width, max_size=width))
+    return block, header, [draw(_column(k, n)) for k in kinds]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_column_writer_matches_row_oracle(table):
+    block, header, columns = table
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(fileio, "_BLOCK_ROWS", block):
+        new, old = Path(d) / "new.csv", Path(d) / "old.csv"
+        fileio._write_csv(new, header, columns)
+        csv_oracle.write_csv(old, header, zip(*columns))
+        assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
+def test_cells_csv_would_quote_are_rejected(tmp_path, cell):
+    # the writer never quotes: a cell csv.writer would quote raises instead
+    columns = [np.array([1.0, 2.0]), ["ok", cell]]
+    csv_oracle.write_csv(tmp_path / "old.csv", ["x", "label"], zip(*columns))
+    assert '"' in (tmp_path / "old.csv").read_text()
+    with pytest.raises(ValueError):
+        fileio._write_csv(tmp_path / "new.csv", ["x", "label"], columns)
+    with pytest.raises(ValueError):
+        fileio._write_csv(tmp_path / "new.csv", ["x", cell], [np.zeros(1), np.zeros(1)])
+
+
+def test_malformed_tables_are_rejected(tmp_path):
+    with pytest.raises(ValueError):  # csv.writer would quote a lone empty cell
+        fileio._write_csv(tmp_path / "a.csv", ["only"], [[None]])
+    with pytest.raises(ValueError):
+        fileio._write_csv(tmp_path / "a.csv", ["x", "y"], [np.zeros(3), np.zeros(2)])
+    with pytest.raises(ValueError):
+        fileio._write_csv(tmp_path / "a.csv", ["x", "y", "z"], [np.zeros(3), np.zeros(3)])
+
+
+@pytest.fixture(scope="module")
+def writer_inputs():
+    """Small seeded inputs of every fileio CSV writer, keyed by writer name."""
+    scenario = ScenarioConfig(
+        interarrival=Exponential(0.9),
+        joint=ProductJoint(Exponential(1.0), Uniform(0.0, 2.0)),
+        horizon=300.0,
+        snapshot_times=(0.0, 150.0, 300.0),
+        seed=5,
+        initial_jobs=((1.0, -0.5), (2.0, 0.0)),
+    )
+    out = run(scenario)
+    # past two writer blocks of rows
+    path = simulate(RBMSpec(drift=-0.5, variance=2.0, x0=0.3), 10.0, 1e-3, 4)
+    grid = default_grid()
+    table = grid_quadrant_masses(lift(LinearJoint(Uniform(0.0, 2.0), 1.0), 1.0, 1.0).quadrant, grid)
+    profile = [
+        (y, lead_profile_product(Uniform(0.0, 2.0), Exponential(1.0), 1.0, 1.0, y))
+        for y in np.linspace(-3.0, 3.0, 13)
+    ]
+    report = run_sweep(
+        SweepConfig(
+            joint=ProductJoint(Exponential(1.0), Exponential(1.0)),
+            alpha=1.0,
+            gamma=0.5,
+            r_values=(3.0, 5.0),
+            T=1.0,
+            snapshot_times=(0.5, 1.0),
+            replications=3,
+            seed_base=77,
+            sojourn_window=5.0,
+        )
+    )
+    assert len(path.values) > 2 * fileio._BLOCK_ROWS
+    return {
+        "write_departures_csv": (out,),
+        "write_path_csv": (out,),
+        "write_snapshots_csv": (out,),
+        "write_rbm_path_csv": (path,),
+        "write_lift_csv": (table, grid),
+        "write_profile_csv": (profile, "cdf"),
+        "write_rows_csv": (report,),
+        "write_collapse_vs_r_csv": (report,),
+        "write_profile_overlay_csv": (report,),
+    }
+
+
+@pytest.mark.parametrize(
+    "writer",
+    [
+        "write_departures_csv",
+        "write_path_csv",
+        "write_snapshots_csv",
+        "write_rbm_path_csv",
+        "write_lift_csv",
+        "write_profile_csv",
+        "write_rows_csv",
+        "write_collapse_vs_r_csv",
+        "write_profile_overlay_csv",
+    ],
+)
+def test_each_writer_matches_row_oracle(writer_inputs, tmp_path, writer):
+    args = writer_inputs[writer]
+    getattr(fileio, writer)(*args, tmp_path / "new.csv")
+    getattr(csv_oracle, writer)(*args, tmp_path / "old.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new.count(b"\r\n") > 2  # a header and more than one row
+    assert new == (tmp_path / "old.csv").read_bytes()
+
+
+def test_missing_values_are_empty_cells(writer_inputs, tmp_path):
+    # SweepRow's optional fields (sojourn_ks here) print as empty cells
+    (report,) = writer_inputs["write_rows_csv"]
+    assert any(row.sojourn_ks is None for row in report.rows)
+    fileio.write_rows_csv(report, tmp_path / "rows.csv")
+    assert b",," in (tmp_path / "rows.csv").read_bytes()

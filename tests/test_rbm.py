@@ -69,3 +69,24 @@ def test_seed_reproducibility():
     a = simulate(spec, 1.0, 1e-3, 5)
     b = simulate(spec, 1.0, 1e-3, 5)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_in_place_blocks_equal_the_block_expression(monkeypatch):
+    # the in-place recursion must give the bits of the plain block expression
+    import psdl.rbm as rbm_mod
+
+    monkeypatch.setattr(rbm_mod, "_BLOCK", 37)
+    spec = RBMSpec(drift=-0.5, variance=1.3, x0=0.2)
+    horizon, dt, seed = 0.5, 1e-3, 7
+    path = rbm_mod.simulate(spec, horizon, dt, seed)
+    n = len(path.values) - 1
+    rng = np.random.default_rng(seed)
+    scale, mu = np.sqrt(spec.variance * dt), spec.drift * dt
+    blocks, x = [np.array([spec.x0])], spec.x0
+    for pos in range(1, n + 1, 37):
+        s = np.cumsum(mu + scale * rng.standard_normal(min(37, n - pos + 1)))
+        blocks.append(s + np.maximum(x, -np.minimum.accumulate(s)))
+        x = blocks[-1][-1]
+    assert len(blocks) > 10
+    np.testing.assert_array_equal(path.values, np.concatenate(blocks))
+    np.testing.assert_array_equal(path.times, np.arange(n + 1) * dt)

@@ -102,10 +102,20 @@ def test_simulate_outputs(tmp_path):
     assert summary["busy_rate_check"] <= 1e-9 * 20.0
     counts = summary["event_counts"]
     assert counts["arrival"] == summary["n_jobs"]
-    assert counts["departure"] == summary["n_departures"]
+    assert counts["departure"] == summary["n_departures"] == len(deps) - 1
     assert (counts["snapshot"], counts["init"], counts["end"]) == (2, 1, 1)
     assert summary["max_z"] >= 1
     assert 0.0 <= summary["workload_check"] <= 1e-9
+
+
+def test_simulate_with_no_departures(tmp_path):
+    cfg = scenario_config(tmp_path, horizon=0.01, snapshot_times=[])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert summary["n_departures"] == 0
+    assert "departure" not in summary["event_counts"]
+    assert (out / "departures.csv").read_text().splitlines() == ["id,arrival,sojourn,service_req,lateness"]
 
 
 def test_simulate_deterministic_bytes(tmp_path):

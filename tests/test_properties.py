@@ -10,6 +10,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+import engine_oracle
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,7 +30,7 @@ from psdl import (
     step_simulate,
     verify_dynamic_equation,
 )
-from psdl.engine import TrafficStream
+from psdl.engine import _BLOCK_ROWS, TrafficStream
 from psdl.measures import default_grid
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -93,6 +94,25 @@ def scenarios(draw, horizon=20.0):
     )
 
 
+@st.composite
+def exponential_scenarios(draw):
+    """All-exponential traffic, which the stream draws in blocks, long
+    enough to span several of them."""
+    rate = st.floats(min_value=0.5, max_value=2.0)
+    return ScenarioConfig(
+        interarrival=Exponential(draw(rate)),
+        joint=ProductJoint(Exponential(draw(rate)), Exponential(draw(rate))),
+        horizon=800.0,
+        snapshot_times=(200.0, 800.0),
+        seed=draw(seeds),
+        lead_scale=draw(st.floats(min_value=0.1, max_value=50.0)),
+        first_interarrival=draw(st.one_of(st.none(), st.just(Deterministic(0.5)))),
+        initial_jobs=tuple(
+            draw(st.lists(st.tuples(st.floats(0.05, 3.0), st.floats(-2.0, 2.0)), max_size=3))
+        ),
+    )
+
+
 def _with_t0_snapshot(cfg, t0):
     return replace(cfg, snapshot_times=(0.0, *cfg.snapshot_times)) if t0 else cfg
 
@@ -119,6 +139,28 @@ def test_path_log_changes_no_output(cfg, t0):
     # the loop's counters agree with the log, key order included
     assert list(a.event_counts.items()) == list(Counter(a.path.kinds).items())
     assert a.max_z == int(a.path.z.max())
+
+
+def _output_fields(out):
+    """Every ``SimOutput`` field, floats as bytes."""
+    p = out.path
+    return (
+        _snapshot_bytes(out),
+        p and (p.times.tobytes(), p.kinds, p.z.tobytes(), p.w_pre.tobytes(), p.w_post.tobytes(), p.s.tobytes()),
+        out.workload_check,
+        out.departure_times.tobytes(),
+        out.departure_sojourns.tobytes(),
+        list(out.event_counts.items()),
+        out.max_z,
+        out.jobs,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scenarios(), exponential_scenarios()), st.booleans(), st.booleans())
+def test_engine_matches_per_event_oracle(cfg, t0, path):
+    cfg = _with_t0_snapshot(cfg, t0)
+    assert _output_fields(run(cfg, path=path)) == _output_fields(engine_oracle.run(cfg, path=path))
 
 
 def _time_scaled(law, c):
@@ -237,16 +279,21 @@ def test_stream_matches_scalar_draw_order(seed, arrival_rate, service_rate, lead
     assert [stream.next() for _ in expected] == expected
 
 
-def test_stream_raises_at_the_offending_row():
+def _overflowing_leads(horizon=1.0):
     # leads of scale 1e308 overflow to inf whenever the standard
-    # exponential draw exceeds ~1.8; the batched stream must fail on the
-    # same row as the scalar draws, not when the block is drawn
-    cfg = ScenarioConfig(
+    # exponential draw exceeds ~1.8
+    return ScenarioConfig(
         interarrival=Exponential(1.0),
         joint=ProductJoint(Exponential(1.0), Exponential(1e-308)),
-        horizon=1.0,
+        horizon=horizon,
         seed=6,
     )
+
+
+def test_stream_raises_at_the_offending_row():
+    # the batched stream must fail on the same row as the scalar draws,
+    # not when the block is drawn
+    cfg = _overflowing_leads()
     rng = np.random.default_rng(cfg.seed)
     bad = next(
         k
@@ -259,6 +306,44 @@ def test_stream_raises_at_the_offending_row():
         stream.next()
     with pytest.raises(SimulationError, match="lead"):
         stream.next()
+
+
+def _stepping_raises(cfg):
+    """Whether stepping ``TrafficStream.next`` up to the first row past
+    the horizon raises."""
+    stream = TrafficStream(cfg, np.random.default_rng(cfg.seed))
+    try:
+        while stream.next()[0] <= cfg.horizon:
+            pass
+    except SimulationError:
+        return True
+    return False
+
+
+def test_run_raises_exactly_when_stepping_the_stream_would():
+    # run reads rows up to the first one past the horizon: a failed row
+    # raises if it is that one or earlier, and not if it was only drawn
+    # ahead in the same block
+    stream = TrafficStream(_overflowing_leads(), np.random.default_rng(6))
+    times = []
+    with pytest.raises(SimulationError, match="lead"):
+        while True:
+            times.append(stream.next()[0])
+    bad = len(times)  # index of the failed row
+    assert 2 <= bad < _BLOCK_ROWS
+    horizons = (
+        0.5 * (times[bad - 2] + times[bad - 1]),  # the row before it is first past
+        times[bad - 1],  # the failed row is the first past the horizon
+        times[bad - 1] + 100.0,  # the failed row is within the horizon
+    )
+    expected = [_stepping_raises(_overflowing_leads(h)) for h in horizons]
+    assert expected == [False, True, True]
+    for h, raises in zip(horizons, expected):
+        if raises:
+            with pytest.raises(SimulationError, match="lead"):
+                run(_overflowing_leads(h), path=False)
+        else:
+            run(_overflowing_leads(h), path=False)
 
 
 @settings(max_examples=15, deadline=None)

@@ -412,7 +412,7 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
             dep_arr.append(arr[jid])
             z -= 1
             if z:
-                # _neumaier_add(tsum, tcomp, -top), inlined; targets are > 0
+                # _neumaier_add(tsum, tcomp, -top), inlined; top > 0
                 t1 = tsum - top
                 if abs(tsum) >= top:
                     c1 = tcomp + ((tsum - t1) - top)
@@ -445,7 +445,7 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
             target = s + svc[k]
             heappush(heap, (target, k))
             off.append(s)
-            # _neumaier_add(tsum, tcomp, target), inlined
+            # _neumaier_add(tsum, tcomp, target), inlined; target > 0
             t1 = tsum + target
             if abs(tsum) >= target:
                 c1 = tcomp + ((tsum - t1) + target)

@@ -125,6 +125,37 @@ def test_grid_quadrant_masses_matrix():
     np.testing.assert_allclose(mat, [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
 
 
+# with and without a -inf row; the second leaves atoms below every y line
+TABULATION_GRIDS = (
+    default_grid(),
+    QuadrantGrid(np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 5)),
+)
+
+
+@st.composite
+def weighted_measures(draw, grid):
+    """Up to 30 atoms with non-unit weights, some exactly on grid lines."""
+    n = draw(st.integers(0, 30))
+
+    def coords(lines, lo, hi):
+        return st.lists(st.one_of(st.sampled_from(lines), st.floats(lo, hi)), min_size=n, max_size=n)
+
+    res = draw(coords(grid.x_values[1:], 1e-3, 6.0))
+    leads = draw(coords(grid.y_values[np.isfinite(grid.y_values)], -6.0, 6.0))
+    w = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return PointMeasure(np.array(res, dtype=float), np.array(leads, dtype=float), np.array(w, dtype=float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_grid_tabulation_matches_quadrant_mass(data):
+    # each closed quadrant [x, oo) x [y, oo), atoms on its edges included
+    grid = data.draw(st.sampled_from(TABULATION_GRIDS))
+    m = data.draw(weighted_measures(grid))
+    want = np.array([[m.quadrant_mass(x, y) for y in grid.y_values] for x in grid.x_values])
+    np.testing.assert_allclose(grid_quadrant_masses(m, grid), want, rtol=1e-12, atol=0.0)
+
+
 def test_point_measure_csv_round_trip(tmp_path):
     m = small_measure()
     path = tmp_path / "m.csv"

@@ -49,13 +49,13 @@ service, lead, S on entry, departure time); the heap holds only
 (target, job id).  ``SimOutput.jobs`` builds the ``JobRecord`` tuple
 from the columns on first read and keeps it in their place.
 
-The loop makes no Python call per event besides the heap's.  Traffic
-arrives through ``TrafficStream.refill`` in blocks of checked rows
-(256 at a time for all-exponential traffic), which the loop appends to
-the job columns and reads by index; a row that failed its check raises
-only when the loop reaches it.  The compensated add is written out in
-the arrival and departure branches, the same operations in the same
-order as ``_neumaier_add``.
+An event makes no Python call besides the heap's.  Traffic arrives
+through ``TrafficStream.refill`` in blocks of checked rows (256 at a
+time for all-exponential traffic, one for other laws), which the loop
+appends to the job columns and reads by index; a row that failed its
+check raises only when the loop reaches it.  The compensated add is
+written out in the arrival and departure branches, the same operations
+in the same order as ``_neumaier_add``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from math import fsum
+from math import fsum, isfinite
 
 import numpy as np
 
@@ -182,11 +182,11 @@ _BLOCK_ROWS = 256  # rows per refill of all-exponential traffic
 def _row_error(gap: float, v: float, l: float, t: float) -> SimulationError | None:
     """The error reading the row (gap, service, unscaled lead) raises, if
     any; t is the arrival time the gap gives."""
-    if not (math.isfinite(gap) and gap >= 0.0):
+    if not (isfinite(gap) and gap >= 0.0):
         return SimulationError(f"sampled interarrival {gap!r} is not a nonnegative real")
-    if not (math.isfinite(v) and v > 0.0):
+    if not (isfinite(v) and v > 0.0):
         return SimulationError(f"sampled service {v!r} at t={t} is not strictly positive")
-    if not math.isfinite(l):
+    if not isfinite(l):
         return SimulationError(f"sampled lead {l!r} at t={t} is not finite")
     return None
 
@@ -244,8 +244,9 @@ class TrafficStream:
             gap = gap_law.sample(rng)
             v, l = cfg.joint.sample(rng)
             t = self._clock + gap
-            self._error = _row_error(gap, v, l, t)
-            if self._error is not None:
+            # _row_error's tests, called only for a row that fails them
+            if not (isfinite(gap) and gap >= 0.0 and isfinite(v) and v > 0.0 and isfinite(l)):
+                self._error = _row_error(gap, v, l, t)
                 raise self._error
             self._clock = t
             return [t], [v], [cfg.lead_scale * l]

@@ -146,7 +146,8 @@ def _output_fields(out):
     p = out.path
     return (
         _snapshot_bytes(out),
-        p and (p.times.tobytes(), p.kinds, p.z.tobytes(), p.w_pre.tobytes(), p.w_post.tobytes(), p.s.tobytes()),
+        None if p is None
+        else (p.times.tobytes(), p.kinds, p.z.tobytes(), p.w_pre.tobytes(), p.w_post.tobytes(), p.s.tobytes()),
         out.workload_check,
         out.departure_times.tobytes(),
         out.departure_sojourns.tobytes(),

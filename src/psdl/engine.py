@@ -244,9 +244,8 @@ class TrafficStream:
             gap = gap_law.sample(rng)
             v, l = cfg.joint.sample(rng)
             t = self._clock + gap
-            # _row_error's tests, called only for a row that fails them
-            if not (isfinite(gap) and gap >= 0.0 and isfinite(v) and v > 0.0 and isfinite(l)):
-                self._error = _row_error(gap, v, l, t)
+            self._error = _row_error(gap, v, l, t)
+            if self._error is not None:
                 raise self._error
             self._clock = t
             return [t], [v], [cfg.lead_scale * l]

@@ -6,10 +6,11 @@ Run from the root of a psdl checkout.  Both revisions are exported from
 git into a temporary directory (``git archive``, so the repository gains
 no worktree entry, even if the run is interrupted).  Each pair runs
 ``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0``
-once in each tree, the base first in even pairs and the head first in odd
-ones, and every ``__pycache__`` in both trees is removed before every run,
-so neither side starts with compiled bytecode the other lacks.  Pair k
-uses seed ``--seed`` + k on both sides.
+once in each tree, N being BENCHMARK.json's ``run_seconds``.  The base
+runs first in even pairs and HEAD, the revision measured, in odd ones.
+Every ``__pycache__`` in both trees is removed before every run, so
+neither side starts with compiled bytecode the other lacks.  Pair k uses
+seed ``--seed`` + k on both sides.
 
 For each workload and each end-to-end metric in BENCHMARK.json the output
 holds both sides' medians and quartiles, the head/base ratio of medians,
@@ -80,14 +81,14 @@ def summary(values: list[float]) -> dict:
     return {"median": q50, "q25": q25, "q75": q75}
 
 
-def compare_workload(trees: dict, workload: str, args, metrics: list[dict]) -> dict:
+def compare_workload(trees: dict, workload: str, args, seconds: float, metrics: list[dict]) -> dict:
     runs = []
     for k in range(args.pairs):
         seed = args.seed + k
         order = ("base", "head") if k % 2 == 0 else ("head", "base")
         run = {"pair": k, "seed": seed, "first": order[0]}
         for side in order:
-            run[side] = bench(trees[side], workload, seed, args.seconds)
+            run[side] = bench(trees[side], workload, seed, seconds)
         runs.append(run)
         print(f"{workload} pair {k} (seed {seed}, {order[0]} first): "
               + ", ".join(f"{m['name']} {run['base']['metrics'][m['name']]:.4g} -> "
@@ -121,18 +122,16 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="revision to compare against")
-    p.add_argument("--head", default="HEAD", help="revision measured (default HEAD)")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--workloads", nargs="+", choices=names, default=names)
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
     p.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    p.add_argument("--out", type=Path, help="output file (default BENCH_<short head sha>.json)")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
 
-    sha = {side: _git("rev-parse", getattr(args, side)) for side in ("base", "head")}
-    out_path = args.out or ROOT / f"BENCH_{sha['head'][:7]}.json"
+    rev = {"base": args.base, "head": "HEAD"}
+    sha = {side: _git("rev-parse", rev[side]) for side in rev}
+    out_path = ROOT / f"BENCH_{sha['head'][:7]}.json"
     with tempfile.TemporaryDirectory(prefix="psdl-compare-") as tmp:
         trees = {side: Path(tmp) / side for side in ("base", "head")}
         for side, tree in trees.items():
@@ -143,18 +142,19 @@ def main(argv=None) -> int:
         ).stdout.strip()
         report = {
             "base": {"rev": args.base, "sha": sha["base"]},
-            "head": {"rev": args.head, "sha": sha["head"]},
+            "head": {"rev": "HEAD", "sha": sha["head"]},
             "machine": {
                 "nproc": len(os.sched_getaffinity(0)),
                 "python": platform.python_version(),
                 "numpy": numpy_version,
             },
             "command": "python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {spec['run_seconds']:g} --trace 0",
             "pairs": args.pairs,
             "first_seed": args.seed,
             "workloads": {
-                w: compare_workload(trees, w, args, spec["end_to_end"]) for w in args.workloads
+                w: compare_workload(trees, w, args, spec["run_seconds"], spec["end_to_end"])
+                for w in args.workloads
             },
         }
     out_path.write_text(json.dumps(report, indent=2) + "\n")

@@ -94,22 +94,28 @@ def cmd_lift(args) -> int:
     return 0
 
 
+# profile kind -> (header of its value column, the optional request fields
+# it needs, its value at y); each lambda looks its function up in this
+# module's globals when the profile runs
+_PROFILES = {
+    "lead_product": (
+        "cdf", ("lam", "alpha"), lambda q, y: lead_profile_product(q.nu, q.lam, q.alpha, q.z, y)
+    ),
+    "time_in_queue": ("survival", (), lambda q, y: time_in_queue_profile(q.nu, q.z, y)),
+    "sojourn": ("cdf", (), lambda q, y: sojourn_limit_cdf(q.nu, q.z, y)),
+    "linear_deadline": ("survival", ("c",), lambda q, y: linear_deadline_profile(q.nu, q.c, q.z, y)),
+}
+
+
 def cmd_profiles(args) -> int:
     cfg = fileio.load_config(args.config)
     req = fileio.parse_profile(_require(cfg, "profile"))
-    if req.profile == "lead_product":
-        fn = lambda y: lead_profile_product(req.nu, req.lam, req.alpha, req.z, y)
-        label = "cdf"
-    elif req.profile == "time_in_queue":
-        fn = lambda y: time_in_queue_profile(req.nu, req.z, y)
-        label = "survival"
-    elif req.profile == "sojourn":
-        fn = lambda y: sojourn_limit_cdf(req.nu, req.z, y)
-        label = "cdf"
-    else:
-        fn = lambda y: linear_deadline_profile(req.nu, req.c, req.z, y)
-        label = "survival"
-    values = [(y, fn(y)) for y in req.y_values]
+    if req.profile not in _PROFILES:
+        raise ConfigError(f"profile must be one of {tuple(_PROFILES)}, got {req.profile!r}")
+    label, needs, fn = _PROFILES[req.profile]
+    if any(getattr(req, k) is None for k in needs):
+        raise ConfigError(f"{req.profile} profile needs {' and '.join(map(repr, needs))}")
+    values = [(y, fn(req, y)) for y in req.y_values]
     d = _out_dir(args, cfg)
     fileio.write_profile_csv(values, label, d / "profile.csv")
     print(f"profiles: {req.profile} at {len(values)} points -> {d}")

@@ -78,10 +78,6 @@ class ScalarDistribution(ABC):
         """Vectorized ``survival``; x may contain +/-inf."""
 
     @abstractmethod
-    def quantile(self, q: float) -> float:
-        """Smallest x with P(X <= x) >= q, for q in [0, 1)."""
-
-    @abstractmethod
     def sample(self, rng: np.random.Generator) -> float: ...
 
     def exponential_scale(self) -> float | None:
@@ -103,15 +99,8 @@ class ScalarDistribution(ABC):
         (y = -inf allowed), for the families where it is closed form."""
         raise ConfigError(f"no closed form for lead law {self.kind!r} with exponential service")
 
-    def variance(self) -> float:
-        return self.moment(2.0) - self.mean() ** 2
-
     def std(self) -> float:
-        return math.sqrt(max(self.variance(), 0.0))
-
-    def cdf(self, x: float) -> float:
-        """P(X <= x).  Coincides with 1 - survival wherever X has no atom."""
-        return 1.0 - self.survival(x) + self.mass_at(x)
+        return math.sqrt(max(self.moment(2.0) - self.mean() ** 2, 0.0))
 
     def mass_at(self, x: float) -> float:
         """P(X = x); zero for the continuous families."""
@@ -125,27 +114,10 @@ class ScalarDistribution(ABC):
         """Supremum of the support (may be inf)."""
         return math.inf
 
-    def excess_mean(self) -> float:
-        """Mean of the excess-lifetime law: E[X^2] / (2 E[X])."""
-        m = self.mean()
-        if m <= 0.0:
-            raise ConfigError("excess lifetime undefined for zero-mean law")
-        return self.moment(2.0) / (2.0 * m)
-
-    def tail_integral(self, w: float) -> float:
-        """int_w^inf P(X >= u) du, defined for any real w.
-
-        Equals mean * excess_survival(w) for w >= 0 and mean - w below.
-        """
-        if w < 0.0:
-            return self.mean() - w
-        m = self.mean()
-        if m == 0.0:
-            return 0.0
-        return m * self.excess_survival(w)
-
     def tail_integral_array(self, w: np.ndarray) -> np.ndarray:
-        """Vectorized ``tail_integral``; w may contain -inf (giving +inf)."""
+        """int_w^inf P(X >= u) du on an array of real w; w may contain -inf
+        (giving +inf).  Equals mean * excess_survival(w) for w >= 0 and
+        mean - w below."""
         w = np.asarray(w, dtype=float)
         m = self.mean()
         pos = m * self.excess_survival_array(np.maximum(w, 0.0)) if m > 0.0 else np.zeros(w.shape)
@@ -172,10 +144,6 @@ class Exponential(ScalarDistribution):
 
     def survival_array(self, x: np.ndarray) -> np.ndarray:
         return self.excess_survival_array(x)
-
-    def quantile(self, q: float) -> float:
-        _check_q(q)
-        return -math.log1p(-q) / self.rate
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rate))
@@ -223,10 +191,6 @@ class Deterministic(ScalarDistribution):
 
     def survival_array(self, x: np.ndarray) -> np.ndarray:
         return np.where(np.asarray(x) <= self.value, 1.0, 0.0)
-
-    def quantile(self, q: float) -> float:
-        _check_q(q)
-        return self.value
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
@@ -282,10 +246,6 @@ class Uniform(ScalarDistribution):
 
     def survival_array(self, x: np.ndarray) -> np.ndarray:
         return np.clip((self.hi - np.asarray(x, dtype=float)) / (self.hi - self.lo), 0.0, 1.0)
-
-    def quantile(self, q: float) -> float:
-        _check_q(q)
-        return self.lo + q * (self.hi - self.lo)
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.lo, self.hi))
@@ -353,32 +313,8 @@ class HyperExponential(ScalarDistribution):
         tail = sum(w * np.exp(-r * np.maximum(x, 0.0)) for w, r in zip(self.weights, self.rates))
         return np.where(x <= 0.0, 1.0, tail)  # exactly 1, as the weights sum to 1 only within 1e-9
 
-    def quantile(self, q: float) -> float:
-        _check_q(q)
-        if q == 0.0:
-            return 0.0
-        # strictly decreasing continuous survival: bisect on cdf
-        lo, hi = 0.0, 1.0
-        while 1.0 - self.survival(hi) < q:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if 1.0 - self.survival(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
     def sample(self, rng: np.random.Generator) -> float:
-        u = rng.random()
-        acc = 0.0
-        idx = len(self.rates) - 1
-        for i, w in enumerate(self.weights):
-            acc += w
-            if u < acc:
-                idx = i
-                break
-        return float(rng.exponential(1.0 / self.rates[idx]))
+        return float(rng.exponential(1.0 / self.rates[_pick(self.weights, rng)]))
 
     def excess_survival(self, x: float) -> float:
         if x <= 0.0:
@@ -422,10 +358,6 @@ class PointMassZero(ScalarDistribution):
     def survival_array(self, x: np.ndarray) -> np.ndarray:
         return np.where(np.asarray(x) <= 0.0, 1.0, 0.0)
 
-    def quantile(self, q: float) -> float:
-        _check_q(q)
-        return 0.0
-
     def sample(self, rng: np.random.Generator) -> float:
         return 0.0
 
@@ -450,9 +382,16 @@ class PointMassZero(ScalarDistribution):
         return 0.0
 
 
-def _check_q(q: float) -> None:
-    if not (0.0 <= q < 1.0):
-        raise ConfigError(f"quantile level must lie in [0, 1), got {q}")
+def _pick(weights: tuple[float, ...], rng: np.random.Generator) -> int:
+    """Index drawn with probabilities ``weights``: the first whose running
+    sum exceeds one uniform draw, or the last if rounding leaves none."""
+    u = rng.random()
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
 
 
 _SCALAR_KINDS: dict[str, type] = {
@@ -500,16 +439,11 @@ class JointDistribution(ABC):
 
     kind: ClassVar[str]
 
-    def quadrant_survival(self, x: float, y: float) -> float:
-        """Mass of the closed quadrant [x, oo) x [y, oo); x must be >= 0,
-        y may be any real or -inf (giving the service marginal survival)."""
-        if math.isnan(x) or x < 0.0:
-            raise ConfigError(f"residual threshold must be >= 0, got {x}")
-        return float(self.quadrant_survival_array(np.float64(x), np.float64(y)))
-
     @abstractmethod
     def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Vectorized ``quadrant_survival`` on broadcastable arrays (x >= 0)."""
+        """Mass of the closed quadrants [x, oo) x [y, oo) on broadcastable
+        arrays; x must be >= 0, y may hold -inf (giving the service
+        marginal survival)."""
 
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> tuple[float, float]: ...
@@ -673,13 +607,7 @@ class EmpiricalJoint(JointDistribution):
         return out
 
     def sample(self, rng: np.random.Generator) -> tuple[float, float]:
-        u = rng.random()
-        acc = 0.0
-        for (s, l), w in zip(self.points, self.weights):
-            acc += w
-            if u < acc:
-                return s, l
-        return self.points[-1]
+        return self.points[_pick(self.weights, rng)]
 
     def mean_service(self) -> float:
         return sum(w * s for (s, _), w in zip(self.points, self.weights))
@@ -748,7 +676,6 @@ class AssumptionCheck:
 @dataclass(frozen=True)
 class AssumptionReport:
     checks: tuple[AssumptionCheck, ...]
-    warnings: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -763,14 +690,11 @@ def check_assumptions(d: JointDistribution, alpha: float) -> AssumptionReport:
 
     Checks: no service atom at zero; finite (4 + p)-th service moment for
     the law's moment exponent p; service mean equal to 1/alpha (critical
-    loading of the prelimit sequence).  Empirical laws satisfy the first
-    two trivially and get a warning that finite point sets cannot attest
-    uniformity along a scaling sequence.
+    loading of the prelimit sequence).
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ConfigError(f"arrival rate must be positive and finite, got {alpha}")
     checks: list[AssumptionCheck] = []
-    warnings: list[str] = []
 
     atom = d.service_mass_at_zero()
     checks.append(
@@ -801,10 +725,4 @@ def check_assumptions(d: JointDistribution, alpha: float) -> AssumptionReport:
             f"mean service {m} vs 1/alpha = {target}",
         )
     )
-
-    if isinstance(d, EmpiricalJoint):
-        warnings.append(
-            "empirical law: moment conditions hold trivially for a finite point "
-            "set and cannot be verified uniformly along a scaling sequence"
-        )
-    return AssumptionReport(tuple(checks), tuple(warnings))
+    return AssumptionReport(tuple(checks))

@@ -105,7 +105,6 @@ class ScenarioConfig:
     first_interarrival: ScalarDistribution | None = None
     initial_jobs: tuple[tuple[float, float], ...] = ()
     r: float = 1.0
-    label: str = ""
 
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
@@ -128,10 +127,6 @@ class ScenarioConfig:
         if any(not math.isfinite(l) for _, l in init):
             raise ConfigError("initial job leads must be finite")
         object.__setattr__(self, "initial_jobs", init)
-
-    @property
-    def arrival_rate(self) -> float:
-        return 1.0 / self.interarrival.mean()
 
 
 @dataclass(slots=True)

@@ -10,7 +10,7 @@ schema_version, an optional output_dir, and exactly one request block:
     profile   -> profiles     (profile.csv)
     rbm       -> rbm          (rbm_path.csv, rbm_summary.json)
 
-Each block but rbm is read into its dataclass, whose fields are the
+Each block is read into its dataclass, whose fields are the
 block's keys and whose defaults fill the keys left out, so a request is
 declared once.  Unknown keys anywhere, distribution specs included, are
 rejected: a typo should fail loudly, not silently fall back to a
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -205,7 +206,6 @@ def parse_scenario(payload: dict) -> ScenarioConfig:
         "lead_scale": _float,
         "initial_jobs": _initial_jobs,
         "r": _float,
-        "label": str,
     }
     return _from_payload(ScenarioConfig, payload, "scenario", convert)
 
@@ -217,6 +217,8 @@ def _parse_grid(spec: dict | None) -> QuadrantGrid:
     _reject_unknown(spec, allowed, "grid")
     x_max, x_step = _float(spec["x_max"]), _float(spec["x_step"])
     y_min, y_max, y_step = _float(spec["y_min"]), _float(spec["y_max"]), _float(spec["y_step"])
+    if not all(map(math.isfinite, (x_max, x_step, y_min, y_max, y_step))):
+        raise ConfigError("grid bounds and steps must be finite")
     if x_step <= 0 or y_step <= 0 or x_max <= 0 or y_max <= y_min:
         raise ConfigError("grid steps must be positive and y_max > y_min")
     nx = int(round(x_max / x_step))
@@ -273,11 +275,11 @@ def parse_lift(payload: dict) -> LiftRequest:
     return _from_payload(LiftRequest, payload, "lift", convert)
 
 
-_PROFILE_KINDS = ("lead_product", "time_in_queue", "sojourn", "linear_deadline")
-
-
 @dataclass(frozen=True)
 class ProfileRequest:
+    """A profile request; ``cli`` declares the profile kinds and the
+    optional fields each one needs."""
+
     profile: str
     nu: ScalarDistribution
     z: float
@@ -285,14 +287,6 @@ class ProfileRequest:
     lam: ScalarDistribution | None = None
     alpha: float | None = None
     c: float | None = None
-
-    def __post_init__(self):
-        if self.profile not in _PROFILE_KINDS:
-            raise ConfigError(f"profile must be one of {_PROFILE_KINDS}, got {self.profile!r}")
-        if self.profile == "lead_product" and (self.lam is None or self.alpha is None):
-            raise ConfigError("lead_product profile needs 'lam' and 'alpha'")
-        if self.profile == "linear_deadline" and self.c is None:
-            raise ConfigError("linear_deadline profile needs 'c'")
 
 
 def _y_values(spec) -> tuple[float, ...]:
@@ -305,6 +299,7 @@ def _y_values(spec) -> tuple[float, ...]:
 @_parser("profile")
 def parse_profile(payload: dict) -> ProfileRequest:
     convert = {
+        "profile": str,
         "nu": scalar_from_spec,
         "z": _float,
         "y_values": _y_values,
@@ -317,29 +312,31 @@ def parse_profile(payload: dict) -> ProfileRequest:
 
 @dataclass(frozen=True)
 class RBMRequest:
-    spec: RBMSpec
+    drift: float
+    variance: float
     horizon: float
     dt: float
-    seed: int
-    quantiles: tuple[float, ...]
+    x0: float = 0.0
+    seed: int = 0
+    quantiles: tuple[float, ...] = ()
+
+    @property
+    def spec(self) -> RBMSpec:
+        return RBMSpec(self.drift, self.variance, self.x0)
 
 
 @_parser("rbm")
 def parse_rbm(payload: dict) -> RBMRequest:
-    allowed = {"drift", "variance", "x0", "horizon", "dt", "seed", "quantiles"}
-    _reject_unknown(payload, allowed, "rbm")
-    spec = RBMSpec(
-        drift=_float(payload["drift"]),
-        variance=_float(payload["variance"]),
-        x0=_float(payload.get("x0", 0.0)),
-    )
-    return RBMRequest(
-        spec=spec,
-        horizon=_float(payload["horizon"]),
-        dt=_float(payload["dt"]),
-        seed=_int(payload.get("seed", 0)),
-        quantiles=_floats(payload.get("quantiles", ())),
-    )
+    convert = {
+        "drift": _float,
+        "variance": _float,
+        "horizon": _float,
+        "dt": _float,
+        "x0": _float,
+        "seed": _int,
+        "quantiles": _floats,
+    }
+    return _from_payload(RBMRequest, payload, "rbm", convert)
 
 
 # ---------------------------------------------------------------------------

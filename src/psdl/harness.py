@@ -25,6 +25,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from itertools import product, repeat
 from typing import Callable
 
 import numpy as np
@@ -47,7 +48,6 @@ from .measures import (
     default_grid,
     grid_quadrant_masses,
     mass_moment_chi,
-    quadrant_distance,
     scale_diffusion,
 )
 
@@ -146,7 +146,6 @@ def build_scenario(sweep: SweepConfig, r: float, replication: int) -> ScenarioCo
         seed=_scenario_seed(sweep.seed_base, r, replication),
         lead_scale=r,
         r=r,
-        label=f"r={r:g}/rep={replication}",
     )
 
 
@@ -160,7 +159,18 @@ def collapse_error(
     """Distance between the diffusion-scaled snapshot and the invariant
     member carrying the same mass, over the grid quadrants."""
     scaled = scale_diffusion(snapshot, r)
-    return quadrant_distance(scaled, lift(joint, alpha, scaled.total_mass).quadrant, grid)
+    emp, th = _score_tables(scaled, scaled.total_mass, joint, alpha, grid)
+    return float(np.abs(emp - th).max())
+
+
+def _score_tables(
+    scaled: PointMeasure, z: float, joint: JointDistribution, alpha: float, grid: QuadrantGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid tables of a scaled snapshot and of the invariant member of
+    mass z: their largest gap is the collapse error, and their x = 0 rows
+    give the lead profiles."""
+    inv = lift(joint, alpha, z)
+    return grid_quadrant_masses(scaled, grid), grid_quadrant_masses(inv.quadrant, grid)
 
 
 def lateness_fraction(scaled_snapshot: PointMeasure) -> float | None:
@@ -238,9 +248,6 @@ class SweepRow:
     sojourn_ks: float | None
     sojourn_flag: str
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class OverlayCurve:
@@ -274,7 +281,6 @@ def _run_cell(sweep: SweepConfig, r_idx: int, replication: int) -> tuple[list[Sw
     r = sweep.r_values[r_idx]
     out = run(build_scenario(sweep, r, replication), path=False)
     nu = getattr(sweep.joint, "service", None)  # empirical laws have no service marginal
-    grid = sweep.grid
     rows: list[SweepRow] = []
     overlays: list[OverlayCurve] = []
     for t in sweep.snapshot_times:
@@ -282,9 +288,7 @@ def _run_cell(sweep: SweepConfig, r_idx: int, replication: int) -> tuple[list[Sw
         scaled = scale_diffusion(snap, r) if snap.count else snap
         z = snap.count / r
         w = mass_moment_chi(scaled)
-        emp = grid_quadrant_masses(scaled, grid)
-        inv = lift(sweep.joint, sweep.alpha, z)
-        th = grid_quadrant_masses(inv.quadrant, grid)
+        emp, th = _score_tables(scaled, z, sweep.joint, sweep.alpha, sweep.grid)
         diff = np.abs(emp - th)
         if nu is not None:
             sj = sojourn_snapshot_experiment(out, r, t, sweep.sojourn_window, nu)
@@ -311,10 +315,6 @@ def _run_cell(sweep: SweepConfig, r_idx: int, replication: int) -> tuple[list[Sw
                 OverlayCurve(r, t, tuple(float(v) for v in emp[0, :]), tuple(float(v) for v in th[0, :]))
             )
     return rows, overlays
-
-
-def _run_cell_star(args) -> tuple[list[SweepRow], list[OverlayCurve]]:
-    return _run_cell(*args)
 
 
 def _median(vals: list[float]) -> float | None:
@@ -396,18 +396,14 @@ def run_sweep(sweep: SweepConfig, threads: int = 1) -> CollapseReport:
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    tasks = [
-        (sweep, ri, rep)
-        for ri in range(len(sweep.r_values))
-        for rep in range(sweep.replications)
-    ]
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    r_idx, reps = zip(*product(range(len(sweep.r_values)), range(sweep.replications)))
+    workers = min(threads, len(r_idx), os.cpu_count() or 1)
     if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
+        chunk = max(1, len(r_idx) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell_star, tasks, chunksize=chunk))
+            results = list(pool.map(_run_cell, repeat(sweep), r_idx, reps, chunksize=chunk))
     else:
-        results = [_run_cell_star(args) for args in tasks]
+        results = list(map(_run_cell, repeat(sweep), r_idx, reps))
 
     rows = tuple(row for cell_rows, _ in results for row in cell_rows)
     overlays = tuple(ov for _, cell_ovs in results for ov in cell_ovs)

@@ -80,9 +80,6 @@ class InvariantMeasure:
         """Mass of the closed quadrant [x, oo) x [y, oo); y may be -inf."""
         return self.quadrant.eval(x, y)
 
-    def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return self.quadrant.eval_grid(xs, ys)
-
     @property
     def total_mass(self) -> float:
         return self.quadrant.total_mass
@@ -301,8 +298,6 @@ def lead_profile_product(
     alpha: float,
     z: float,
     y: float,
-    *,
-    tol: float = 1e-6,
 ) -> float:
     """Lead-profile CDF of the invariant measure for independent
     (service, lead): the mass with lead coordinate <= y.
@@ -313,7 +308,7 @@ def lead_profile_product(
     """
     if z == 0.0:
         return 0.0
-    meas = lift(ProductJoint(nu, lam), alpha, z, tol=tol)
+    meas = lift(ProductJoint(nu, lam), alpha, z)
     return meas.total_mass - meas.eval(0.0, y)
 
 

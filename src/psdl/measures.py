@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,19 +59,6 @@ class PointMeasure:
         object.__setattr__(self, "residuals", res)
         object.__setattr__(self, "leads", lead)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_points(
-        cls, points: Sequence[tuple[float, float]], weight: float = 1.0
-    ) -> "PointMeasure":
-        res = np.array([p[0] for p in points], dtype=float)
-        lead = np.array([p[1] for p in points], dtype=float)
-        return cls(res, lead, np.full(res.shape, float(weight)))
-
-    @classmethod
-    def empty(cls) -> "PointMeasure":
-        z = np.zeros(0)
-        return cls(z, z.copy(), z.copy())
 
     @property
     def count(self) -> int:

@@ -34,6 +34,8 @@ _G_WEIGHTS = np.array(_WG + _WG[-2::-1])  # on _NODES[1::2]
 
 _MAX_PASSES = 48  # bisection depth
 _MAX_LIVE = 1 << 15  # unconverged panels one call may carry into a bisection
+_TAIL_CUTOFF = 1e-10  # tail integrand value below which tail_cut truncates
+_MAX_DOUBLINGS = 60
 
 
 def integrate(
@@ -77,18 +79,17 @@ def tail_cut(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     start: float,
     n: int,
-    cutoff: float = 1e-10,
-    max_doublings: int = 60,
 ) -> np.ndarray:
     """Per point, the smallest doubling of ``start`` at which the
-    nonincreasing tail integrand g(u, points) has dropped below ``cutoff``."""
+    nonincreasing tail integrand g(u, points) has dropped below
+    ``_TAIL_CUTOFF``."""
     u = np.full(n, max(start, 1e-12))
     todo = np.arange(n)
-    for _ in range(max_doublings):
-        todo = todo[g(u[todo], todo) >= cutoff]
+    for _ in range(_MAX_DOUBLINGS):
+        todo = todo[g(u[todo], todo) >= _TAIL_CUTOFF]
         if todo.size == 0:
             return u
         u[todo] *= 2.0
     raise SimulationError(
-        f"integrand tail still >= {cutoff:.3e} at u = {u[todo[0]]:.3e} for {todo.size} points"
+        f"integrand tail still >= {_TAIL_CUTOFF:.3e} at u = {u[todo[0]]:.3e} for {todo.size} points"
     )

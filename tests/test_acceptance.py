@@ -19,6 +19,7 @@ engine's own sample sizes (perfect convergence by construction).
 import json
 import math
 import statistics
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -521,7 +522,7 @@ def test_criterion_11_rbm_stationary_law():
 
 def _report_bytes(rep) -> bytes:
     payload = dict(rep.to_json_dict())
-    payload["rows"] = [row.as_dict() for row in rep.rows]
+    payload["rows"] = [asdict(row) for row in rep.rows]
     payload["overlays"] = [
         {"r": o.r, "t": o.t, "empirical": list(o.empirical), "limit": list(o.limit)}
         for o in rep.overlays

@@ -261,6 +261,8 @@ def test_exit_code_bad_config(tmp_path):
         # tol = 0 can never be met, so quadrature would refine forever
         ("lift", {"lift": {**LIFT, "method": "quadrature", "tol": 0.0}}),
         ("sweep", {"sweep": {**SWEEP, "sojourn_window": math.nan}}),
+        # a key no request field has
+        ("simulate", {"scenario": {**SCENARIO, "label": "r=5/rep=0"}}),
         # keys the joint law's class does not have
         ("simulate", {"scenario": {**SCENARIO, "joint": {**SCENARIO["joint"], "c": 2.0}}}),
         ("lift", {"lift": {**LIFT, "joint": {**LINEAR_JOINT, "lead": MM1_JOINT["lead"]}}}),
@@ -293,6 +295,16 @@ def test_exit_code_bad_config(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cmd, key, block", [("lift", "lift", LIFT), ("sweep", "sweep", SWEEP)])
+@pytest.mark.parametrize("bound, value", [("x_max", math.inf), ("y_max", math.inf), ("y_min", -math.inf)])
+def test_infinite_grid_bound_is_a_config_error(tmp_path, capsys, cmd, key, block, bound, value):
+    grid = {**LIFT["grid"], bound: value}
+    cfg = write_config(tmp_path, {"schema_version": 1, key: {**block, "grid": grid}})
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite" in err and "Traceback" not in err
 
 
 STRICT_FLOAT_CASES = [
@@ -367,7 +379,7 @@ FUZZ_BASES = [
     ("rbm", {"schema_version": 1, "rbm": RBM}),
     ("profiles", {"schema_version": 1, "profile": PROFILE}),
 ]
-FUZZ_VALUES = [-3, 0.5, "x", None, [], [1.0], {}, True]
+FUZZ_VALUES = [-3, 0.5, "x", None, [], [1.0], {}, True, float("-inf"), float("nan")]
 FUZZ_CASES = [
     (i, path, value)
     for i, (_, base) in enumerate(FUZZ_BASES)

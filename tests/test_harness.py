@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from psdl import harness
 from psdl.measures import default_grid, mass_moment_chi
 
 MM1 = ProductJoint(Exponential(1.0), Exponential(1.0))
+EMPTY = PointMeasure(np.zeros(0), np.zeros(0), np.zeros(0))
 
 
 def tiny_sweep(**overrides):
@@ -63,7 +65,8 @@ def test_build_scenario_scalings():
     assert cfg.horizon == pytest.approx(200.0)  # r^2 T
     assert cfg.snapshot_times == (50.0, 200.0)
     assert cfg.lead_scale == 10.0
-    assert cfg.arrival_rate == pytest.approx(1.0 * (1.0 - 0.5 / 10.0))  # alpha(1 - gamma/r)
+    rate = 1.0 / cfg.interarrival.mean()
+    assert rate == pytest.approx(1.0 * (1.0 - 0.5 / 10.0))  # alpha(1 - gamma/r)
     assert cfg.initial_jobs == ()
     # replication changes only the seed
     cfg2 = build_scenario(sweep, 10.0, 1)
@@ -72,8 +75,7 @@ def test_build_scenario_scalings():
 
 
 def test_collapse_error_empty_snapshot_is_zero():
-    empty = PointMeasure.empty()
-    assert collapse_error(empty, 5.0, MM1, 1.0, default_grid()) == 0.0
+    assert collapse_error(EMPTY, 5.0, MM1, 1.0, default_grid()) == 0.0
 
 
 def test_collapse_error_on_lift_samples_is_small():
@@ -94,7 +96,7 @@ def test_collapse_error_on_lift_samples_is_small():
 
 
 def test_lateness_fraction_cases():
-    assert lateness_fraction(PointMeasure.empty()) is None
+    assert lateness_fraction(EMPTY) is None
     pos = PointMeasure(np.array([1.0]), np.array([0.5]), np.array([1.0]))
     assert lateness_fraction(pos) == 0.0
     late = PointMeasure(np.array([1.0, 1.0]), np.array([-0.5, 0.0]), np.array([1.0, 1.0]))
@@ -159,7 +161,7 @@ def test_report_determinism_across_threads():
     ja = json.dumps(a.to_json_dict(), sort_keys=True)
     jb = json.dumps(b.to_json_dict(), sort_keys=True)
     assert ja == jb
-    assert [r.as_dict() for r in a.rows] == [r.as_dict() for r in b.rows]
+    assert [asdict(r) for r in a.rows] == [asdict(r) for r in b.rows]
 
 
 def test_aggregate_counts():
@@ -187,8 +189,8 @@ def test_run_sweep_caps_workers(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     sweep = tiny_sweep(r_values=(3.0,), replications=2)

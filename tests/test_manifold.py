@@ -218,8 +218,8 @@ def test_empirical_closed_form_matches_oracle():
     for z in (0.4, 1.0, 2.7):
         m = lift(joint, 1.3, z)
         assert m.method == "closed_form_empirical"
-        table = m.eval_grid(xs, ys)
-        quad = lift(joint, 1.3, z, method="quadrature").eval_grid(xs, ys)
+        table = m.quadrant.eval_grid(xs, ys)
+        quad = lift(joint, 1.3, z, method="quadrature").quadrant.eval_grid(xs, ys)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 ref = lift_mass(joint, 1.3, z, float(x), float(y), 1e-9)
@@ -232,7 +232,7 @@ def test_unreachable_tolerance_raises():
     # bisection doubles the live panels each pass until the cap ends it
     m = lift(ProductJoint(EXP1, EXP1), 1.0, 1.0, method="quadrature", tol=1e-300)
     with pytest.raises(SimulationError, match="panels still above"):
-        m.eval_grid(np.linspace(0.0, 5.0, 51), np.linspace(-5.0, 5.0, 101))
+        m.quadrant.eval_grid(np.linspace(0.0, 5.0, 51), np.linspace(-5.0, 5.0, 101))
 
 
 def test_explicit_method_mismatch():
@@ -246,7 +246,7 @@ def test_eval_grid_matches_pointwise():
     m = lift(ProductJoint(EXP1, EXP1), 1.0, 1.4)
     xs = np.array([0.0, 0.5, 2.0])
     ys = np.array([-math.inf, -0.5, 0.0, 1.0])
-    table = m.eval_grid(xs, ys)
+    table = m.quadrant.eval_grid(xs, ys)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             assert table[i, j] == pytest.approx(m.eval(float(x), float(y)), abs=1e-12)

@@ -85,8 +85,8 @@ def test_default_grid_shape():
 
 def test_separating_quadrant_distance():
     # grid containing x=1.5 fully separates unit atoms at residuals 1 and 2
-    a = PointMeasure.from_points([(1.0, 0.0)])
-    b = PointMeasure.from_points([(2.0, 0.0)])
+    a = PointMeasure(np.array([1.0]), np.array([0.0]), np.array([1.0]))
+    b = PointMeasure(np.array([2.0]), np.array([0.0]), np.array([1.0]))
     g = QuadrantGrid(x_values=(0.0, 1.5), y_values=(-math.inf,))
     assert quadrant_distance(a, b, g) == 1.0
     assert quadrant_distance(a, a, g) == 0.0
@@ -118,7 +118,7 @@ def test_quadrant_distance_pseudometric(a, b, c):
 
 
 def test_grid_quadrant_masses_matrix():
-    m = PointMeasure.from_points([(1.0, 1.0)])
+    m = PointMeasure(np.array([1.0]), np.array([1.0]), np.array([1.0]))
     g = QuadrantGrid(x_values=(0.0, 2.0), y_values=(-math.inf, 0.0, 2.0))
     mat = grid_quadrant_masses(m, g)
     assert mat.shape == (2, 3)

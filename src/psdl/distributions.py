@@ -94,10 +94,10 @@ class ScalarDistribution(ABC):
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
         """Vectorized ``excess_survival``; x may contain +/-inf."""
 
+    @abstractmethod
     def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
         """H(y) = int_0^inf e^{-s u} P(X >= y + u) du on an array of y
-        (y = -inf allowed), for the families where it is closed form."""
-        raise ConfigError(f"no closed form for lead law {self.kind!r} with exponential service")
+        (y = +/-inf allowed) for a rate s > 0."""
 
     def std(self) -> float:
         return math.sqrt(max(self.moment(2.0) - self.mean() ** 2, 0.0))
@@ -270,6 +270,15 @@ class Uniform(ScalarDistribution):
             0.5 * np.square(hi - xx) / (hi - lo),
         )
         return np.where(x >= hi, 0.0, tail / self.mean())
+
+    def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
+        # the survival is 1 for u < a, then falls linearly to 0 over `ramp` more units
+        ys = np.asarray(ys, dtype=float)
+        w = self.hi - self.lo
+        a = np.maximum(self.lo - ys, 0.0)  # +inf at y = -inf, where e^{-s a} is 0
+        ramp = np.clip(self.hi - ys, 0.0, w)
+        sloped = (s * ramp + np.expm1(-s * ramp)) / (s * s * w)
+        return -np.expm1(-s * a) / s + np.exp(-s * a) * sloped
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.lo, self.hi)
@@ -499,6 +508,9 @@ class _ScalarServiceJoint(JointDistribution):
 
     def service_mass_at_zero(self) -> float:
         return self.service.mass_at(0.0)
+
+    def service_std(self) -> float:
+        return self.service.std()
 
     def service_upper(self) -> float:
         return self.service.support_upper()

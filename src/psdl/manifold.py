@@ -10,16 +10,21 @@ fixed points of the critically loaded processor-sharing dynamics: the
 residual coordinate is thinned at rate 1/z per unit of elapsed service
 while the lead coordinate translates at unit rate.
 
-Closed forms are installed for the common families (exponential or
-deterministic service crossed with exponential, deterministic, mixture,
-or zero lead; exponential service with proportional lead = c * service;
-empirical point sets, where each atom contributes
-alpha * w_i * max(0, min(z (s_i - x), l_i - y))).  Everything else
+Closed forms are installed for every independent product except uniform
+service with uniform lead (a zero or deterministic lead, or a
+deterministic service, leaves tail integrals of the other law; an
+exponential or mixture service or lead leaves one shifted exponential
+transform of the other law per exponential part), for exponential
+service with proportional lead = c * service, and for empirical point
+sets, where each atom contributes
+alpha * w_i * max(0, min(z (s_i - x), l_i - y)).  Everything else
 integrates the defining formula with the Gauss–Kronrod integrator from
 ``quadrature``: the grid points are taken in blocks of 256, each point's
-u-range is cut at the service and lead kinks and the deadline crossing
-(and truncated where the integrand drops below 1e-10 if neither support
-bounds it), and all panels of a block are refined together.
+u-range is cut at the service and lead kinks, the deadline crossing and,
+for an unbounded service law with z E[V] < 1, at the doublings of
+z E[V] below 1 (and truncated where the integrand drops below 1e-10 if
+neither support bounds it), and all panels of a block are refined
+together.
 
 The lead-coordinate sections of these measures are the planning
 profiles: the lead-profile CDF of an independent product, the
@@ -90,12 +95,35 @@ class InvariantMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _exp_service_builder(nu: Exponential, lam: ScalarDistribution, alpha: float, z: float):
-    n = nu.rate
+def _exp_parts(d: Exponential | HyperExponential) -> tuple[tuple[float, float], ...]:
+    """The (weight, rate) pairs of an exponential or mixture law."""
+    return tuple(zip(d.weights, d.rates)) if isinstance(d, HyperExponential) else ((1.0, d.rate),)
 
+
+def _exp_service_builder(parts, lam: ScalarDistribution, alpha: float, z: float):
+    # the lift is linear in the service law: one exponential-service term per part
     def grid_fn(xs, ys):
-        h = lam.shifted_exp_integral_array(ys, n / z)
-        return alpha * np.exp(-n * np.asarray(xs, dtype=float))[:, None] * h[None, :]
+        xs = np.asarray(xs, dtype=float)
+        return sum(
+            (alpha * w) * np.exp(-n * xs)[:, None] * lam.shifted_exp_integral_array(ys, n / z)
+            for w, n in parts
+        )
+
+    return grid_fn
+
+
+def _exp_lead_builder(nu: ScalarDistribution, parts, alpha: float, z: float):
+    # the lead survival is 1 until u = -y and a sum of exponentials after it;
+    # past the split the u-integral is one shifted exponential transform per part
+    def grid_fn(xs, ys):
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        split = xs[:, None] + np.maximum(-ys, 0.0)[None, :] / z  # +inf at y = -inf
+        lead = np.maximum(ys, 0.0)
+        out = nu.tail_integral_array(xs)[:, None] - nu.tail_integral_array(split)
+        for w, m in parts:
+            out += w * np.exp(-m * lead)[None, :] * nu.shifted_exp_integral_array(split, m * z)
+        return alpha * z * out
 
     return grid_fn
 
@@ -198,8 +226,14 @@ def _empirical_builder(joint: EmpiricalJoint, alpha: float, z: float):
 
 
 def _quadrature_builder(joint: JointDistribution, alpha: float, z: float, tol: float):
-    start = max(z * joint.mean_service(), 1.0)
+    scale = z * joint.mean_service()
+    start = max(scale, 1.0)
     su, lu = joint.service_upper(), joint.lead_upper()
+    # an unbounded service law has no breakpoint at its scale, and for small z its
+    # section decays within u ~ z E[V], between the nodes of a unit-width panel:
+    # cut [0, 1) at doublings of that scale
+    doublings = math.ceil(-math.log2(scale)) if math.isinf(su) and 0.0 < scale < 1.0 else 0
+    scale_cuts = scale * 2.0 ** np.arange(doublings)
     service_breaks = np.array(joint.service_breakpoints(), dtype=float)
     lead_breaks = np.array(joint.lead_breakpoints(), dtype=float)
     # the deadline line c v = y crosses the residual line at one u
@@ -215,7 +249,11 @@ def _quadrature_builder(joint: JointDistribution, alpha: float, z: float, tol: f
         if unbounded.size:
             tail = lambda u, i: g(u[:, None], unbounded[i])[:, 0]
             upper[unbounded] = tail_cut(tail, start, unbounded.size)
-        cuts = [z * (service_breaks - x[:, None]), lead_breaks - y[:, None]]
+        cuts = [
+            z * (service_breaks - x[:, None]),
+            lead_breaks - y[:, None],
+            np.broadcast_to(scale_cuts, (x.size, scale_cuts.size)),
+        ]
         if c is not None:
             cuts.append((z * (y - c * x) / (c - z))[:, None])
         ends = upper[:, None]
@@ -240,14 +278,16 @@ def _closed_form(joint: JointDistribution, alpha: float, z: float):
         nu, lam = joint.service, joint.lead
         if isinstance(lam, PointMassZero):
             return "closed_form_tiq", _det_lead_builder(nu, 0.0, alpha, z)
-        if isinstance(nu, Exponential) and isinstance(
-            lam, (Exponential, Deterministic, HyperExponential)
-        ):
-            return "closed_form_product", _exp_service_builder(nu, lam, alpha, z)
+        if isinstance(nu, Exponential):
+            return "closed_form_product", _exp_service_builder(_exp_parts(nu), lam, alpha, z)
         if isinstance(nu, Deterministic):
             return "closed_form_product", _det_service_builder(nu, lam, alpha, z)
         if isinstance(lam, Deterministic):
             return "closed_form_product", _det_lead_builder(nu, lam.value, alpha, z)
+        if isinstance(nu, HyperExponential):
+            return "closed_form_product", _exp_service_builder(_exp_parts(nu), lam, alpha, z)
+        if isinstance(lam, (Exponential, HyperExponential)):
+            return "closed_form_product", _exp_lead_builder(nu, _exp_parts(lam), alpha, z)
     if isinstance(joint, LinearJoint) and isinstance(joint.service, Exponential):
         return "closed_form_linear", _linear_exp_builder(joint.service, joint.c, alpha, z)
     if isinstance(joint, EmpiricalJoint):

@@ -330,6 +330,10 @@ def test_criterion_05_closed_vs_quadrature():
         "linear z>c": max(
             linear_err(z, y) for z, y in zip(zs(50, 1.05, 3.0), zs(50, -1.5, 2.5))
         ),
+        "uniform service": max(
+            profile_err(Uniform(0.0, 2.0), EXP1, z, y)
+            for z, y in zip(zs(50, 0.2, 4.0), zs(50, -2.0, 4.0))
+        ),
     }
     worst = max(fams.values())
     ok = worst <= 1e-4

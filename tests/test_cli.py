@@ -56,7 +56,7 @@ SWEEP = {
     "seed_base": 9,
 }
 RBM = {"drift": -1.0, "variance": 2.0, "horizon": 1.0, "dt": 0.01, "seed": 4}
-# a lift on the quadrature path: no closed form for uniform service
+# a lift forced onto the quadrature path (uniform service has a closed form)
 UNIFORM_LIFT = {
     **LIFT,
     "joint": {**MM1_JOINT, "service": {"kind": "uniform", "lo": 0.0, "hi": 2.0}},
@@ -379,7 +379,7 @@ FUZZ_BASES = [
     ("rbm", {"schema_version": 1, "rbm": RBM}),
     ("profiles", {"schema_version": 1, "profile": PROFILE}),
 ]
-FUZZ_VALUES = [-3, 0.5, "x", None, [], [1.0], {}, True, float("-inf"), float("nan")]
+FUZZ_VALUES = [-3, 0.5, "x", None, [], [1.0], {}, True, float("inf"), float("-inf"), float("nan")]
 FUZZ_CASES = [
     (i, path, value)
     for i, (_, base) in enumerate(FUZZ_BASES)
@@ -389,9 +389,10 @@ FUZZ_CASES = [
 
 
 def _raises_number(old, new) -> bool:
-    # a numeric leaf may only go down, so no case runs longer than its base
+    # a numeric leaf may not grow to another finite value, so no case runs
+    # longer than its base; +/-inf and nan reach every numeric leaf
     num = (int, float)
-    return isinstance(old, num) and isinstance(new, num) and new > old
+    return isinstance(old, num) and isinstance(new, num) and math.isfinite(new) and new > old
 
 
 @settings(max_examples=100, deadline=None)

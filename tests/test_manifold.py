@@ -35,9 +35,23 @@ from psdl import (
     time_in_queue_profile,
 )
 from psdl.errors import SimulationError
+from psdl.measures import default_grid
 from simpson_oracle import lift_mass
 
 EXP1 = Exponential(1.0)
+UNIF = Uniform(0.0, 2.0)
+HYPER = HyperExponential((0.3, 0.7), (0.5, 2.0))
+# the products whose closed form sums one shifted exponential transform per
+# exponential part of the service or the lead
+EXP_TYPE_PAIRS = [
+    ProductJoint(UNIF, EXP1),
+    ProductJoint(UNIF, HYPER),
+    ProductJoint(HYPER, EXP1),
+    ProductJoint(HYPER, UNIF),
+    ProductJoint(HYPER, HYPER),
+    ProductJoint(EXP1, UNIF),
+]
+EXP_TYPE_IDS = ["unif-exp", "unif-hyper", "hyper-exp", "hyper-unif", "hyper-hyper", "exp-unif"]
 
 
 # --- mass law ------------------------------------------------------------
@@ -144,10 +158,11 @@ def test_linear_profile_matches_lift():
         (ProductJoint(EXP1, EXP1), 1.0),
         (ProductJoint(EXP1, Deterministic(1.0)), 2.0),
         (ProductJoint(Deterministic(1.0), EXP1), 0.7),
-        (ProductJoint(EXP1, HyperExponential((0.3, 0.7), (0.5, 2.0))), 1.3),
+        (ProductJoint(EXP1, HYPER), 1.3),
         (LinearJoint(EXP1, 0.8), 1.7),
+        *((joint, 1.2) for joint in EXP_TYPE_PAIRS),
     ],
-    ids=["exp-exp", "exp-det", "det-exp", "exp-hyper", "linear"],
+    ids=["exp-exp", "exp-det", "det-exp", "exp-hyper", "linear", *EXP_TYPE_IDS],
 )
 def test_closed_form_vs_quadrature(joint, z):
     closed = lift(joint, 1.0, z)
@@ -158,6 +173,18 @@ def test_closed_form_vs_quadrature(joint, z):
             assert abs(closed.eval(x, y) - quad.eval(x, y)) <= 1e-4
 
 
+@pytest.mark.parametrize("joint", EXP_TYPE_PAIRS, ids=EXP_TYPE_IDS)
+def test_exp_type_closed_forms_match_quadrature_on_the_grid(joint):
+    g = default_grid()
+    for z in (1e-6, 0.05, 1.0, 6.0):
+        closed = lift(joint, 1.3, z)
+        assert closed.method == "closed_form_product"
+        table = closed.quadrant.eval_grid(g.x_values, g.y_values)
+        quad = lift(joint, 1.3, z, method="quadrature", tol=1e-10)
+        assert np.max(np.abs(table - quad.quadrant.eval_grid(g.x_values, g.y_values))) <= 1e-9
+        assert abs(closed.eval(0.0, -math.inf) - 1.3 * z * joint.mean_service()) <= 1e-12
+
+
 def test_quadrature_refinement_consistency():
     joint = ProductJoint(Uniform(0.5, 1.5), Uniform(0.0, 2.0))
     coarse = lift(joint, 1.0, 1.2, method="quadrature", tol=1e-6)
@@ -165,6 +192,16 @@ def test_quadrature_refinement_consistency():
     for x in (0.0, 0.6):
         for y in (-1.0, 0.3, 1.1):
             assert abs(coarse.eval(x, y) - fine.eval(x, y)) < 1e-6
+
+
+@pytest.mark.parametrize("z", [1e-9, 1e-6, 1e-3])
+def test_quadrature_resolves_unbounded_service_at_small_mass(z):
+    # the service section decays within u ~ z, far inside the first lead panel
+    m = lift(ProductJoint(EXP1, EXP1), 1.0, z, method="quadrature", tol=1e-12)
+    closed = lift(ProductJoint(EXP1, EXP1), 1.0, z)
+    for x, y in ((0.0, -math.inf), (0.0, -1.0), (0.3, 0.5)):
+        assert abs(m.eval(x, y) - closed.eval(x, y)) <= 1e-12
+    assert m.eval(0.0, -math.inf) == pytest.approx(z, rel=1e-9)
 
 
 _SCALAR = st.one_of(

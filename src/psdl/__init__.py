@@ -63,7 +63,6 @@ from .measures import (
     quadrant_distance,
     scale_diffusion,
 )
-from .naive import step_simulate
 from .rbm import RBMPath, RBMSpec, deadline_quantile, simulate, stationary_cdf
 
 __version__ = "0.1.0"

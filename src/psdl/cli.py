@@ -78,7 +78,7 @@ def cmd_simulate(args) -> int:
 def cmd_lift(args) -> int:
     cfg = fileio.load_config(args.config)
     req = fileio.parse_lift(_require(cfg, "lift"))
-    meas = lift(req.joint, req.alpha, req.z, **req.lift_options())
+    meas = lift(req.joint, req.alpha, req.z)
     d = _out_dir(args, cfg)
     table = grid_quadrant_masses(meas.quadrant, req.grid)
     fileio.write_lift_csv(table, req.grid, d / "lift.csv")

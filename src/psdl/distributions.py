@@ -718,7 +718,10 @@ def check_assumptions(d: JointDistribution, alpha: float) -> AssumptionReport:
     )
 
     k = 4.0 + d.moment_exponent
-    mk = d.service_moment(k)
+    try:
+        mk = d.service_moment(k)
+    except (OverflowError, ZeroDivisionError):  # beyond the float range
+        mk = math.inf
     checks.append(
         AssumptionCheck(
             "service_moment_finite",

@@ -248,18 +248,12 @@ def parse_sweep(payload: dict) -> SweepConfig:
 
 @dataclass(frozen=True)
 class LiftRequest:
-    """A lift request; method and tol, when absent, keep ``lift``'s defaults."""
+    """A lift request: the law, rate and mass, and the grid to tabulate on."""
 
     joint: JointDistribution
     alpha: float
     z: float
-    method: str | None = None
-    tol: float | None = None
     grid: QuadrantGrid = field(default_factory=default_grid)
-
-    def lift_options(self) -> dict:
-        """The keyword arguments of ``lift`` that this request sets."""
-        return {k: v for k in ("method", "tol") if (v := getattr(self, k)) is not None}
 
 
 @_parser("lift")
@@ -268,8 +262,6 @@ def parse_lift(payload: dict) -> LiftRequest:
         "joint": joint_from_spec,
         "alpha": _float,
         "z": _float,
-        "method": str,
-        "tol": _float,
         "grid": _parse_grid,
     }
     return _from_payload(LiftRequest, payload, "lift", convert)

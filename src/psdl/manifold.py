@@ -14,17 +14,15 @@ Closed forms are installed for every independent product except uniform
 service with uniform lead (a zero or deterministic lead, or a
 deterministic service, leaves tail integrals of the other law; an
 exponential or mixture service or lead leaves one shifted exponential
-transform of the other law per exponential part), for exponential
-service with proportional lead = c * service, and for empirical point
-sets, where each atom contributes
-alpha * w_i * max(0, min(z (s_i - x), l_i - y)).  Everything else
-integrates the defining formula with the Gauss–Kronrod integrator from
-``quadrature``: the grid points are taken in blocks of 256, each point's
-u-range is cut at the service and lead kinks, the deadline crossing and,
-for an unbounded service law with z E[V] < 1, at the doublings of
-z E[V] below 1 (and truncated where the integrand drops below 1e-10 if
-neither support bounds it), and all panels of a block are refined
-together.
+transform of the other law per exponential part), for exponential or
+mixture service with proportional lead = c * service, and for empirical
+point sets, where each atom contributes
+alpha * w_i * max(0, min(z (s_i - x), l_i - y)).  The rest, each with a
+bounded service support, integrates the defining formula to 1e-6 per
+point with the Gauss–Kronrod integrator from ``quadrature``: the grid
+points are taken in blocks of 256, each point's u-range ends where the
+service support does and is cut at the service and lead kinks and the
+deadline crossing, and all panels of a block are refined together.
 
 The lead-coordinate sections of these measures are the planning
 profiles: the lead-profile CDF of an independent product, the
@@ -55,7 +53,7 @@ from .distributions import (
 )
 from .errors import ConfigError
 from .measures import QuadrantFunction
-from .quadrature import integrate, tail_cut
+from .quadrature import integrate
 
 __all__ = [
     "InvariantMeasure",
@@ -68,7 +66,7 @@ __all__ = [
     "ht_params",
 ]
 
-_METHODS = ("auto", "quadrature")
+_TOL = 1e-6  # absolute error of a quadrature lift at each point
 
 
 @dataclass(frozen=True)
@@ -160,9 +158,8 @@ def _det_service_builder(nu: Deterministic, lam: ScalarDistribution, alpha: floa
     return grid_fn
 
 
-def _linear_exp_builder(nu: Exponential, c: float, alpha: float, z: float):
-    n = nu.rate
-
+def _linear_exp_builder(n: float, c: float, alpha: float, z: float):
+    # exponential service of rate n with lead = c * service
     def grid_fn(xs, ys):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
@@ -225,15 +222,8 @@ def _empirical_builder(joint: EmpiricalJoint, alpha: float, z: float):
 # ---------------------------------------------------------------------------
 
 
-def _quadrature_builder(joint: JointDistribution, alpha: float, z: float, tol: float):
-    scale = z * joint.mean_service()
-    start = max(scale, 1.0)
+def _quadrature_builder(joint: JointDistribution, alpha: float, z: float):
     su, lu = joint.service_upper(), joint.lead_upper()
-    # an unbounded service law has no breakpoint at its scale, and for small z its
-    # section decays within u ~ z E[V], between the nodes of a unit-width panel:
-    # cut [0, 1) at doublings of that scale
-    doublings = math.ceil(-math.log2(scale)) if math.isinf(su) and 0.0 < scale < 1.0 else 0
-    scale_cuts = scale * 2.0 ** np.arange(doublings)
     service_breaks = np.array(joint.service_breakpoints(), dtype=float)
     lead_breaks = np.array(joint.lead_breakpoints(), dtype=float)
     # the deadline line c v = y crosses the residual line at one u
@@ -243,17 +233,10 @@ def _quadrature_builder(joint: JointDistribution, alpha: float, z: float, tol: f
         def g(u, idx):
             return joint.quadrant_survival_array(x[idx, None] + u / z, y[idx, None] + u)
 
-        # the u-range ends where either support does; inf where neither bounds it
+        # the u-range ends where either support does; the service support is
+        # bounded for every joint without a closed form
         upper = np.maximum(np.minimum(z * (su - x), lu - y), 0.0)
-        unbounded = np.flatnonzero(np.isinf(upper))
-        if unbounded.size:
-            tail = lambda u, i: g(u[:, None], unbounded[i])[:, 0]
-            upper[unbounded] = tail_cut(tail, start, unbounded.size)
-        cuts = [
-            z * (service_breaks - x[:, None]),
-            lead_breaks - y[:, None],
-            np.broadcast_to(scale_cuts, (x.size, scale_cuts.size)),
-        ]
+        cuts = [z * (service_breaks - x[:, None]), lead_breaks - y[:, None]]
         if c is not None:
             cuts.append((z * (y - c * x) / (c - z))[:, None])
         ends = upper[:, None]
@@ -261,7 +244,7 @@ def _quadrature_builder(joint: JointDistribution, alpha: float, z: float, tol: f
         a, b = edges[:, :-1], edges[:, 1:]
         keep = b > a
         owner = np.nonzero(keep)[0]
-        budget = (tol / alpha) / np.where(upper > 0.0, upper, 1.0)
+        budget = (_TOL / alpha) / np.where(upper > 0.0, upper, 1.0)
         return alpha * integrate(g, a[keep], b[keep], owner, x.size, budget)
 
     return _blocked(point_fn)
@@ -288,43 +271,34 @@ def _closed_form(joint: JointDistribution, alpha: float, z: float):
             return "closed_form_product", _exp_service_builder(_exp_parts(nu), lam, alpha, z)
         if isinstance(lam, (Exponential, HyperExponential)):
             return "closed_form_product", _exp_lead_builder(nu, _exp_parts(lam), alpha, z)
-    if isinstance(joint, LinearJoint) and isinstance(joint.service, Exponential):
-        return "closed_form_linear", _linear_exp_builder(joint.service, joint.c, alpha, z)
+    if isinstance(joint, LinearJoint) and isinstance(joint.service, (Exponential, HyperExponential)):
+        # the lift is linear in the service law: one exponential-service term per part
+        terms = [_linear_exp_builder(n, joint.c, alpha * w, z) for w, n in _exp_parts(joint.service)]
+        return "closed_form_linear", lambda xs, ys: sum(t(xs, ys) for t in terms)
     if isinstance(joint, EmpiricalJoint):
         return "closed_form_empirical", _empirical_builder(joint, alpha, z)
     return None
 
 
-def lift(
-    joint: JointDistribution,
-    alpha: float,
-    z: float,
-    *,
-    method: str = "auto",
-    tol: float = 1e-6,
-) -> InvariantMeasure:
+def lift(joint: JointDistribution, alpha: float, z: float) -> InvariantMeasure:
     """Mass-z member of the invariant family for (joint, alpha).
 
-    method "auto" picks a closed form when one is installed for the
-    family and falls back to adaptive quadrature; "quadrature" always
-    integrates, each grid point to an estimated absolute error tol.
-    z = 0 gives the zero measure.
+    Uses the closed form installed for the family when there is one and
+    adaptive quadrature, to an absolute error of 1e-6 at each point,
+    otherwise; ``method`` on the result names the path taken.  z = 0
+    gives the zero measure.
     """
-    if method not in _METHODS:
-        raise ConfigError(f"unknown lift method {method!r}; expected one of {_METHODS}")
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ConfigError(f"arrival rate must be positive and finite, got {alpha}")
     if not (z >= 0.0 and math.isfinite(z)):
         raise ConfigError(f"total mass must be nonnegative and finite, got {z}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
 
-    found = _closed_form(joint, alpha, z) if method == "auto" else None
-    resolved, grid_fn = found or ("quadrature", _quadrature_builder(joint, alpha, z, tol))
+    found = _closed_form(joint, alpha, z)
+    method, grid_fn = found or ("quadrature", _quadrature_builder(joint, alpha, z))
     if z == 0.0:
         grid_fn = lambda xs, ys: np.zeros((np.size(xs), np.size(ys)))
     qf = QuadrantFunction(grid_fn, alpha * z * joint.mean_service())
-    return InvariantMeasure(joint, alpha, z, resolved, qf)
+    return InvariantMeasure(joint, alpha, z, method, qf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Adaptive Gauss–Kronrod 7/15 integration over arrays of panels.
 
-The integrands here are quadrant-survival sections: bounded, piecewise
-smooth, with isolated kinks or jumps at known abscissae.  The caller
-cuts every integration range at those abscissae, so each starting panel
-holds a smooth piece; ``integrate`` then refines all panels of all
-points at once.  Each pass evaluates the 15 Kronrod nodes of every live
-panel in one call, keeps the panels whose |K15 - G7| fits their share
-of the tolerance, and bisects the rest.  Refinement failure raises
-instead of returning a bad value; the error message carries the
-achieved estimate.
+The integrands here are quadrant-survival sections on bounded ranges:
+piecewise smooth, with isolated kinks or jumps at known abscissae.  The
+caller cuts every range at those abscissae, so each starting panel holds
+a smooth piece, and no range is truncated.  ``integrate`` then refines
+all panels of all points at once.  Each pass evaluates the 15 Kronrod
+nodes of every live panel in one call, keeps the panels whose
+|K15 - G7| fits their share of the tolerance, and bisects the rest.
+Refinement failure raises instead of returning a bad value; the error
+message carries the achieved estimate.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SimulationError
 
-__all__ = ["integrate", "tail_cut"]
+__all__ = ["integrate"]
 
 # Kronrod nodes on [0, 1], outermost first; every second one (0.949...,
 # 0.741..., 0.405..., 0) is a 7-point Gauss node.  Weights from QUADPACK's qk15.
@@ -34,8 +34,6 @@ _G_WEIGHTS = np.array(_WG + _WG[-2::-1])  # on _NODES[1::2]
 
 _MAX_PASSES = 48  # bisection depth
 _MAX_LIVE = 1 << 15  # unconverged panels one call may carry into a bisection
-_TAIL_CUTOFF = 1e-10  # tail integrand value below which tail_cut truncates
-_MAX_DOUBLINGS = 60
 
 
 def integrate(
@@ -72,24 +70,4 @@ def integrate(
     raise SimulationError(
         f"quadrature failed to converge: {a.size} panels still above their error "
         f"share after {depth} bisections (largest estimate {err.max():.3e})"
-    )
-
-
-def tail_cut(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    start: float,
-    n: int,
-) -> np.ndarray:
-    """Per point, the smallest doubling of ``start`` at which the
-    nonincreasing tail integrand g(u, points) has dropped below
-    ``_TAIL_CUTOFF``."""
-    u = np.full(n, max(start, 1e-12))
-    todo = np.arange(n)
-    for _ in range(_MAX_DOUBLINGS):
-        todo = todo[g(u[todo], todo) >= _TAIL_CUTOFF]
-        if todo.size == 0:
-            return u
-        u[todo] *= 2.0
-    raise SimulationError(
-        f"integrand tail still >= {_TAIL_CUTOFF:.3e} at u = {u[todo[0]]:.3e} for {todo.size} points"
     )

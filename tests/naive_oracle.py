@@ -1,4 +1,4 @@
-"""Brute-force reference dynamics for the event engine.
+"""Brute-force reference dynamics: the tests' oracle for ``psdl.engine.run``.
 
 Forward-Euler depletion on a fixed time grid: every step of length dt,
 each active job loses dt / Z of residual service.  Arrivals activate at
@@ -15,10 +15,8 @@ import math
 
 import numpy as np
 
-from .engine import ScenarioConfig, TrafficStream
-from .errors import ConfigError
-
-__all__ = ["step_simulate"]
+from psdl.engine import ScenarioConfig, TrafficStream
+from psdl.errors import ConfigError
 
 
 def step_simulate(config: ScenarioConfig, dt: float = 1e-4) -> dict[int, float]:

@@ -23,7 +23,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+import quadrature_oracle
 from conftest import record_gate
+from naive_oracle import step_simulate
 
 from psdl import (
     Deterministic,
@@ -49,7 +51,6 @@ from psdl import (
     simulate,
     sojourn_limit_cdf,
     stationary_cdf,
-    step_simulate,
     time_in_queue_profile,
     verify_dynamic_equation,
 )
@@ -291,25 +292,25 @@ def test_criterion_05_closed_vs_quadrature():
         return lo + (hi - lo) * rng.uniform(size=n)
 
     def profile_err(nu, lam, z, y):
-        quad = lift(ProductJoint(nu, lam), 1.0, z, method="quadrature")
+        quad = quadrature_oracle.lift(ProductJoint(nu, lam), 1.0, z)
         return abs(
             lead_profile_product(nu, lam, 1.0, z, y)
             - (quad.total_mass - quad.eval(0.0, y))
         )
 
     def tiq_err(nu, z, y):
-        quad = lift(ProductJoint(nu, PointMassZero()), 1.0, z, method="quadrature")
+        quad = quadrature_oracle.lift(ProductJoint(nu, PointMassZero()), 1.0, z)
         return abs(
             time_in_queue_profile(nu, z, y) - (quad.total_mass - quad.eval(0.0, -y))
         )
 
     def exp_case_err(z, y):
         auto = lift(ProductJoint(EXP1, EXP1), 1.0, z)
-        quad = lift(ProductJoint(EXP1, EXP1), 1.0, z, method="quadrature")
+        quad = quadrature_oracle.lift(ProductJoint(EXP1, EXP1), 1.0, z)
         return abs(auto.eval(0.0, y) - quad.eval(0.0, y))
 
     def linear_err(z, y):
-        quad = lift(LinearJoint(EXP1, 1.0), 1.0, z, method="quadrature")
+        quad = quadrature_oracle.lift(LinearJoint(EXP1, 1.0), 1.0, z)
         return abs(linear_deadline_profile(EXP1, 1.0, z, y) - quad.eval(0.0, y))
 
     fams = {

@@ -41,8 +41,6 @@ LIFT = {
     "joint": MM1_JOINT,
     "alpha": 1.0,
     "z": 1.5,
-    "method": "auto",
-    "tol": 1e-6,
     "grid": {"x_max": 2.0, "x_step": 0.5, "y_min": -2.0, "y_max": 2.0, "y_step": 0.5},
 }
 SWEEP = {
@@ -56,11 +54,14 @@ SWEEP = {
     "seed_base": 9,
 }
 RBM = {"drift": -1.0, "variance": 2.0, "horizon": 1.0, "dt": 0.01, "seed": 4}
-# a lift forced onto the quadrature path (uniform service has a closed form)
+# a lift on the quadrature path: uniform by uniform has no closed form
 UNIFORM_LIFT = {
     **LIFT,
-    "joint": {**MM1_JOINT, "service": {"kind": "uniform", "lo": 0.0, "hi": 2.0}},
-    "method": "quadrature",
+    "joint": {
+        "kind": "product",
+        "service": {"kind": "uniform", "lo": 0.0, "hi": 2.0},
+        "lead": {"kind": "uniform", "lo": 0.0, "hi": 2.0},
+    },
 }
 PROFILE = {
     "profile": "lead_product",
@@ -251,6 +252,8 @@ def test_exit_code_bad_config(tmp_path):
     TRUE_RATE = {"kind": "exponential", "rate": True}
     TRUE_HYPER = {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [True, 2.0]}
     HALF_N = {"y_min": -1.0, "y_max": 1.0, "n": 2.5}
+    TINY_RATE = {"kind": "exponential", "rate": 1e-200}
+    HUGE_UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1e80}
     bad = [
         ("simulate", {"scenario": {**SCENARIO, "seed": -3}}),
         ("simulate", {"scenario": {**SCENARIO, "initial_jobs": [[1.0]]}}),
@@ -258,8 +261,9 @@ def test_exit_code_bad_config(tmp_path):
         ("lift", {"lift": {**LIFT, "joint": {"kind": "empirical", "points": [[1.0, 2.0, 3.0]]}}}),
         ("sweep", {"sweep": {**SWEEP, "seed_base": -1}}),
         ("rbm", {"rbm": {**RBM, "seed": -1}}),
-        # tol = 0 can never be met, so quadrature would refine forever
-        ("lift", {"lift": {**LIFT, "method": "quadrature", "tol": 0.0}}),
+        # the joint law picks the lift path: a lift block takes no method or tol
+        ("lift", {"lift": {**LIFT, "method": "quadrature"}}),
+        ("lift", {"lift": {**LIFT, "tol": 1e-6}}),
         ("sweep", {"sweep": {**SWEEP, "sojourn_window": math.nan}}),
         # a key no request field has
         ("simulate", {"scenario": {**SCENARIO, "label": "r=5/rep=0"}}),
@@ -278,6 +282,10 @@ def test_exit_code_bad_config(tmp_path):
         ("lift", {"lift": {**LIFT, "joint": {**MM1_JOINT, "service": TRUE_RATE}}}),
         ("lift", {"lift": {**LIFT, "joint": {**LINEAR_JOINT, "c": True}}}),
         ("simulate", {"scenario": {**SCENARIO, "interarrival": TRUE_HYPER}}),
+        # a (4 + p)-th service moment beyond the float range reads as infinite
+        ("sweep", {"sweep": {**SWEEP, "joint": {**MM1_JOINT, "moment_exponent": 400.0}}}),
+        ("sweep", {"sweep": {**SWEEP, "joint": {**MM1_JOINT, "service": TINY_RATE}}}),
+        ("sweep", {"sweep": {**SWEEP, "alpha": 2e-80, "joint": {**MM1_JOINT, "service": HUGE_UNIFORM}}}),
     ]
     for i, (cmd, body) in enumerate(bad):
         cfg = write_config(tmp_path, {"schema_version": 1, **body}, name=f"bad{i}.json")
@@ -310,7 +318,7 @@ def test_infinite_grid_bound_is_a_config_error(tmp_path, capsys, cmd, key, block
 STRICT_FLOAT_CASES = [
     ("lift", "lift", {**LIFT, "alpha": True}),
     ("lift", "lift", {**LIFT, "z": "1.5"}),
-    ("lift", "lift", {**LIFT, "tol": True}),
+    ("lift", "lift", {**LIFT, "grid": {**LIFT["grid"], "y_min": True}}),
     ("lift", "lift", {**LIFT, "grid": {**LIFT["grid"], "x_step": "0.5"}}),
     ("simulate", "scenario", {**SCENARIO, "horizon": True}),
     ("simulate", "scenario", {**SCENARIO, "lead_scale": "2"}),
@@ -351,12 +359,6 @@ def test_exit_code_runtime_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "cmd_simulate", boom)
     cfg = scenario_config(tmp_path)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
-    monkeypatch.undo()
-    # a tolerance no refinement can meet ends in a numerical failure, not a hang
-    grid = {"x_max": 0.5, "x_step": 0.5, "y_min": -1.0, "y_max": 0.0, "y_step": 1.0}
-    lift = {**LIFT, "method": "quadrature", "tol": 1e-300, "grid": grid}
-    cfg = write_config(tmp_path, {"schema_version": 1, "lift": lift}, name="tiny_tol.json")
-    assert main(["lift", "--config", cfg, "--out", str(tmp_path / "u")]) == 3
 
 
 def _leaves(node, path=()):

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+import quadrature_oracle
 from hypothesis import example, given, settings, strategies as st
 
 from psdl import (
@@ -161,13 +162,18 @@ def test_linear_profile_matches_lift():
         (ProductJoint(EXP1, HYPER), 1.3),
         (LinearJoint(EXP1, 0.8), 1.7),
         *((joint, 1.2) for joint in EXP_TYPE_PAIRS),
+        # z < c, z = c and z > c
+        *((LinearJoint(HYPER, 1.0), z) for z in (0.6, 1.0, 1.7)),
     ],
-    ids=["exp-exp", "exp-det", "det-exp", "exp-hyper", "linear", *EXP_TYPE_IDS],
+    ids=[
+        "exp-exp", "exp-det", "det-exp", "exp-hyper", "linear", *EXP_TYPE_IDS,
+        "linear-hyper-below", "linear-hyper-at", "linear-hyper-above",
+    ],
 )
 def test_closed_form_vs_quadrature(joint, z):
     closed = lift(joint, 1.0, z)
     assert closed.method.startswith("closed_form")
-    quad = lift(joint, 1.0, z, method="quadrature")
+    quad = quadrature_oracle.lift(joint, 1.0, z)
     for x in (0.0, 0.4, 1.1):
         for y in (-math.inf, -1.0, 0.0, 0.6, 2.0):
             assert abs(closed.eval(x, y) - quad.eval(x, y)) <= 1e-4
@@ -180,15 +186,15 @@ def test_exp_type_closed_forms_match_quadrature_on_the_grid(joint):
         closed = lift(joint, 1.3, z)
         assert closed.method == "closed_form_product"
         table = closed.quadrant.eval_grid(g.x_values, g.y_values)
-        quad = lift(joint, 1.3, z, method="quadrature", tol=1e-10)
+        quad = quadrature_oracle.lift(joint, 1.3, z, tol=1e-10)
         assert np.max(np.abs(table - quad.quadrant.eval_grid(g.x_values, g.y_values))) <= 1e-9
         assert abs(closed.eval(0.0, -math.inf) - 1.3 * z * joint.mean_service()) <= 1e-12
 
 
 def test_quadrature_refinement_consistency():
     joint = ProductJoint(Uniform(0.5, 1.5), Uniform(0.0, 2.0))
-    coarse = lift(joint, 1.0, 1.2, method="quadrature", tol=1e-6)
-    fine = lift(joint, 1.0, 1.2, method="quadrature", tol=5e-7)
+    coarse = quadrature_oracle.lift(joint, 1.0, 1.2, tol=1e-6)
+    fine = quadrature_oracle.lift(joint, 1.0, 1.2, tol=5e-7)
     for x in (0.0, 0.6):
         for y in (-1.0, 0.3, 1.1):
             assert abs(coarse.eval(x, y) - fine.eval(x, y)) < 1e-6
@@ -197,7 +203,7 @@ def test_quadrature_refinement_consistency():
 @pytest.mark.parametrize("z", [1e-9, 1e-6, 1e-3])
 def test_quadrature_resolves_unbounded_service_at_small_mass(z):
     # the service section decays within u ~ z, far inside the first lead panel
-    m = lift(ProductJoint(EXP1, EXP1), 1.0, z, method="quadrature", tol=1e-12)
+    m = quadrature_oracle.lift(ProductJoint(EXP1, EXP1), 1.0, z, tol=1e-12)
     closed = lift(ProductJoint(EXP1, EXP1), 1.0, z)
     for x, y in ((0.0, -math.inf), (0.0, -1.0), (0.3, 0.5)):
         assert abs(m.eval(x, y) - closed.eval(x, y)) <= 1e-12
@@ -239,7 +245,7 @@ _JOINT = st.one_of(
 )
 def test_quadrature_matches_simpson_oracle(joint, alpha, z, points):
     tol = 1e-6
-    m = lift(joint, alpha, z, method="quadrature", tol=tol)
+    m = quadrature_oracle.lift(joint, alpha, z, tol=tol)
     for x, y in points:
         assert abs(m.eval(x, y) - lift_mass(joint, alpha, z, x, y, tol)) <= 2 * tol
 
@@ -256,7 +262,7 @@ def test_empirical_closed_form_matches_oracle():
         m = lift(joint, 1.3, z)
         assert m.method == "closed_form_empirical"
         table = m.quadrant.eval_grid(xs, ys)
-        quad = lift(joint, 1.3, z, method="quadrature").quadrant.eval_grid(xs, ys)
+        quad = quadrature_oracle.lift(joint, 1.3, z).quadrant.eval_grid(xs, ys)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 ref = lift_mass(joint, 1.3, z, float(x), float(y), 1e-9)
@@ -267,16 +273,33 @@ def test_empirical_closed_form_matches_oracle():
 
 def test_unreachable_tolerance_raises():
     # bisection doubles the live panels each pass until the cap ends it
-    m = lift(ProductJoint(EXP1, EXP1), 1.0, 1.0, method="quadrature", tol=1e-300)
+    m = quadrature_oracle.lift(ProductJoint(EXP1, EXP1), 1.0, 1.0, tol=1e-300)
     with pytest.raises(SimulationError, match="panels still above"):
         m.quadrant.eval_grid(np.linspace(0.0, 5.0, 51), np.linspace(-5.0, 5.0, 101))
 
 
 def test_explicit_method_mismatch():
-    with pytest.raises(ConfigError):
-        lift(ProductJoint(Uniform(0.5, 1.5), EXP1), 1.0, 1.0, method="closed_form_tiq")
+    # the family picks the path: lift takes no method or tolerance
+    for option in ({"method": "quadrature"}, {"tol": 1e-6}):
+        with pytest.raises(TypeError):
+            lift(ProductJoint(EXP1, EXP1), 1.0, 1.0, **option)
     with pytest.raises(ConfigError):
         lift(ProductJoint(EXP1, EXP1), 1.0, -1.0)
+
+
+_FAMILIES = [EXP1, Deterministic(1.0), UNIF, HYPER, PointMassZero()]
+
+
+@pytest.mark.parametrize("service", _FAMILIES, ids=lambda d: d.kind)
+def test_quadrature_only_on_bounded_service(service):
+    # the quadrature has no tail truncation: every unbounded service law
+    # must resolve to a closed form
+    joints = [ProductJoint(service, lead) for lead in _FAMILIES] + [LinearJoint(service, 0.8)]
+    for joint in joints:
+        m = lift(joint, 1.0, 0.7)
+        if m.method == "quadrature":
+            assert math.isfinite(joint.service_upper()), joint
+        assert math.isfinite(m.eval(0.0, -math.inf))
 
 
 def test_eval_grid_matches_pointwise():

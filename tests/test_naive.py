@@ -1,8 +1,9 @@
 """Engine vs brute-force time-stepping reference on small scenarios."""
 
 import pytest
+from naive_oracle import step_simulate
 
-from psdl import Exponential, ProductJoint, ScenarioConfig, run, step_simulate
+from psdl import Exponential, ProductJoint, ScenarioConfig, run
 from psdl.errors import ConfigError
 
 

@@ -14,6 +14,7 @@ import engine_oracle
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from naive_oracle import step_simulate
 
 from psdl import (
     Deterministic,
@@ -27,7 +28,6 @@ from psdl import (
     SimulationError,
     Uniform,
     run,
-    step_simulate,
     verify_dynamic_equation,
 )
 from psdl.engine import _BLOCK_ROWS, TrafficStream

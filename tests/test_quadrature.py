@@ -1,10 +1,13 @@
-"""The adaptive Simpson oracle against hand-computable integrals."""
+"""The adaptive Simpson oracle against hand-computable integrals, and
+the Gauss–Kronrod integrator's failure mode."""
 
 import math
 
+import numpy as np
 import pytest
 
-from psdl.errors import ConfigError
+from psdl import quadrature
+from psdl.errors import ConfigError, SimulationError
 from simpson_oracle import integrate, truncation_point
 
 
@@ -47,3 +50,12 @@ def test_truncation_point_exponential():
     u = truncation_point(lambda x: math.exp(-x), 1.0, cutoff=1e-10)
     assert math.exp(-u) <= 1e-10
     assert u <= 2048.0  # doubling search should not overshoot wildly
+
+
+def test_gauss_kronrod_raises_when_budget_unmet():
+    # a budget no refinement can meet ends in a numerical failure, not a hang:
+    # bisection doubles the live panels each pass until the cap ends it
+    f = lambda u, owner: np.sqrt(u)
+    one = np.ones(1)
+    with pytest.raises(SimulationError, match="panels still above"):
+        quadrature.integrate(f, 0.0 * one, one, np.zeros(1, dtype=int), 1, 1e-300 * one)

@@ -5,7 +5,8 @@ directory; nothing is interactive and nothing depends on wall-clock
 entropy, so a fixed config and seed reproduce output bytes exactly.
 
 Exit codes: 0 success, 2 bad configuration or usage, 3 runtime failure
-inside the simulator or a numerical routine.
+inside the simulator or a numerical routine, or an allocation the
+request needs and the machine cannot make.
 """
 
 from __future__ import annotations
@@ -197,6 +198,9 @@ def main(argv=None) -> int:
         return 2
     except SimulationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"runtime error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product, repeat
 from typing import Callable
@@ -399,6 +398,10 @@ def run_sweep(sweep: SweepConfig, threads: int = 1) -> CollapseReport:
     r_idx, reps = zip(*product(range(len(sweep.r_values)), range(sweep.replications)))
     workers = min(threads, len(r_idx), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool machinery loads multiprocessing, which a
+        # single-process caller never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(r_idx) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, repeat(sweep), r_idx, reps, chunksize=chunk))

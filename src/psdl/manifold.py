@@ -18,11 +18,12 @@ transform of the other law per exponential part), for exponential or
 mixture service with proportional lead = c * service, and for empirical
 point sets, where each atom contributes
 alpha * w_i * max(0, min(z (s_i - x), l_i - y)).  The rest, each with a
-bounded service support, integrates the defining formula to 1e-6 per
-point with the Gauss–Kronrod integrator from ``quadrature``: the grid
-points are taken in blocks of 256, each point's u-range ends where the
-service support does and is cut at the service and lead kinks and the
-deadline crossing, and all panels of a block are refined together.
+bounded service support and piecewise-linear or step survival functions,
+integrate the defining formula with the two-point Gauss–Legendre rule:
+the grid points are taken in blocks of 256, each point's u-range ends
+where the service support does and is cut at the service and lead kinks
+and the deadline crossing, and every panel between two cuts gets the
+rule, which is exact on the polynomial the integrand is there.
 
 The lead-coordinate sections of these measures are the planning
 profiles: the lead-profile CDF of an independent product, the
@@ -53,7 +54,6 @@ from .distributions import (
 )
 from .errors import ConfigError
 from .measures import QuadrantFunction
-from .quadrature import integrate
 
 __all__ = [
     "InvariantMeasure",
@@ -65,9 +65,6 @@ __all__ = [
     "linear_deadline_profile",
     "ht_params",
 ]
-
-_TOL = 1e-6  # absolute error of a quadrature lift at each point
-
 
 @dataclass(frozen=True)
 class InvariantMeasure:
@@ -222,6 +219,10 @@ def _empirical_builder(joint: EmpiricalJoint, alpha: float, z: float):
 # ---------------------------------------------------------------------------
 
 
+# two-point Gauss–Legendre nodes on [-1, 1]; both weights are 1
+_GAUSS2 = np.array([-1.0, 1.0]) / math.sqrt(3.0)
+
+
 def _quadrature_builder(joint: JointDistribution, alpha: float, z: float):
     su, lu = joint.service_upper(), joint.lead_upper()
     service_breaks = np.array(joint.service_breakpoints(), dtype=float)
@@ -230,9 +231,6 @@ def _quadrature_builder(joint: JointDistribution, alpha: float, z: float):
     c = joint.c if isinstance(joint, LinearJoint) and z != joint.c else None
 
     def point_fn(x, y):
-        def g(u, idx):
-            return joint.quadrant_survival_array(x[idx, None] + u / z, y[idx, None] + u)
-
         # the u-range ends where either support does; the service support is
         # bounded for every joint without a closed form
         upper = np.maximum(np.minimum(z * (su - x), lu - y), 0.0)
@@ -244,8 +242,14 @@ def _quadrature_builder(joint: JointDistribution, alpha: float, z: float):
         a, b = edges[:, :-1], edges[:, 1:]
         keep = b > a
         owner = np.nonzero(keep)[0]
-        budget = (_TOL / alpha) / np.where(upper > 0.0, upper, 1.0)
-        return alpha * integrate(g, a[keep], b[keep], owner, x.size, budget)
+        mid, half = 0.5 * (a + b)[keep], 0.5 * (b - a)[keep]
+        # every family that reaches here has a piecewise-linear or step service
+        # and lead survival, so between cuts the integrand is a polynomial of
+        # degree <= 2 in u, which the two-point rule integrates exactly; its
+        # nodes are interior, so it never samples a survival at its jump
+        u = mid[:, None] + half[:, None] * _GAUSS2
+        vals = joint.quadrant_survival_array(x[owner, None] + u / z, y[owner, None] + u)
+        return alpha * np.bincount(owner, weights=half * vals.sum(axis=1), minlength=x.size)
 
     return _blocked(point_fn)
 
@@ -284,9 +288,9 @@ def lift(joint: JointDistribution, alpha: float, z: float) -> InvariantMeasure:
     """Mass-z member of the invariant family for (joint, alpha).
 
     Uses the closed form installed for the family when there is one and
-    adaptive quadrature, to an absolute error of 1e-6 at each point,
-    otherwise; ``method`` on the result names the path taken.  z = 0
-    gives the zero measure.
+    the two-point Gauss rule on kink-cut panels, exact for the families
+    without one, otherwise; ``method`` on the result names the path
+    taken.  z = 0 gives the zero measure.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ConfigError(f"arrival rate must be positive and finite, got {alpha}")

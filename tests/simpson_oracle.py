@@ -1,7 +1,8 @@
 """Adaptive composite Simpson integration on [a, b]: the tests' oracle.
 
-A scalar integrator written independently of ``psdl.quadrature``, used to
-check the vectorized lift integrals and the closed forms.  The integrands
+A scalar integrator written independently of the Gauss–Kronrod one in
+``quadrature_oracle``, used to check it, ``psdl.lift``'s two-point rule
+and the closed forms.  The integrands
 are quadrant-survival sections: bounded, piecewise smooth, with isolated
 kinks or jumps at known abscissae.  The interval is first split at those
 breakpoints, each cell starts from a coarse composite subdivision, and

@@ -361,6 +361,23 @@ def test_exit_code_runtime_failure(tmp_path, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
 
 
+# each asks for an array of over 2^47 floats, past any 64-bit address space,
+# so the allocation fails at once instead of being granted lazily
+TOO_LARGE = [
+    ("rbm", {"rbm": {**RBM, "horizon": 1e15, "dt": 1.0}}),
+    ("lift", {"lift": {**LIFT, "grid": {**LIFT["grid"], "x_step": 1e-15}}}),
+]
+
+
+@pytest.mark.parametrize("cmd, body", TOO_LARGE, ids=["rbm", "lift"])
+def test_exit_code_allocation_failure(tmp_path, capsys, cmd, body):
+    cfg = write_config(tmp_path, {"schema_version": 1, **body})
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _leaves(node, path=()):
     """Paths to every non-dict value of a JSON tree, lists and their items included."""
     if isinstance(node, dict):

@@ -1,8 +1,11 @@
 """Sweep construction, per-snapshot metrics, aggregation, determinism."""
 
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -23,7 +26,6 @@ from psdl import (
     scale_diffusion,
     sojourn_snapshot_experiment,
 )
-from psdl import harness
 from psdl.measures import default_grid, mass_moment_chi
 
 MM1 = ProductJoint(Exponential(1.0), Exponential(1.0))
@@ -192,9 +194,20 @@ def test_run_sweep_caps_workers(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     sweep = tiny_sweep(r_values=(3.0,), replications=2)
     report = run_sweep(sweep, threads=10**9)
     workers = min(2, os.cpu_count() or 1)
     assert started == ([workers] if workers > 1 else [])
     assert report.rows == run_sweep(sweep).rows
+
+
+def test_import_loads_no_process_pool():
+    # the pool machinery is imported by a multi-worker sweep, not by the package
+    pool = {"multiprocessing", "concurrent.futures.process"}
+    code = f"import sys, psdl; print(sorted({pool!r} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -35,6 +35,7 @@ from psdl import (
     sojourn_limit_cdf,
     time_in_queue_profile,
 )
+from psdl import distributions
 from psdl.errors import SimulationError
 from psdl.measures import default_grid
 from simpson_oracle import lift_mass
@@ -300,6 +301,26 @@ def test_quadrature_only_on_bounded_service(service):
         if m.method == "quadrature":
             assert math.isfinite(joint.service_upper()), joint
         assert math.isfinite(m.eval(0.0, -math.inf))
+
+
+def test_quadrature_fallback_matches_oracle_on_the_grid():
+    # every joint without a closed form has piecewise-linear or step sections,
+    # so the two-point rule on the cut panels is exact up to rounding; a new
+    # family reaching the fallback with a curved section fails here
+    assert {d.kind for d in _FAMILIES} == set(distributions._SCALAR_KINDS)
+    joints = [ProductJoint(s, l) for s in _FAMILIES for l in _FAMILIES]
+    joints += [LinearJoint(s, 0.8) for s in _FAMILIES]
+    fallback = [j for j in joints if lift(j, 1.3, 1.0).method == "quadrature"]
+    assert fallback
+    g = default_grid()
+    for joint in fallback:
+        for z in (1e-6, 0.05, 0.4, 0.8, 2.0, 4.0):
+            m = lift(joint, 1.3, z)
+            assert m.method == "quadrature"
+            table = m.quadrant.eval_grid(g.x_values, g.y_values)
+            quad = quadrature_oracle.lift(joint, 1.3, z, tol=1e-10)
+            err = np.max(np.abs(table - quad.quadrant.eval_grid(g.x_values, g.y_values)))
+            assert err <= 1e-12, (joint, z, err)
 
 
 def test_eval_grid_matches_pointwise():

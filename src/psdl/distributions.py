@@ -12,8 +12,9 @@ Scalar survival functions use the closed convention
 
 so distributions with atoms (deterministic, the point mass at zero)
 include the atom at the threshold.  The excess-lifetime transform of a
-scalar law with mean m and survival S is the density S(x)/m on [0, oo);
-its survival is available in closed form for every scalar family here.
+scalar law with mean m > 0 and survival S is the density S(x)/m on
+[0, oo).  Each family carries its survival as ``excess_survival_array``,
+next to the integrated tail and the shifted exponential transform.
 
 ``check_assumptions`` bundles the admissibility conditions a joint law
 must satisfy before it can drive a heavy-traffic experiment with
@@ -87,12 +88,9 @@ class ScalarDistribution(ABC):
         return None
 
     @abstractmethod
-    def excess_survival(self, x: float) -> float:
-        """Survival of the excess-lifetime law; 1 for x <= 0."""
-
-    @abstractmethod
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized ``excess_survival``; x may contain +/-inf."""
+        """Survival of the excess-lifetime law on an array of x >= 0;
+        x may contain +inf."""
 
     @abstractmethod
     def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
@@ -116,7 +114,7 @@ class ScalarDistribution(ABC):
 
     def tail_integral_array(self, w: np.ndarray) -> np.ndarray:
         """int_w^inf P(X >= u) du on an array of real w; w may contain -inf
-        (giving +inf).  Equals mean * excess_survival(w) for w >= 0 and
+        (giving +inf).  Equals mean * excess_survival_array(w) for w >= 0 and
         mean - w below."""
         w = np.asarray(w, dtype=float)
         m = self.mean()
@@ -151,10 +149,6 @@ class Exponential(ScalarDistribution):
     def exponential_scale(self) -> float | None:
         # numpy's exponential(scale) is scale * standard_exponential()
         return 1.0 / self.rate
-
-    def excess_survival(self, x: float) -> float:
-        # memoryless: the excess law is the law itself
-        return self.survival(x)
 
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
         return np.exp(-self.rate * np.maximum(np.asarray(x, dtype=float), 0.0))
@@ -194,14 +188,6 @@ class Deterministic(ScalarDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
-
-    def excess_survival(self, x: float) -> float:
-        # uniform on [0, value]
-        if x <= 0.0:
-            return 1.0
-        if x >= self.value:
-            return 0.0
-        return 1.0 - x / self.value
 
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
         return np.clip(1.0 - np.asarray(x, dtype=float) / self.value, 0.0, 1.0)
@@ -249,16 +235,6 @@ class Uniform(ScalarDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.lo, self.hi))
-
-    def excess_survival(self, x: float) -> float:
-        # integrated tail: int_x^inf survival, normalized by the mean
-        if x <= self.lo:
-            tail = (self.lo - x) + 0.5 * (self.hi - self.lo)
-        elif x < self.hi:
-            tail = 0.5 * (self.hi - x) ** 2 / (self.hi - self.lo)
-        else:
-            return 0.0
-        return tail / self.mean()
 
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -325,14 +301,6 @@ class HyperExponential(ScalarDistribution):
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rates[_pick(self.weights, rng)]))
 
-    def excess_survival(self, x: float) -> float:
-        if x <= 0.0:
-            return 1.0
-        tail = sum(
-            w * math.exp(-r * x) / r for w, r in zip(self.weights, self.rates)
-        )
-        return tail / self.mean()
-
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
         xx = np.maximum(np.asarray(x, dtype=float), 0.0)
         tail = sum(w * np.exp(-r * xx) / r for w, r in zip(self.weights, self.rates))
@@ -369,9 +337,6 @@ class PointMassZero(ScalarDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return 0.0
-
-    def excess_survival(self, x: float) -> float:
-        raise ConfigError("excess lifetime undefined for the point mass at zero")
 
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
         raise ConfigError("excess lifetime undefined for the point mass at zero")

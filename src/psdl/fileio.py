@@ -285,7 +285,10 @@ def _y_values(spec) -> tuple[float, ...]:
     if isinstance(spec, dict):
         _reject_unknown(spec, {"y_min", "y_max", "n"}, "y_values")
         spec = np.linspace(_float(spec["y_min"]), _float(spec["y_max"]), _int(spec["n"]))
-    return _floats(spec)
+    ys = _floats(spec)
+    if any(map(math.isnan, ys)):
+        raise ConfigError("y_values must not contain NaN")
+    return ys
 
 
 @_parser("profile")

@@ -113,7 +113,7 @@ class SweepConfig:
             )
         report = check_assumptions(self.joint, self.alpha)
         if not report.passed:
-            names = ", ".join(c.name for c in report.failures())
+            names = ", ".join(f"{c.name} ({c.detail})" for c in report.failures())
             raise ConfigError(f"joint law inadmissible at alpha={self.alpha}: {names}")
 
 

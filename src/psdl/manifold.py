@@ -10,20 +10,22 @@ fixed points of the critically loaded processor-sharing dynamics: the
 residual coordinate is thinned at rate 1/z per unit of elapsed service
 while the lead coordinate translates at unit rate.
 
-Closed forms are installed for every independent product except uniform
-service with uniform lead (a zero or deterministic lead, or a
-deterministic service, leaves tail integrals of the other law; an
-exponential or mixture service or lead leaves one shifted exponential
-transform of the other law per exponential part), for exponential or
-mixture service with proportional lead = c * service, and for empirical
-point sets, where each atom contributes
-alpha * w_i * max(0, min(z (s_i - x), l_i - y)).  The rest, each with a
-bounded service support and piecewise-linear or step survival functions,
-integrate the defining formula with the two-point Gauss–Legendre rule:
-the grid points are taken in blocks of 256, each point's u-range ends
-where the service support does and is cut at the service and lead kinks
-and the deadline crossing, and every panel between two cuts gets the
-rule, which is exact on the polynomial the integrand is there.
+Closed forms are installed for every independent product except a
+uniform lead with a uniform or zero service (a zero or deterministic
+lead, or a deterministic service, leaves tail integrals of the other
+law; an exponential or mixture service or lead leaves one shifted
+exponential transform of the other law per exponential part), for
+exponential or mixture service with proportional lead = c * service (the
+service law's tail integral along whichever of the lines x + u/z and
+(y + u)/c is higher), and for empirical point sets, where each atom
+contributes alpha * w_i * max(0, min(z (s_i - x), l_i - y)).  The rest,
+each with a bounded service support and piecewise-linear or step
+survival functions, integrate the defining formula with the two-point
+Gauss–Legendre rule: the grid points are taken in blocks of 256, each
+point's u-range ends where the service support does and is cut at the
+service and lead kinks and the deadline crossing, and every panel
+between two cuts gets the rule, which is exact on the polynomial the
+integrand is there.
 
 The lead-coordinate sections of these measures are the planning
 profiles: the lead-profile CDF of an independent product, the
@@ -155,32 +157,21 @@ def _det_service_builder(nu: Deterministic, lam: ScalarDistribution, alpha: floa
     return grid_fn
 
 
-def _linear_exp_builder(n: float, c: float, alpha: float, z: float):
-    # exponential service of rate n with lead = c * service
+def _linear_builder(nu: ScalarDistribution, c: float, alpha: float, z: float):
+    # lead = c * service: the quadrant holds while v >= max(x + u/z, (y + u)/c).
+    # The line higher at u = 0 leads until a steeper one overtakes it at level
+    # w; a line of slope 1/k running from level a to b spans k * (T(a) - T(b))
+    # of the u-integral, k = z for the residual line and c for the deadline line
     def grid_fn(xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        x, y = np.broadcast_arrays(xs[:, None], ys[None, :])
-        out = np.empty(x.shape)
-        if z <= c:
-            low = y <= c * x  # deadline line dominated by the residual line
-            out[low] = (alpha / n) * z * np.exp(-n * x[low])
-            hi = ~low
-            if np.any(hi):
-                lead_term = c * np.exp(-n * y[hi] / c)
-                if z == c:
-                    out[hi] = (alpha / n) * lead_term
-                else:
-                    cross = (y[hi] - z * x[hi]) / (c - z)
-                    out[hi] = (alpha / n) * (lead_term - (c - z) * np.exp(-n * cross))
-        else:
-            hi = y >= c * x
-            out[hi] = (alpha / n) * c * np.exp(-n * y[hi] / c)
-            low = ~hi
-            if np.any(low):
-                cross = (z * x[low] - y[low]) / (z - c)  # +inf at y = -inf
-                out[low] = (alpha / n) * (z * np.exp(-n * x[low]) + (c - z) * np.exp(-n * cross))
-        return out
+        x = np.asarray(xs, dtype=float)[:, None]
+        y = np.asarray(ys, dtype=float)[None, :]
+        residual_leads = y <= c * x  # at y = -inf too
+        lead0 = np.where(residual_leads, x, y / c)
+        k_lead, k_other = np.where(residual_leads, z, c), np.where(residual_leads, c, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(k_lead > k_other, (y - z * x) / (c - z), np.inf)
+        t_w = nu.tail_integral_array(w)
+        return alpha * (k_lead * (nu.tail_integral_array(lead0) - t_w) + k_other * t_w)
 
     return grid_fn
 
@@ -276,9 +267,7 @@ def _closed_form(joint: JointDistribution, alpha: float, z: float):
         if isinstance(lam, (Exponential, HyperExponential)):
             return "closed_form_product", _exp_lead_builder(nu, _exp_parts(lam), alpha, z)
     if isinstance(joint, LinearJoint) and isinstance(joint.service, (Exponential, HyperExponential)):
-        # the lift is linear in the service law: one exponential-service term per part
-        terms = [_linear_exp_builder(n, joint.c, alpha * w, z) for w, n in _exp_parts(joint.service)]
-        return "closed_form_linear", lambda xs, ys: sum(t(xs, ys) for t in terms)
+        return "closed_form_linear", _linear_builder(joint.service, joint.c, alpha, z)
     if isinstance(joint, EmpiricalJoint):
         return "closed_form_empirical", _empirical_builder(joint, alpha, z)
     return None
@@ -334,17 +323,17 @@ def time_in_queue_profile(nu: ScalarDistribution, z: float, y: float) -> float:
     """Mass of jobs whose elapsed waiting time is >= y when every job
     arrives with zero initial lead, normalized so the total mass is z.
 
-    Equals z * excess_survival(y / z); the zero-lead invariant state
-    ages jobs at unit rate, so elapsed times follow the scaled
-    excess-lifetime law of the service distribution.
+    Equals z times the excess survival of nu at y / z; the zero-lead
+    invariant state ages jobs at unit rate, so elapsed times follow the
+    scaled excess-lifetime law of the service distribution.
     """
     if y < 0.0 or math.isnan(y):
         raise ConfigError(f"elapsed time must be >= 0, got {y}")
-    if not (z >= 0.0):
-        raise ConfigError(f"total mass must be >= 0, got {z}")
+    if not (z >= 0.0 and math.isfinite(z)):
+        raise ConfigError(f"total mass must be nonnegative and finite, got {z}")
     if z == 0.0:
         return 0.0
-    return z * nu.excess_survival(y / z)
+    return z * float(nu.excess_survival_array(y / z))
 
 
 def sojourn_limit_cdf(nu: ScalarDistribution, z: float, y: float) -> float:
@@ -371,10 +360,10 @@ def linear_deadline_profile(
     if not (c > 0.0 and math.isfinite(c)):
         raise ConfigError(f"deadline ratio must be positive, got {c}")
     if not (z >= 0.0 and math.isfinite(z)):
-        raise ConfigError(f"total mass must be nonnegative, got {z}")
+        raise ConfigError(f"total mass must be nonnegative and finite, got {z}")
     if z == 0.0:
         return 0.0
-    ex = nu.excess_survival
+    ex = lambda t: float(nu.excess_survival_array(t))
     if z <= c:
         if y <= 0.0:
             return z

@@ -286,6 +286,9 @@ def test_exit_code_bad_config(tmp_path):
         ("sweep", {"sweep": {**SWEEP, "joint": {**MM1_JOINT, "moment_exponent": 400.0}}}),
         ("sweep", {"sweep": {**SWEEP, "joint": {**MM1_JOINT, "service": TINY_RATE}}}),
         ("sweep", {"sweep": {**SWEEP, "alpha": 2e-80, "joint": {**MM1_JOINT, "service": HUGE_UNIFORM}}}),
+        # an infinite total mass has no invariant measure
+        ("profiles", {"profile": {**PROFILE, "profile": "time_in_queue", "z": math.inf, "y_values": [0.0, 1.0]}}),
+        ("profiles", {"profile": {**PROFILE, "profile": "linear_deadline", "c": 1.0, "z": math.inf}}),
     ]
     for i, (cmd, body) in enumerate(bad):
         cfg = write_config(tmp_path, {"schema_version": 1, **body}, name=f"bad{i}.json")
@@ -303,6 +306,26 @@ def test_exit_code_bad_config(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("kind", ["lead_product", "time_in_queue", "sojourn", "linear_deadline"])
+@pytest.mark.parametrize("y_values", [[0.0, math.nan], {"y_min": math.nan, "y_max": 1.0, "n": 3}])
+def test_nan_y_value_is_a_config_error(tmp_path, capsys, kind, y_values):
+    block = {**PROFILE, "profile": kind, "c": 1.0, "y_values": y_values}
+    cfg = write_config(tmp_path, {"schema_version": 1, "profile": block})
+    assert main(["profiles", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "NaN" in err and err.count("\n") == 1
+    assert not (tmp_path / "out" / "profile.csv").exists()
+
+
+def test_inadmissible_sweep_names_each_failed_check(tmp_path, capsys):
+    # Exp(1) service has mean 1, not 1/alpha = 0.5
+    cfg = write_config(tmp_path, {"schema_version": 1, "sweep": {**SWEEP, "alpha": 2.0}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "inadmissible at alpha=2.0" in err
+    assert "service_mean_matches_rate (mean service 1.0 vs 1/alpha = 0.5)" in err
 
 
 @pytest.mark.parametrize("cmd, key, block", [("lift", "lift", LIFT), ("sweep", "sweep", SWEEP)])

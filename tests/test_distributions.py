@@ -35,8 +35,9 @@ def test_exponential_moments_and_survival():
 def test_exponential_excess_is_itself():
     # memorylessness: the equilibrium law of exp equals exp
     d = Exponential(3.0)
-    for x in (0.0, 0.1, 2.0):
-        assert d.excess_survival(x) == pytest.approx(d.survival(x))
+    xs = np.array([0.0, 0.1, 2.0])
+    ref = [d.survival(x) for x in xs]
+    np.testing.assert_allclose(d.excess_survival_array(xs), ref, rtol=0.0, atol=1e-15)
 
 
 def test_exponential_tail_integral():
@@ -55,8 +56,7 @@ def test_deterministic_law():
     assert d.survival(2.0000001) == 0.0
     assert d.mass_at(2.0) == 1.0
     # equilibrium law of a point mass is uniform on [0, value]
-    assert d.excess_survival(0.5) == pytest.approx(0.75)
-    assert d.excess_survival(2.0) == 0.0
+    np.testing.assert_array_equal(d.excess_survival_array(np.array([0.5, 2.0])), [0.75, 0.0])
 
 
 def test_uniform_law():
@@ -142,7 +142,16 @@ def test_array_helpers_match_scalars():
             with pytest.raises(ConfigError):
                 d.excess_survival_array(xs)
         else:
-            ref = np.array([d.excess_survival(x) for x in xs])
+            # int_x^inf P(X >= u) du / mean, integrated pointwise like the tail below
+            ref = [
+                0.0
+                if x == np.inf
+                else integrate(
+                    d.survival, x, 80.0, tol=1e-13, breakpoints=d.breakpoints(), initial_step=0.5
+                )
+                / d.mean()
+                for x in xs
+            ]
             np.testing.assert_allclose(d.excess_survival_array(xs), ref, rtol=0.0, atol=1e-12)
         # int_w^inf P(X >= u) du, integrated pointwise up to where every tail is below 1e-12
         ref = [

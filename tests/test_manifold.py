@@ -35,7 +35,7 @@ from psdl import (
     sojourn_limit_cdf,
     time_in_queue_profile,
 )
-from psdl import distributions
+from psdl import distributions, manifold
 from psdl.errors import SimulationError
 from psdl.measures import default_grid
 from simpson_oracle import lift_mass
@@ -211,12 +211,7 @@ def test_quadrature_resolves_unbounded_service_at_small_mass(z):
     assert m.eval(0.0, -math.inf) == pytest.approx(z, rel=1e-9)
 
 
-_SCALAR = st.one_of(
-    # lo = 0 and lo > 0: the first survival kink at the origin or past it
-    st.builds(
-        lambda lo, w: Uniform(lo, lo + w), st.just(0.0) | st.floats(0.0, 1.0), st.floats(0.2, 2.0)
-    ),
-    st.builds(Deterministic, st.floats(0.2, 2.0)),
+_EXP_TYPE = st.one_of(
     st.builds(Exponential, st.floats(0.3, 3.0)),
     st.builds(
         lambda p, r1, r2: HyperExponential((p, 1.0 - p), (r1, r2)),
@@ -224,6 +219,14 @@ _SCALAR = st.one_of(
         st.floats(0.3, 3.0),
         st.floats(0.3, 3.0),
     ),
+)
+_SCALAR = st.one_of(
+    # lo = 0 and lo > 0: the first survival kink at the origin or past it
+    st.builds(
+        lambda lo, w: Uniform(lo, lo + w), st.just(0.0) | st.floats(0.0, 1.0), st.floats(0.2, 2.0)
+    ),
+    st.builds(Deterministic, st.floats(0.2, 2.0)),
+    _EXP_TYPE,
 )
 _JOINT = st.one_of(
     st.builds(ProductJoint, _SCALAR, _SCALAR),
@@ -249,6 +252,41 @@ def test_quadrature_matches_simpson_oracle(joint, alpha, z, points):
     m = quadrature_oracle.lift(joint, alpha, z, tol=tol)
     for x, y in points:
         assert abs(m.eval(x, y) - lift_mass(joint, alpha, z, x, y, tol)) <= 2 * tol
+
+
+_COARSE_XS = np.array([0.0, 0.4, 1.1, 2.5])
+_COARSE_YS = np.array([-math.inf, -2.0, -0.3, 0.0, 0.6, 2.2])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    _EXP_TYPE,
+    # z on either side of c, and z == c, where the two lines never cross
+    st.floats(0.3, 3.0).flatmap(lambda c: st.tuples(st.just(c), st.just(c) | st.floats(0.05, 4.0))),
+)
+def test_linear_closed_form_matches_oracle(service, cz):
+    c, z = cz
+    joint = LinearJoint(service, c)
+    closed = lift(joint, 1.3, z)
+    assert closed.method == "closed_form_linear"
+    table = closed.quadrant.eval_grid(_COARSE_XS, _COARSE_YS)
+    quad = quadrature_oracle.lift(joint, 1.3, z, tol=1e-10)
+    assert np.max(np.abs(table - quad.quadrant.eval_grid(_COARSE_XS, _COARSE_YS))) <= 1e-9
+
+
+@pytest.mark.parametrize("service", [UNIF, Uniform(0.5, 1.5), Deterministic(1.0)], ids=str)
+def test_linear_builder_matches_fallback_on_bounded_service(service):
+    # the tail-integral form needs no exponential parts: on the laws that
+    # still take the exact two-point fallback it agrees to rounding
+    g = default_grid()
+    for c in (0.5, 0.8, 2.0):
+        joint = LinearJoint(service, c)
+        for z in (1e-6, 0.4, c, 4.0):
+            m = lift(joint, 1.3, z)
+            assert m.method == "quadrature"
+            table = manifold._linear_builder(service, c, 1.3, z)(g.x_values, g.y_values)
+            err = np.max(np.abs(table - m.quadrant.eval_grid(g.x_values, g.y_values)))
+            assert err <= 1e-12, (joint, z, err)
 
 
 def test_empirical_closed_form_matches_oracle():
@@ -351,7 +389,8 @@ def test_equilibrium_density_identity():
         alpha = 1.0 / nu.mean()
         for w in (0.1, 0.6, 1.2):
             h = 1e-6
-            dens = (nu.excess_survival(w - h) - nu.excess_survival(w + h)) / (2 * h)
+            lo, hi = nu.excess_survival_array(np.array([w - h, w + h]))
+            dens = (lo - hi) / (2 * h)
             assert dens == pytest.approx(alpha * nu.survival(w), abs=1e-4)
 
 

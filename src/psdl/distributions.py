@@ -57,6 +57,21 @@ __all__ = [
 # scalar families
 # ---------------------------------------------------------------------------
 
+# Below this rate 1 - e^{-s t} is rebuilt from expm1 (its absolute error
+# eps/s would pass 1e-14); at and above it the plain form keeps its bytes.
+_SMALL_RATE = 1e-2
+# Below this s * w the Uniform transform's ramp term s*ramp + expm1(-s*ramp),
+# of order (s*ramp)^2, comes from its series (6 terms: truncation error < 1e-16).
+_RAMP_SERIES_BELOW = 1e-2
+
+
+def _exp_window(t: np.ndarray, s: float) -> np.ndarray:
+    """int_0^t e^{-s u} du = (1 - e^{-s t}) / s on an array of t >= 0;
+    t = +inf gives 1/s."""
+    if s < _SMALL_RATE:
+        return -np.expm1(-s * t) / s
+    return (1.0 - np.exp(-s * t)) / s
+
 
 class ScalarDistribution(ABC):
     """A nonnegative scalar law with closed-form moments and sampling."""
@@ -159,7 +174,7 @@ class Exponential(ScalarDistribution):
         yn = np.minimum(ys, 0.0)
         yp = np.maximum(ys, 0.0)
         e = np.exp(s * yn)  # 0 at y = -inf
-        return np.where(ys >= 0.0, np.exp(-m * yp) / (s + m), (1.0 - e) / s + e / (s + m))
+        return np.where(ys >= 0.0, np.exp(-m * yp) / (s + m), _exp_window(-yn, s) + e / (s + m))
 
     def breakpoints(self) -> tuple[float, ...]:
         return (0.0,)
@@ -194,7 +209,7 @@ class Deterministic(ScalarDistribution):
 
     def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
         up = np.maximum(self.value - np.asarray(ys, dtype=float), 0.0)  # +inf at y = -inf
-        return (1.0 - np.exp(-s * up)) / s
+        return _exp_window(up, s)
 
     def mass_at(self, x: float) -> float:
         return 1.0 if x == self.value else 0.0
@@ -253,7 +268,13 @@ class Uniform(ScalarDistribution):
         w = self.hi - self.lo
         a = np.maximum(self.lo - ys, 0.0)  # +inf at y = -inf, where e^{-s a} is 0
         ramp = np.clip(self.hi - ys, 0.0, w)
-        sloped = (s * ramp + np.expm1(-s * ramp)) / (s * s * w)
+        if s * w < _RAMP_SERIES_BELOW:
+            # (t + expm1(-t)) / t^2 = 1/2 - t/6 + t^2/24 - ..., t = s * ramp
+            t = s * ramp
+            series = 1.0 - t / 3 * (1.0 - t / 4 * (1.0 - t / 5 * (1.0 - t / 6 * (1.0 - t / 7))))
+            sloped = np.square(ramp) / (2.0 * w) * series
+        else:
+            sloped = (s * ramp + np.expm1(-s * ramp)) / (s * s * w)
         return -np.expm1(-s * a) / s + np.exp(-s * a) * sloped
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -344,7 +365,7 @@ class PointMassZero(ScalarDistribution):
     def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)
         up = np.where(np.isneginf(ys), np.inf, np.maximum(-ys, 0.0))
-        return (1.0 - np.exp(-s * up)) / s
+        return _exp_window(up, s)
 
     def mass_at(self, x: float) -> float:
         return 1.0 if x == 0.0 else 0.0

@@ -11,6 +11,14 @@ read as a measure on [0, oo) x R.  Analytical limit objects enter as
 rows giving residual half-spaces), and the working distance between two
 states is the maximum absolute mass discrepancy over the grid quadrants.
 
+A point measure is tabulated with one running sum: with the atoms in
+decreasing lead order, the atoms on or above a y line are a prefix, so the
+row of the running sum of x-thresholded weights at that prefix's length is
+the table's column for that line.  Each entry is the sequential sum of the
+weights in its quadrant, with no BLAS call, so the table does not depend on
+the BLAS thread count; for equal weights (1 in engine snapshots, 1/r once
+scaled) the entry of a quadrant holding m atoms is the m-fold running sum.
+
 The diffusion scaling acts on points as (v, l, w) -> (v, l/r, w/r).
 """
 
@@ -94,9 +102,10 @@ class QuadrantGrid:
         ys = np.asarray(self.y_values, dtype=float)
         if xs.size == 0 or ys.size == 0:
             raise ConfigError("quadrant grid must be nonempty")
-        if xs[0] != 0.0 or np.any(np.diff(xs) <= 0.0) or np.any(xs < 0.0):
+        # written as "not all > 0" so that a NaN line fails the test
+        if xs[0] != 0.0 or not np.all(np.diff(xs) > 0.0):
             raise ConfigError("grid x values must start at 0 and increase strictly")
-        if np.any(np.diff(ys) <= 0.0) or np.isposinf(ys).any():
+        if np.isnan(ys[0]) or not np.all(np.diff(ys) > 0.0) or np.isposinf(ys).any():
             raise ConfigError("grid y values must increase strictly (only the first may be -inf)")
         object.__setattr__(self, "x_values", xs)
         object.__setattr__(self, "y_values", ys)
@@ -157,16 +166,23 @@ def mass_moment_chi(m: PointMeasure) -> float:
 def grid_quadrant_masses(
     obj: PointMeasure | QuadrantFunction, grid: QuadrantGrid
 ) -> np.ndarray:
-    """Tabulate closed-quadrant masses on the grid; shape (n_x, n_y)."""
+    """Tabulate closed-quadrant masses on the grid; shape (n_x, n_y).
+
+    A point measure costs one sort and one running sum over its atoms
+    (n * n_x additions), whatever the number of y lines."""
     xs, ys = grid.x_values, grid.y_values
     if isinstance(obj, QuadrantFunction):
         return obj.eval_grid(xs, ys)
-    if obj.count == 0:
-        return np.zeros((xs.size, ys.size))
-    # indicator matmul: rows over x-thresholds, columns over y-thresholds
-    in_x = obj.residuals[None, :] >= xs[:, None]
-    in_y = obj.leads[None, :] >= ys[:, None]
-    return (in_x * obj.weights[None, :]) @ in_y.T
+    # Row k of `prefix` is the x-thresholded mass of the k highest-lead
+    # atoms (row 0 is zero, which also covers the empty measure).  Every
+    # product is w or +0.0, so each entry is the sequential sum of the
+    # selected weights.
+    neg_leads = -obj.leads
+    order = np.argsort(neg_leads, kind="stable")
+    prefix = np.zeros((obj.count + 1, xs.size))
+    np.multiply(obj.residuals[order, None] >= xs, obj.weights[order, None], out=prefix[1:])
+    np.add.accumulate(prefix, axis=0, out=prefix)
+    return prefix.take(np.searchsorted(neg_leads[order], -ys, "right"), axis=0).T
 
 
 def quadrant_distance(

@@ -308,6 +308,15 @@ def test_exit_code_bad_config(tmp_path):
         assert exc.value.code == 2
 
 
+def test_lead_product_profile_at_huge_mass_is_finite(tmp_path):
+    block = {**PROFILE, "lam": {"kind": "uniform", "lo": 0.0, "hi": 2.0}, "z": 1e300}
+    cfg = write_config(tmp_path, {"schema_version": 1, "profile": block})
+    assert main(["profiles", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "profile.csv").read_text().splitlines()
+    assert rows[0] == "y,cdf" and len(rows) == 4
+    assert all(math.isfinite(float(row.split(",")[1])) for row in rows[1:])
+
+
 @pytest.mark.parametrize("kind", ["lead_product", "time_in_queue", "sojourn", "linear_deadline"])
 @pytest.mark.parametrize("y_values", [[0.0, math.nan], {"y_min": math.nan, "y_max": 1.0, "n": 3}])
 def test_nan_y_value_is_a_config_error(tmp_path, capsys, kind, y_values):

@@ -134,7 +134,6 @@ def test_array_helpers_match_scalars():
     xs = np.array([0.0, 0.3, 1.0, 2.5, np.inf])
     ws = np.array([-np.inf, -1.0, 0.0, 0.7, np.inf])
     ys = np.array([-np.inf, -1.5, -0.2, 0.0, 0.6, 1.7, np.inf])
-    s = 0.8
     for d in SCALAR_LAWS:
         ref = np.array([d.survival(x) for x in ws])
         np.testing.assert_allclose(d.survival_array(ws), ref, rtol=0.0, atol=1e-12)
@@ -168,25 +167,27 @@ def test_array_helpers_match_scalars():
             for w in ws
         ]
         np.testing.assert_allclose(d.tail_integral_array(ws), ref, rtol=0.0, atol=1e-12)
-        # H(y) = int_0^inf e^{-s u} P(X >= y + u) du, integrated pointwise
-        ref = [
-            1.0 / s
-            if y == -np.inf
-            else 0.0
-            if y == np.inf
-            else integrate(
-                lambda u: math.exp(-s * u) * d.survival(y + u),
-                0.0,
-                60.0 / s,
-                tol=1e-14,
-                breakpoints=[b - y for b in d.breakpoints()],
-                initial_step=0.5,
+        # H(y) = int_0^inf e^{-s u} P(X >= y + u) du, integrated pointwise; at
+        # small rates every survival is below 1e-12 well before u = 80
+        for s in (0.8, 1e-3, 1e-6, 1e-10, 1e-200):
+            ref = [
+                1.0 / s
+                if y == -np.inf
+                else 0.0
+                if y == np.inf
+                else integrate(
+                    lambda u: math.exp(-s * u) * d.survival(y + u),
+                    0.0,
+                    min(60.0 / s, 80.0),
+                    tol=1e-14,
+                    breakpoints=[b - y for b in d.breakpoints()],
+                    initial_step=0.5,
+                )
+                for y in ys
+            ]
+            np.testing.assert_allclose(
+                d.shifted_exp_integral_array(ys, s), ref, rtol=0.0, atol=1e-12, err_msg=f"{d} s={s}"
             )
-            for y in ys
-        ]
-        np.testing.assert_allclose(
-            d.shifted_exp_integral_array(ys, s), ref, rtol=0.0, atol=1e-12
-        )
 
 
 def test_breakpoints_list_the_kink_at_zero():

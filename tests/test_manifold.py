@@ -76,6 +76,20 @@ def test_lift_mass_law(joint, z):
     assert m.total_mass == pytest.approx(z, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "joint, z",
+    [(ProductJoint(EXP1, UNIF), 1e300), (ProductJoint(UNIF, EXP1), 1e-300)],
+    ids=["exp-unif-huge-z", "unif-exp-tiny-z"],
+)
+def test_lift_at_extreme_mass_is_finite(joint, z):
+    # the uniform law's shifted exponential transform runs at rate 1/z and z
+    m, g = lift(joint, 1.0, z), default_grid()
+    table = m.quadrant.eval_grid(g.x_values, g.y_values)
+    assert np.all(np.isfinite(table)) and np.all(table >= 0.0)
+    assert m.eval(0.0, -math.inf) == pytest.approx(m.total_mass, rel=1e-12)
+    assert m.total_mass == pytest.approx(z, rel=1e-12)
+
+
 def test_lift_zero_mass_is_zero_function():
     m = lift(ProductJoint(EXP1, EXP1), 1.0, 0.0)
     assert m.eval(0.0, -math.inf) == 0.0

@@ -1,12 +1,17 @@
 """Point measures on the half-plane, grids, scalings, distances."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import psdl
 from psdl import (
     ConfigError,
     PointMeasure,
@@ -72,6 +77,10 @@ def test_grid_validation():
         QuadrantGrid(x_values=(0.5, 1.0), y_values=(0.0,))  # x must start at 0
     with pytest.raises(ConfigError):
         QuadrantGrid(x_values=(0.0, 1.0, 1.0), y_values=(0.0,))
+    # a NaN line fails every comparison, so each position is tested
+    for xs, ys in (((0.0, math.nan), (0.0, 1.0)), ((0.0, 1.0), (0.0, math.nan)), ((0.0, 1.0), (math.nan, 0.0))):
+        with pytest.raises(ConfigError):
+            QuadrantGrid(x_values=xs, y_values=ys)
     g = QuadrantGrid(x_values=(0.0, 1.0), y_values=(-math.inf, 0.0))
     assert g.y_values[0] == -math.inf
 
@@ -132,18 +141,23 @@ TABULATION_GRIDS = (
 )
 
 
-@st.composite
-def weighted_measures(draw, grid):
-    """Up to 30 atoms with non-unit weights, some exactly on grid lines."""
-    n = draw(st.integers(0, 30))
+def atoms_on_lines(rng, grid, n, weights):
+    """n atoms, about a third of each coordinate exactly on a grid line."""
 
     def coords(lines, lo, hi):
-        return st.lists(st.one_of(st.sampled_from(lines), st.floats(lo, hi)), min_size=n, max_size=n)
+        return np.where(rng.random(n) < 0.35, rng.choice(lines, n), rng.uniform(lo, hi, n))
 
-    res = draw(coords(grid.x_values[1:], 1e-3, 6.0))
-    leads = draw(coords(grid.y_values[np.isfinite(grid.y_values)], -6.0, 6.0))
-    w = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
-    return PointMeasure(np.array(res, dtype=float), np.array(leads, dtype=float), np.array(w, dtype=float))
+    res = coords(grid.x_values[1:], 1e-3, 6.0)
+    leads = coords(grid.y_values[np.isfinite(grid.y_values)], -6.0, 6.0)
+    return PointMeasure(res, leads, weights)
+
+
+@st.composite
+def weighted_measures(draw, grid):
+    """Up to 500 atoms with non-unit weights, some exactly on grid lines."""
+    n = draw(st.integers(0, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return atoms_on_lines(rng, grid, n, np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,6 +168,45 @@ def test_grid_tabulation_matches_quadrant_mass(data):
     m = data.draw(weighted_measures(grid))
     want = np.array([[m.quadrant_mass(x, y) for y in grid.y_values] for x in grid.x_values])
     np.testing.assert_allclose(grid_quadrant_masses(m, grid), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 50, 198, 385, 1000])
+def test_equal_weight_tabulation_is_the_running_sum(n):
+    # every measure psdl builds has equal weights (1, or 1/r once scaled):
+    # a quadrant holding m atoms must read the m-fold sequential sum exactly
+    grid = default_grid()
+    w = 1.0 / 7.0
+    m = atoms_on_lines(np.random.default_rng(n), grid, n, np.full(n, w))
+    counts = (
+        (m.residuals[None, None, :] >= grid.x_values[:, None, None])
+        & (m.leads[None, None, :] >= grid.y_values[None, :, None])
+    ).sum(axis=2)
+    running = np.concatenate(([0.0], np.cumsum(np.full(n, w))))
+    got = grid_quadrant_masses(m, grid)
+    assert got.shape == counts.shape
+    assert np.array_equal(got, running[counts])
+
+
+_TABLE_SHA256 = """
+import hashlib, numpy as np
+from psdl.measures import PointMeasure, default_grid, grid_quadrant_masses
+rng = np.random.default_rng(600)
+m = PointMeasure(rng.uniform(1e-3, 6.0, 600), rng.uniform(-6.0, 6.0, 600), np.full(600, 1.0 / 7.0))
+table = np.ascontiguousarray(grid_quadrant_masses(m, default_grid()))
+print(hashlib.sha256(table.tobytes()).hexdigest())
+"""
+
+
+def test_tabulation_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(psdl.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", _TABLE_SHA256], env=env, check=True, capture_output=True, text=True
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_point_measure_csv_round_trip(tmp_path):

@@ -78,7 +78,8 @@ def test_grid_validation():
     with pytest.raises(ConfigError):
         QuadrantGrid(x_values=(0.0, 1.0, 1.0), y_values=(0.0,))
     # a NaN line fails every comparison, so each position is tested
-    for xs, ys in (((0.0, math.nan), (0.0, 1.0)), ((0.0, 1.0), (0.0, math.nan)), ((0.0, 1.0), (math.nan, 0.0))):
+    nan = math.nan
+    for xs, ys in (((0.0, nan), (0.0, 1.0)), ((0.0, 1.0), (0.0, nan)), ((0.0, 1.0), (nan, 0.0))):
         with pytest.raises(ConfigError):
             QuadrantGrid(x_values=xs, y_values=ys)
     g = QuadrantGrid(x_values=(0.0, 1.0), y_values=(-math.inf, 0.0))

@@ -102,10 +102,9 @@ class QuadrantGrid:
         ys = np.asarray(self.y_values, dtype=float)
         if xs.size == 0 or ys.size == 0:
             raise ConfigError("quadrant grid must be nonempty")
-        # written as "not all > 0" so that a NaN line fails the test
-        if xs[0] != 0.0 or not np.all(np.diff(xs) > 0.0):
+        if xs[0] != 0.0 or np.isnan(xs).any() or np.any(np.diff(xs) <= 0.0):
             raise ConfigError("grid x values must start at 0 and increase strictly")
-        if np.isnan(ys[0]) or not np.all(np.diff(ys) > 0.0) or np.isposinf(ys).any():
+        if np.isnan(ys).any() or np.any(np.diff(ys) <= 0.0) or np.isposinf(ys).any():
             raise ConfigError("grid y values must increase strictly (only the first may be -inf)")
         object.__setattr__(self, "x_values", xs)
         object.__setattr__(self, "y_values", ys)

@@ -50,12 +50,11 @@ service, lead, S on entry, departure time); the heap holds only
 from the columns on first read and keeps it in their place.
 
 An event makes no Python call besides the heap's.  Traffic arrives
-through ``TrafficStream.refill`` in blocks of checked rows (256 at a
-time for all-exponential traffic, one for other laws), which the loop
-appends to the job columns and reads by index; a row that failed its
-check raises only when the loop reaches it.  The compensated add is
-written out in the arrival and departure branches, the same operations
-in the same order as ``_neumaier_add``.
+through ``TrafficStream.refill`` in blocks of up to 256 checked rows,
+which the loop appends to the job columns and reads by index; a row
+that failed its check raises only when the loop reaches it.  The
+compensated add is written out in the arrival and departure branches,
+the same operations in the same order as ``_neumaier_add``.
 """
 
 from __future__ import annotations
@@ -171,19 +170,17 @@ class PathLog:
         return int(self.times.size)
 
 
-_BLOCK_ROWS = 256  # rows per refill of all-exponential traffic
+_BLOCK_ROWS = 256  # most rows one refill returns
 
 
-def _row_error(gap: float, v: float, l: float, t: float) -> SimulationError | None:
-    """The error reading the row (gap, service, unscaled lead) raises, if
-    any; t is the arrival time the gap gives."""
+def _row_error(gap: float, v: float, l: float, t: float) -> SimulationError:
+    """The error reading the failed row (gap, service, unscaled lead)
+    raises; t is the arrival time the gap gives."""
     if not (isfinite(gap) and gap >= 0.0):
         return SimulationError(f"sampled interarrival {gap!r} is not a nonnegative real")
     if not (isfinite(v) and v > 0.0):
         return SimulationError(f"sampled service {v!r} at t={t} is not strictly positive")
-    if not isfinite(l):
-        return SimulationError(f"sampled lead {l!r} at t={t} is not finite")
-    return None
+    return SimulationError(f"sampled lead {l!r} at t={t} is not finite")
 
 
 class TrafficStream:
@@ -200,10 +197,18 @@ class TrafficStream:
     and multiplies by the scale the same way, and arrival times are a
     cumulative sum over [clock, gaps...], which adds in sequence like
     ``clock += gap``; so the stream is bit for bit the scalar one.  Every
-    row of the block is checked by vectorised tests.  Other laws, and the
-    first row (``first_interarrival`` may replace its gap), refill one
-    scalar row at a time, checked in Python: the numpy pass over a
-    one-row block took about 20 us, the Python check under 1 us.
+    row of the block is checked by vectorised tests; the numpy pass over
+    a one-row block took about 20 us, so the first row of such traffic
+    (``first_interarrival`` may replace its gap) is a scalar block of one.
+
+    Other laws draw up to _BLOCK_ROWS rows per refill in one Python loop,
+    each row gap first, then the joint pair, checked inline.  Such a
+    block also ends at the first row past the horizon: ``run`` reads no
+    further, and an r = 5 sweep cell of about 45 rows would otherwise
+    draw 256.  Later refills go on from there, one row at a time once
+    past the horizon, so the sequence ``next`` returns does not depend
+    on where blocks end.  The vectorised block keeps all _BLOCK_ROWS
+    rows, which it has already drawn.
 
     A row that fails its check (a gap that is not a nonnegative real, a
     service that is not positive and finite, a lead that is not finite)
@@ -234,16 +239,30 @@ class TrafficStream:
             raise self._error
         cfg, rng = self._config, self._rng
         if self._first or self._scales is None:
+            size = 1 if self._scales is not None else _BLOCK_ROWS
             gap_law = cfg.first_interarrival if (self._first and cfg.first_interarrival) else cfg.interarrival
             self._first = False
-            gap = gap_law.sample(rng)
-            v, l = cfg.joint.sample(rng)
-            t = self._clock + gap
-            self._error = _row_error(gap, v, l, t)
-            if self._error is not None:
-                raise self._error
-            self._clock = t
-            return [t], [v], [cfg.lead_scale * l]
+            gap_sample, next_gap, joint_sample = gap_law.sample, cfg.interarrival.sample, cfg.joint.sample
+            clock, horizon, scale = self._clock, cfg.horizon, cfg.lead_scale
+            times, vs, leads = [], [], []
+            for _ in range(size):
+                gap = gap_sample(rng)
+                gap_sample = next_gap
+                v, l = joint_sample(rng)
+                t = clock + gap
+                if not (isfinite(gap) and gap >= 0.0 and isfinite(v) and v > 0.0 and isfinite(l)):
+                    self._error = _row_error(gap, v, l, t)
+                    if not times:
+                        raise self._error
+                    break
+                clock = t
+                times.append(t)
+                vs.append(v)
+                leads.append(scale * l)
+                if t > horizon:  # ``run`` reads no row after this one
+                    break
+            self._clock = clock
+            return times, vs, leads
         rows = rng.standard_exponential(3 * _BLOCK_ROWS).reshape(-1, 3)
         with np.errstate(over="ignore", invalid="ignore"):  # a bad row fails its check below
             rows *= self._scales

@@ -13,7 +13,9 @@ bisects the rest; refinement failure raises, and the error message
 carries the achieved estimate.  Each point's u-range ends where
 the service or lead support does; where neither bounds it, the range is
 truncated at the first doubling of max(z E[V], 1) at which the
-integrand has dropped below 1e-10.  The range is cut at the service and
+integrand has dropped below min(1e-10, tol / 100): the part cut off is
+about that value times the integrand's decay length, which reaches
+z / rate for a slow exponential service phase.  The range is cut at the service and
 lead kinks and the deadline crossing, and for an unbounded service law
 with z E[V] < 1 also at the doublings of z E[V] below 1: that section
 decays within u ~ z E[V], between the nodes of a unit-width panel.
@@ -83,23 +85,22 @@ def integrate(
     )
 
 
-_TAIL_CUTOFF = 1e-10  # tail integrand value below which tail_cut truncates
+_TAIL_CUTOFF = 1e-10  # largest tail integrand value at which tail_cut truncates
 _MAX_DOUBLINGS = 60
 
 
-def tail_cut(g, start: float, n: int) -> np.ndarray:
+def tail_cut(g, start: float, n: int, cutoff: float = _TAIL_CUTOFF) -> np.ndarray:
     """Per point, the smallest doubling of ``start`` at which the
-    nonincreasing tail integrand g(u, points) has dropped below
-    ``_TAIL_CUTOFF``."""
+    nonincreasing tail integrand g(u, points) has dropped below cutoff."""
     u = np.full(n, max(start, 1e-12))
     todo = np.arange(n)
     for _ in range(_MAX_DOUBLINGS):
-        todo = todo[g(u[todo], todo) >= _TAIL_CUTOFF]
+        todo = todo[g(u[todo], todo) >= cutoff]
         if todo.size == 0:
             return u
         u[todo] *= 2.0
     raise SimulationError(
-        f"integrand tail still >= {_TAIL_CUTOFF:.3e} at u = {u[todo[0]]:.3e} for {todo.size} points"
+        f"integrand tail still >= {cutoff:.3e} at u = {u[todo[0]]:.3e} for {todo.size} points"
     )
 
 
@@ -121,7 +122,7 @@ def _grid_fn(joint: JointDistribution, alpha: float, z: float, tol: float):
         unbounded = np.flatnonzero(np.isinf(upper))
         if unbounded.size:
             tail = lambda u, i: g(u[:, None], unbounded[i])[:, 0]
-            upper[unbounded] = tail_cut(tail, start, unbounded.size)
+            upper[unbounded] = tail_cut(tail, start, unbounded.size, min(_TAIL_CUTOFF, 1e-2 * tol))
         cuts = [
             z * (service_breaks - x[:, None]),
             lead_breaks - y[:, None],

@@ -13,7 +13,7 @@ from dataclasses import replace
 import engine_oracle
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from naive_oracle import step_simulate
 
 from psdl import (
@@ -30,6 +30,7 @@ from psdl import (
     run,
     verify_dynamic_equation,
 )
+from psdl import engine
 from psdl.engine import _BLOCK_ROWS, TrafficStream
 from psdl.measures import default_grid
 
@@ -247,28 +248,34 @@ def test_running_workload_matches_exact_sum(cfg):
     assert out.workload_check <= 1e-9 * max(1.0, float(p.w_post.max()))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     seeds,
-    st.floats(min_value=0.05, max_value=20.0),
-    st.floats(min_value=0.05, max_value=20.0),
-    st.one_of(
-        st.floats(min_value=0.05, max_value=20.0).map(Exponential),
-        st.just(Uniform(0.0, 2.0)),
-    ),
+    positive_laws(0.6, 2.0),
+    joint_laws(),
+    # long: every refill fills its _BLOCK_ROWS rows; short: the first row
+    # past the horizon ends a block
+    st.sampled_from((1e4, 5.0)),
     st.floats(min_value=0.1, max_value=200.0),
     st.one_of(st.none(), st.just(Deterministic(0.5)), st.just(Exponential(3.0))),
 )
-def test_stream_matches_scalar_draw_order(seed, arrival_rate, service_rate, lead, lead_scale, first):
+# every family on every coordinate, at both horizons
+@example(1, Exponential(1.0), ProductJoint(Exponential(1.2), Exponential(0.5)), 1e4, 3.0, None)
+@example(2, Deterministic(0.8), ProductJoint(Deterministic(0.7), Uniform(0.0, 2.0)), 5.0, 3.0, Deterministic(0.5))
+@example(3, Uniform(0.0, 2.0), ProductJoint(Uniform(0.5, 1.5), HyperExponential((0.3, 0.7), (0.5, 3.0))), 1e4, 0.5, Exponential(3.0))
+@example(4, HyperExponential((0.3, 0.7), (0.5, 3.0)), ProductJoint(HyperExponential((0.3, 0.7), (0.5, 3.0)), Deterministic(1.5)), 5.0, 20.0, None)
+@example(5, Exponential(0.9), ProductJoint(Uniform(0.0, 2.0), PointMassZero()), 1e4, 1.0, None)
+@example(6, Deterministic(1.1), LinearJoint(Uniform(0.0, 2.0), 1.5), 1e4, 2.0, None)
+@example(7, Uniform(0.5, 1.5), EmpiricalJoint(((0.5, 1.0), (1.5, -0.5)), (0.3, 0.7)), 5.0, 4.0, None)
+def test_stream_matches_scalar_draw_order(seed, interarrival, joint, horizon, lead_scale, first):
     cfg = ScenarioConfig(
-        interarrival=Exponential(arrival_rate),
-        joint=ProductJoint(Exponential(service_rate), lead),
-        horizon=1.0,
+        interarrival=interarrival,
+        joint=joint,
+        horizon=horizon,
         seed=seed,
         lead_scale=lead_scale,
         first_interarrival=first,
     )
-    assert (cfg.joint.exponential_scales() is None) == isinstance(lead, Uniform)
     rng = np.random.default_rng(seed)
     clock, expected = 0.0, []
     for k in range(1000):  # spans several draw blocks
@@ -279,13 +286,53 @@ def test_stream_matches_scalar_draw_order(seed, arrival_rate, service_rate, lead
     stream = TrafficStream(cfg, np.random.default_rng(seed))
     assert [stream.next() for _ in expected] == expected
 
+    stream = TrafficStream(cfg, np.random.default_rng(seed))
+    sizes = [len(stream.refill()[0]) for _ in range(3)]
+    if interarrival.exponential_scale() is not None and joint.exponential_scales() is not None:
+        assert sizes == [1, _BLOCK_ROWS, _BLOCK_ROWS]
+    else:
+        # a scalar block ends at its _BLOCK_ROWS-th row or at the first row
+        # past the horizon, whichever comes first
+        want, n = [], 0
+        for t, _, _ in expected:
+            n += 1
+            if n == _BLOCK_ROWS or t > horizon:
+                want.append(n)
+                n = 0
+        assert sizes == want[:3]
 
-def _overflowing_leads(horizon=1.0):
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 256])
+def test_block_size_changes_no_output(monkeypatch, block_rows):
+    # block boundaries decide only how many rows one refill draws, never
+    # which rows the stream holds
+    cfg = ScenarioConfig(
+        interarrival=Exponential(0.9),
+        joint=ProductJoint(Uniform(0.0, 2.0), Exponential(1.0)),
+        horizon=600.0,
+        snapshot_times=(0.0, 150.0, 600.0),
+        seed=17,
+        lead_scale=5.0,
+        first_interarrival=Deterministic(0.5),
+        initial_jobs=((1.0, 0.5),),
+    )
+    want = [_output_fields(run(cfg, path=path)) for path in (True, False)]
+    monkeypatch.setattr(engine, "_BLOCK_ROWS", block_rows)
+    assert [_output_fields(run(cfg, path=path)) for path in (True, False)] == want
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 2.0), (0.5, 1.5), (3.0, 7.25), (0.1, 0.30000000000000004)])
+def test_uniform_sample_is_numpy_uniform(lo, hi):
+    law, a, b = Uniform(lo, hi), np.random.default_rng(3), np.random.default_rng(3)
+    assert [law.sample(a) for _ in range(20_000)] == [float(b.uniform(lo, hi)) for _ in range(20_000)]
+
+
+def _overflowing_leads(horizon=1.0, service=Exponential(1.0)):
     # leads of scale 1e308 overflow to inf whenever the standard
     # exponential draw exceeds ~1.8
     return ScenarioConfig(
         interarrival=Exponential(1.0),
-        joint=ProductJoint(Exponential(1.0), Exponential(1e-308)),
+        joint=ProductJoint(service, Exponential(1e-308)),
         horizon=horizon,
         seed=6,
     )
@@ -321,30 +368,37 @@ def _stepping_raises(cfg):
     return False
 
 
-def test_run_raises_exactly_when_stepping_the_stream_would():
+@pytest.mark.parametrize("service", [Exponential(1.0), Uniform(0.0, 2.0)], ids=["exp", "uniform"])
+@pytest.mark.parametrize("block_start", [False, True], ids=["mid_block", "block_start"])
+def test_run_raises_exactly_when_stepping_the_stream_would(monkeypatch, service, block_start):
     # run reads rows up to the first one past the horizon: a failed row
     # raises if it is that one or earlier, and not if it was only drawn
     # ahead in the same block
-    stream = TrafficStream(_overflowing_leads(), np.random.default_rng(6))
+    stream = TrafficStream(_overflowing_leads(service=service), np.random.default_rng(6))
     times = []
     with pytest.raises(SimulationError, match="lead"):
         while True:
             times.append(stream.next()[0])
     bad = len(times)  # index of the failed row
     assert 2 <= bad < _BLOCK_ROWS
+    if block_start:
+        # blocks start at rows 0 and 1 of exponential traffic, at row 0 of
+        # other laws, then every _BLOCK_ROWS rows: make the failed row the
+        # first of a refill
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", bad - 1 if isinstance(service, Exponential) else bad)
     horizons = (
         0.5 * (times[bad - 2] + times[bad - 1]),  # the row before it is first past
         times[bad - 1],  # the failed row is the first past the horizon
         times[bad - 1] + 100.0,  # the failed row is within the horizon
     )
-    expected = [_stepping_raises(_overflowing_leads(h)) for h in horizons]
+    expected = [_stepping_raises(_overflowing_leads(h, service)) for h in horizons]
     assert expected == [False, True, True]
     for h, raises in zip(horizons, expected):
         if raises:
             with pytest.raises(SimulationError, match="lead"):
-                run(_overflowing_leads(h), path=False)
+                run(_overflowing_leads(h, service), path=False)
         else:
-            run(_overflowing_leads(h), path=False)
+            run(_overflowing_leads(h, service), path=False)
 
 
 @settings(max_examples=15, deadline=None)

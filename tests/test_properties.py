@@ -339,21 +339,22 @@ def _overflowing_leads(horizon=1.0, service=Exponential(1.0)):
 
 
 def test_stream_raises_at_the_offending_row():
-    # the batched stream must fail on the same row as the scalar draws,
-    # not when the block is drawn
-    cfg = _overflowing_leads()
-    rng = np.random.default_rng(cfg.seed)
-    bad = next(
-        k
-        for k in range(10_000)
-        if not math.isfinite(cfg.interarrival.sample(rng) + sum(cfg.joint.sample(rng)))
-    )
-    assert bad >= 2  # the failure lies in a batched row
-    stream = TrafficStream(cfg, np.random.default_rng(cfg.seed))
-    for _ in range(bad):
-        stream.next()
-    with pytest.raises(SimulationError, match="lead"):
-        stream.next()
+    # the stream must fail on the same row as the scalar draws, not when
+    # the block holding it is drawn
+    for service in (Exponential(1.0), Uniform(0.0, 2.0)):  # vectorised, scalar blocks
+        cfg = _overflowing_leads(1e4, service)
+        rng = np.random.default_rng(cfg.seed)
+        bad = next(
+            k
+            for k in range(10_000)
+            if not math.isfinite(cfg.interarrival.sample(rng) + sum(cfg.joint.sample(rng)))
+        )
+        assert bad >= 2  # the failure lies inside a block
+        stream = TrafficStream(cfg, np.random.default_rng(cfg.seed))
+        for _ in range(bad):
+            stream.next()
+        with pytest.raises(SimulationError, match="lead"):
+            stream.next()
 
 
 def _stepping_raises(cfg):
@@ -368,37 +369,37 @@ def _stepping_raises(cfg):
     return False
 
 
-@pytest.mark.parametrize("service", [Exponential(1.0), Uniform(0.0, 2.0)], ids=["exp", "uniform"])
-@pytest.mark.parametrize("block_start", [False, True], ids=["mid_block", "block_start"])
-def test_run_raises_exactly_when_stepping_the_stream_would(monkeypatch, service, block_start):
+def test_run_raises_exactly_when_stepping_the_stream_would(monkeypatch):
     # run reads rows up to the first one past the horizon: a failed row
     # raises if it is that one or earlier, and not if it was only drawn
     # ahead in the same block
-    stream = TrafficStream(_overflowing_leads(service=service), np.random.default_rng(6))
-    times = []
-    with pytest.raises(SimulationError, match="lead"):
-        while True:
-            times.append(stream.next()[0])
-    bad = len(times)  # index of the failed row
-    assert 2 <= bad < _BLOCK_ROWS
-    if block_start:
-        # blocks start at rows 0 and 1 of exponential traffic, at row 0 of
-        # other laws, then every _BLOCK_ROWS rows: make the failed row the
-        # first of a refill
-        monkeypatch.setattr(engine, "_BLOCK_ROWS", bad - 1 if isinstance(service, Exponential) else bad)
-    horizons = (
-        0.5 * (times[bad - 2] + times[bad - 1]),  # the row before it is first past
-        times[bad - 1],  # the failed row is the first past the horizon
-        times[bad - 1] + 100.0,  # the failed row is within the horizon
-    )
-    expected = [_stepping_raises(_overflowing_leads(h, service)) for h in horizons]
-    assert expected == [False, True, True]
-    for h, raises in zip(horizons, expected):
-        if raises:
-            with pytest.raises(SimulationError, match="lead"):
-                run(_overflowing_leads(h, service), path=False)
-        else:
-            run(_overflowing_leads(h, service), path=False)
+    for service in (Exponential(1.0), Uniform(0.0, 2.0)):  # vectorised, scalar blocks
+        stream = TrafficStream(_overflowing_leads(service=service), np.random.default_rng(6))
+        times = []
+        with pytest.raises(SimulationError, match="lead"):
+            while True:
+                times.append(stream.next()[0])
+        bad = len(times)  # index of the failed row
+        assert 2 <= bad < _BLOCK_ROWS
+        horizons = (
+            0.5 * (times[bad - 2] + times[bad - 1]),  # the row before it is first past
+            times[bad - 1],  # the failed row is the first past the horizon
+            times[bad - 1] + 100.0,  # the failed row is within the horizon
+        )
+        # blocks start at rows 0 and 1 of exponential traffic and at row 0
+        # of other laws, then every _BLOCK_ROWS rows: the failed row lies
+        # inside a block, or is the first row of a refill
+        starts_block = bad - 1 if isinstance(service, Exponential) else bad
+        for block_rows in (_BLOCK_ROWS, starts_block):
+            monkeypatch.setattr(engine, "_BLOCK_ROWS", block_rows)
+            expected = [_stepping_raises(_overflowing_leads(h, service)) for h in horizons]
+            assert expected == [False, True, True]
+            for h, raises in zip(horizons, expected):
+                if raises:
+                    with pytest.raises(SimulationError, match="lead"):
+                        run(_overflowing_leads(h, service), path=False)
+                else:
+                    run(_overflowing_leads(h, service), path=False)
 
 
 @settings(max_examples=15, deadline=None)

@@ -89,9 +89,11 @@ _TAIL_CUTOFF = 1e-10  # largest tail integrand value at which tail_cut truncates
 _MAX_DOUBLINGS = 60
 
 
-def tail_cut(g, start: float, n: int, cutoff: float = _TAIL_CUTOFF) -> np.ndarray:
+def tail_cut(g, start: float, n: int, tol: float) -> np.ndarray:
     """Per point, the smallest doubling of ``start`` at which the
-    nonincreasing tail integrand g(u, points) has dropped below cutoff."""
+    nonincreasing tail integrand g(u, points) has dropped below
+    min(_TAIL_CUTOFF, tol / 100)."""
+    cutoff = min(_TAIL_CUTOFF, 1e-2 * tol)
     u = np.full(n, max(start, 1e-12))
     todo = np.arange(n)
     for _ in range(_MAX_DOUBLINGS):
@@ -122,7 +124,7 @@ def _grid_fn(joint: JointDistribution, alpha: float, z: float, tol: float):
         unbounded = np.flatnonzero(np.isinf(upper))
         if unbounded.size:
             tail = lambda u, i: g(u[:, None], unbounded[i])[:, 0]
-            upper[unbounded] = tail_cut(tail, start, unbounded.size, min(_TAIL_CUTOFF, 1e-2 * tol))
+            upper[unbounded] = tail_cut(tail, start, unbounded.size, tol)
         cuts = [
             z * (service_breaks - x[:, None]),
             lead_breaks - y[:, None],

@@ -248,26 +248,38 @@ def test_running_workload_matches_exact_sum(cfg):
     assert out.workload_check <= 1e-9 * max(1.0, float(p.w_post.max()))
 
 
+@st.composite
+def exponential_traffic(draw):
+    """Exponential gaps and service with an Exponential or Uniform lead:
+    about half of the draws take the vectorised all-exponential block."""
+    rates = st.floats(min_value=0.05, max_value=20.0)
+    lead = draw(st.one_of(rates.map(Exponential), st.just(Uniform(0.0, 2.0))))
+    return Exponential(draw(rates)), ProductJoint(Exponential(draw(rates)), lead)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seeds,
-    positive_laws(0.6, 2.0),
-    joint_laws(),
+    st.one_of(exponential_traffic(), st.tuples(positive_laws(0.6, 2.0), joint_laws())),
     # long: every refill fills its _BLOCK_ROWS rows; short: the first row
     # past the horizon ends a block
     st.sampled_from((1e4, 5.0)),
     st.floats(min_value=0.1, max_value=200.0),
     st.one_of(st.none(), st.just(Deterministic(0.5)), st.just(Exponential(3.0))),
 )
+# all-exponential traffic with each first gap
+@example(1, (Exponential(1.0), ProductJoint(Exponential(1.2), Exponential(0.5))), 1e4, 3.0, None)
+@example(8, (Exponential(0.7), ProductJoint(Exponential(2.0), Exponential(0.1))), 5.0, 50.0, Deterministic(0.5))
+@example(9, (Exponential(15.0), ProductJoint(Exponential(0.05), Exponential(4.0))), 1e4, 0.2, Exponential(3.0))
 # every family on every coordinate, at both horizons
-@example(1, Exponential(1.0), ProductJoint(Exponential(1.2), Exponential(0.5)), 1e4, 3.0, None)
-@example(2, Deterministic(0.8), ProductJoint(Deterministic(0.7), Uniform(0.0, 2.0)), 5.0, 3.0, Deterministic(0.5))
-@example(3, Uniform(0.0, 2.0), ProductJoint(Uniform(0.5, 1.5), HyperExponential((0.3, 0.7), (0.5, 3.0))), 1e4, 0.5, Exponential(3.0))
-@example(4, HyperExponential((0.3, 0.7), (0.5, 3.0)), ProductJoint(HyperExponential((0.3, 0.7), (0.5, 3.0)), Deterministic(1.5)), 5.0, 20.0, None)
-@example(5, Exponential(0.9), ProductJoint(Uniform(0.0, 2.0), PointMassZero()), 1e4, 1.0, None)
-@example(6, Deterministic(1.1), LinearJoint(Uniform(0.0, 2.0), 1.5), 1e4, 2.0, None)
-@example(7, Uniform(0.5, 1.5), EmpiricalJoint(((0.5, 1.0), (1.5, -0.5)), (0.3, 0.7)), 5.0, 4.0, None)
-def test_stream_matches_scalar_draw_order(seed, interarrival, joint, horizon, lead_scale, first):
+@example(2, (Deterministic(0.8), ProductJoint(Deterministic(0.7), Uniform(0.0, 2.0))), 5.0, 3.0, Deterministic(0.5))
+@example(3, (Uniform(0.0, 2.0), ProductJoint(Uniform(0.5, 1.5), HyperExponential((0.3, 0.7), (0.5, 3.0)))), 1e4, 0.5, Exponential(3.0))
+@example(4, (HyperExponential((0.3, 0.7), (0.5, 3.0)), ProductJoint(HyperExponential((0.3, 0.7), (0.5, 3.0)), Deterministic(1.5))), 5.0, 20.0, None)
+@example(5, (Exponential(0.9), ProductJoint(Uniform(0.0, 2.0), PointMassZero())), 1e4, 1.0, None)
+@example(6, (Deterministic(1.1), LinearJoint(Uniform(0.0, 2.0), 1.5)), 1e4, 2.0, None)
+@example(7, (Uniform(0.5, 1.5), EmpiricalJoint(((0.5, 1.0), (1.5, -0.5)), (0.3, 0.7))), 5.0, 4.0, None)
+def test_stream_matches_scalar_draw_order(seed, traffic, horizon, lead_scale, first):
+    interarrival, joint = traffic
     cfg = ScenarioConfig(
         interarrival=interarrival,
         joint=joint,
@@ -275,6 +287,13 @@ def test_stream_matches_scalar_draw_order(seed, interarrival, joint, horizon, le
         seed=seed,
         lead_scale=lead_scale,
         first_interarrival=first,
+    )
+    vectorised = interarrival.exponential_scale() is not None and joint.exponential_scales() is not None
+    assert vectorised == (
+        isinstance(interarrival, Exponential)
+        and isinstance(joint, ProductJoint)
+        and isinstance(joint.service, Exponential)
+        and isinstance(joint.lead, Exponential)
     )
     rng = np.random.default_rng(seed)
     clock, expected = 0.0, []
@@ -288,7 +307,7 @@ def test_stream_matches_scalar_draw_order(seed, interarrival, joint, horizon, le
 
     stream = TrafficStream(cfg, np.random.default_rng(seed))
     sizes = [len(stream.refill()[0]) for _ in range(3)]
-    if interarrival.exponential_scale() is not None and joint.exponential_scales() is not None:
+    if vectorised:
         assert sizes == [1, _BLOCK_ROWS, _BLOCK_ROWS]
     else:
         # a scalar block ends at its _BLOCK_ROWS-th row or at the first row

@@ -55,13 +55,14 @@ def cmd_simulate(args) -> int:
     cfg = fileio.load_config(args.config)
     scenario = fileio.parse_scenario(_require(cfg, "scenario", args.seed_override))
     out = run(scenario)
+    n_jobs = len(scenario.initial_jobs) + out.event_counts.get("arrival", 0)
     n_departures = out.event_counts.get("departure", 0)
     d = _out_dir(args, cfg)
     fileio.write_departures_csv(out, d / "departures.csv")
     fileio.write_path_csv(out, d / "path.csv")
     fileio.write_snapshots_csv(out, d / "snapshots.csv")
     summary = {
-        "n_jobs": len(out.jobs),
+        "n_jobs": n_jobs,
         "n_departures": n_departures,
         "horizon": scenario.horizon,
         "seed": scenario.seed,
@@ -72,7 +73,7 @@ def cmd_simulate(args) -> int:
         "workload_check": out.workload_check,
     }
     fileio.write_json(summary, d / "simulate_summary.json")
-    print(f"simulate: {len(out.jobs)} jobs, {n_departures} departures -> {d}")
+    print(f"simulate: {n_jobs} jobs, {n_departures} departures -> {d}")
     return 0
 
 

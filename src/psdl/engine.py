@@ -46,8 +46,9 @@ are counted in the loop either way.
 
 Jobs are kept as per-job columns indexed by job id (arrival time,
 service, lead, S on entry, departure time); the heap holds only
-(target, job id).  ``SimOutput.jobs`` builds the ``JobRecord`` tuple
-from the columns on first read and keeps it in their place.
+(target, job id).  The columns are ``SimOutput``'s one record of the
+jobs; ``SimOutput.jobs`` is a ``JobRecord`` view of them, built on
+first read and cached beside them.
 
 An event makes no Python call besides the heap's.  Traffic arrives
 through ``TrafficStream.refill`` in blocks of up to 256 checked rows,
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import fsum, isfinite
 
@@ -174,7 +176,7 @@ _BLOCK_ROWS = 256  # most rows one refill returns
 
 
 def _row_error(gap: float, v: float, l: float, t: float) -> SimulationError:
-    """The error reading the failed row (gap, service, unscaled lead)
+    """The error reading the failed row (gap, service, scaled lead)
     raises; t is the arrival time the gap gives."""
     if not (isfinite(gap) and gap >= 0.0):
         return SimulationError(f"sampled interarrival {gap!r} is not a nonnegative real")
@@ -211,10 +213,10 @@ class TrafficStream:
     rows, which it has already drawn.
 
     A row that fails its check (a gap that is not a nonnegative real, a
-    service that is not positive and finite, a lead that is not finite)
-    ends its block.  Its error is kept and raised by the refill that
-    would return that row, so a reader sees it exactly when stepping the
-    scalar draws would: rows drawn ahead and never read raise nothing.
+    service that is not positive and finite, a scaled lead that is not
+    finite) ends its block.  Its error is kept and raised by the refill
+    that would return that row, so a reader sees it exactly when stepping
+    the scalar draws would: rows drawn ahead and never read raise nothing.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
@@ -249,7 +251,7 @@ class TrafficStream:
                 gap = gap_sample(rng)
                 gap_sample = next_gap
                 v, l = joint_sample(rng)
-                t = clock + gap
+                t, l = clock + gap, scale * l
                 if not (isfinite(gap) and gap >= 0.0 and isfinite(v) and v > 0.0 and isfinite(l)):
                     self._error = _row_error(gap, v, l, t)
                     if not times:
@@ -258,7 +260,7 @@ class TrafficStream:
                 clock = t
                 times.append(t)
                 vs.append(v)
-                leads.append(scale * l)
+                leads.append(l)
                 if t > horizon:  # ``run`` reads no row after this one
                     break
             self._clock = clock
@@ -266,10 +268,10 @@ class TrafficStream:
         rows = rng.standard_exponential(3 * _BLOCK_ROWS).reshape(-1, 3)
         with np.errstate(over="ignore", invalid="ignore"):  # a bad row fails its check below
             rows *= self._scales
-            gaps, vs, ls = rows.T
+            gaps, vs, leads = rows.T
+            leads *= cfg.lead_scale  # in place, so the finiteness test sees the scaled lead
             ok = np.isfinite(rows).all(axis=1) & (gaps >= 0.0) & (vs > 0.0)
             times = np.cumsum(np.concatenate(((self._clock,), gaps)))[1:]
-            leads = cfg.lead_scale * ls
         n = _BLOCK_ROWS if ok.all() else int(ok.argmin())
         if n < _BLOCK_ROWS:
             self._error = _row_error(*rows[n].tolist(), float(times[n]))
@@ -292,12 +294,12 @@ class TrafficStream:
 @dataclass(frozen=True)
 class SimOutput:
     config: ScenarioConfig
-    # per-job columns [arrival, service, lead, S on entry, departure], each
-    # indexed by job id, until ``jobs`` replaces them with records.  Listed
-    # ahead of the arrays: fields are freed in order, and freeing the jobs
-    # first left about 1 MB less resident after an r = 80 ``psdl simulate``
-    # followed by ``psdl rbm``.
-    _jobs: list[list] | tuple[JobRecord, ...] = field(repr=False, compare=False)
+    # per-job columns [arrival, service, lead, S on entry, departure (None
+    # while in service)], indexed by job id: the one record of the jobs,
+    # which ``jobs`` views.  Listed ahead of the arrays: fields are freed in
+    # order, and freeing the jobs first left about 1 MB less resident after
+    # an r = 80 ``psdl simulate`` followed by ``psdl rbm``.
+    job_columns: list[list] = field(repr=False, compare=False)
     snapshots: tuple[tuple[float, float, PointMeasure], ...]  # (t, S at t, state)
     path: PathLog | None  # None when run with path=False
     # largest |running W - exact fsum of residuals| over the snapshot instants
@@ -311,17 +313,14 @@ class SimOutput:
     event_counts: dict[str, int]
     max_z: int  # largest number of jobs in the system over the run
 
-    @property
+    @cached_property
     def jobs(self) -> tuple[JobRecord, ...]:
-        """One record per admitted job, in job id order."""
-        if isinstance(self._jobs, list):
-            # first read: the records replace the columns, so one copy is kept
-            records = tuple(
-                JobRecord(i, u, v, l, s0, s0 + v, u + l, d)
-                for i, (u, v, l, s0, d) in enumerate(zip(*self._jobs))
-            )
-            object.__setattr__(self, "_jobs", records)
-        return self._jobs
+        """One record per admitted job, in job id order, built from the
+        columns on first read."""
+        return tuple(
+            JobRecord(i, u, v, l, s0, s0 + v, u + l, d)
+            for i, (u, v, l, s0, d) in enumerate(zip(*self.job_columns))
+        )
 
     def departures(self) -> list[JobRecord]:
         done = [j for j in self.jobs if j.departure_time is not None]
@@ -518,7 +517,7 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
         departure_sojourns=departure_times - np.array(dep_arr, dtype=float),
         event_counts={kind: counts[kind] for kind in kinds},
         max_z=max_z,
-        _jobs=[arr, svc, lead, off, dep],
+        job_columns=[arr, svc, lead, off, dep],
     )
 
 
@@ -572,12 +571,13 @@ def verify_dynamic_equation(
     parts_res = [res[keep]]
     parts_lead = [snap0.leads[keep] - dtm]
 
-    for j in out.jobs:
-        if t0 < j.arrival_time <= t1:
-            rem = j.target - s1
+    arr, svc, lead, off, _ = out.job_columns
+    for u, v, l, s_in in zip(arr, svc, lead, off):
+        if t0 < u <= t1:
+            rem = (s_in + v) - s1  # the job's target less S at t1
             if rem > 0.0:
                 parts_res.append(np.array([rem]))
-                parts_lead.append(np.array([j.deadline - t1]))
+                parts_lead.append(np.array([(u + l) - t1]))
 
     res_all = np.concatenate(parts_res)
     lead_all = np.concatenate(parts_lead)

@@ -18,7 +18,8 @@ default.  A missing field or a value of the wrong type or form raises
 ConfigError as well.
 
 Writers hand each table as columns to _write_csv, which formats and
-writes it a block of rows at a time.  Floats print with 17 significant
+writes it a block of rows at a time: one row template repeated over the
+block and filled by a single ``%``.  Floats print with 17 significant
 digits and JSON is dumped with sorted keys: identical runs, identical bytes.
 """
 
@@ -28,6 +29,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -342,9 +344,11 @@ def parse_rbm(payload: dict) -> RBMRequest:
 def _write_csv(path, header: list[str], columns) -> None:
     """Write equal-length columns (float arrays as %.17g, integer arrays as
     integers, others cell by cell through format_value) under a header row,
-    _BLOCK_ROWS rows per write call, in csv.writer's bytes.  A cell it would
-    quote (holding a comma, a double quote or a line break) raises
-    ValueError, as does a table of fewer than two columns."""
+    _BLOCK_ROWS rows per write call, in csv.writer's bytes.  Each block is
+    one ``%``: the row template repeated once per row, filled with the
+    block's cells in row order.  A cell it would quote (holding a comma, a
+    double quote or a line break) raises ValueError, as does a table of
+    fewer than two columns."""
     n = len(columns[0]) if columns else 0
     if len(header) != len(columns) or len(columns) < 2 or any(len(c) != n for c in columns):
         raise ValueError(f"{path}: need two or more equal-length columns, one per header name")
@@ -355,7 +359,7 @@ def _write_csv(path, header: list[str], columns) -> None:
         for lo in range(0, n, _BLOCK_ROWS):
             block = [c[lo : lo + _BLOCK_ROWS] for c in columns]
             cells = [b.tolist() if k in _FORMATS else _text(b) for b, k in zip(block, kinds)]
-            fh.write("".join(map(row.__mod__, zip(*cells))))
+            fh.write(row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
 def _text(values) -> list[str]:
@@ -375,10 +379,13 @@ def write_json(data: dict, path) -> None:
 
 
 def write_departures_csv(out: SimOutput, path) -> None:
+    # a job still in service has departure None, which reads NaN
+    arr, svc, lead, _, dep = (np.array(c, dtype=float) for c in out.job_columns)
+    ids = np.flatnonzero(~np.isnan(dep))
+    ids = ids[np.lexsort((ids, dep[ids]))]  # departures() order: by time, then job id
     header = ["id", "arrival", "sojourn", "service_req", "lateness"]
-    keys = ("job_id", "arrival_time", "sojourn", "service_req", "lateness")
-    deps = out.departures()
-    _write_csv(path, header, [np.array([getattr(j, k) for j in deps]) for k in keys])
+    columns = [arr, dep - arr, svc, np.maximum(0.0, dep - (arr + lead))]
+    _write_csv(path, header, [ids, *(c[ids] for c in columns)])
 
 
 def write_path_csv(out: SimOutput, path) -> None:

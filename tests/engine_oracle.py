@@ -170,5 +170,5 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
         departure_sojourns=departure_times - np.array(departed[1::2], dtype=float),
         event_counts={k: counts[k] for k in kinds},
         max_z=max_z,
-        _jobs=[arr, svc, lead, off, dep],
+        job_columns=[arr, svc, lead, off, dep],
     )

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import csv_oracle
 from psdl import (
+    Deterministic,
     Exponential,
     LinearJoint,
     ProductJoint,
@@ -176,3 +177,66 @@ def test_missing_values_are_empty_cells(writer_inputs, tmp_path):
     assert any(row.sojourn_ks is None for row in report.rows)
     fileio.write_rows_csv(report, tmp_path / "rows.csv")
     assert b",," in (tmp_path / "rows.csv").read_bytes()
+
+
+def test_text_cells_holding_percent_signs_are_written_literally(tmp_path):
+    # a block is one % over the repeated row template: cells are its
+    # arguments, never part of the template
+    columns = [["%", "%s", "100%d", "%%"], np.array([1.0, 2.0, 3.0, 4.0])]
+    fileio._write_csv(tmp_path / "new.csv", ["label", "%s"], columns)
+    csv_oracle.write_csv(tmp_path / "old.csv", ["label", "%s"], zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert b"100%d,3\r\n" in (tmp_path / "new.csv").read_bytes()
+
+
+def _departures_match_oracle(out, tmp_path) -> bytes:
+    fileio.write_departures_csv(out, tmp_path / "new.csv")
+    csv_oracle.write_departures_csv(out, tmp_path / "old.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    return new
+
+
+def test_departures_with_no_departure(tmp_path):
+    cfg = ScenarioConfig(
+        interarrival=Exponential(1.0),
+        joint=ProductJoint(Exponential(1e-3), Exponential(1.0)),
+        horizon=2.0,
+        seed=3,
+        initial_jobs=((50.0, 1.0),),
+    )
+    out = run(cfg)
+    assert _departures_match_oracle(out, tmp_path) == b"id,arrival,sojourn,service_req,lateness\r\n"
+    assert out.departures() == []
+
+
+def test_departures_after_jobs_were_read(tmp_path):
+    # reading the record view first leaves the columns the writer reads
+    out = run(
+        ScenarioConfig(
+            interarrival=Exponential(0.9),
+            joint=ProductJoint(Exponential(1.0), Uniform(0.0, 2.0)),
+            horizon=200.0,
+            seed=11,
+        )
+    )
+    assert len(out.jobs) == len(out.job_columns[0]) > 100
+    assert _departures_match_oracle(out, tmp_path).count(b"\r\n") > 100
+
+
+def test_tied_departures_go_by_job_id(tmp_path):
+    # equal services entering together leave at one instant: the heap's pop
+    # order and the writer's id order must agree.  Five jobs share the
+    # server, so the two of service 1 leave at t = 5 and the three of
+    # service 1.5 at t = 6.5; nothing arrives before the horizon.
+    out = run(
+        ScenarioConfig(
+            interarrival=Deterministic(100.0),
+            joint=ProductJoint(Exponential(1.0), Exponential(1.0)),
+            horizon=30.0,
+            initial_jobs=((1.5, 2.0), (1.0, 0.5), (1.5, -1.0), (1.0, 3.0), (1.5, 0.0)),
+        )
+    )
+    assert out.departure_times.tolist() == [5.0, 5.0, 6.5, 6.5, 6.5]
+    rows = _departures_match_oracle(out, tmp_path).split(b"\r\n")[1:-1]
+    assert [int(r.split(b",")[0]) for r in rows] == [1, 3, 0, 2, 4]

@@ -346,44 +346,56 @@ def test_uniform_sample_is_numpy_uniform(lo, hi):
     assert [law.sample(a) for _ in range(20_000)] == [float(b.uniform(lo, hi)) for _ in range(20_000)]
 
 
-def _overflowing_leads(horizon=1.0, service=Exponential(1.0)):
+def _overflowing_leads(horizon=1.0, service=Exponential(1.0), scaled=False):
     # leads of scale 1e308 overflow to inf whenever the standard
-    # exponential draw exceeds ~1.8
+    # exponential draw exceeds ~1.8; when scaled, every drawn lead (of
+    # scale 1e298) is finite and only lead_scale times it overflows
     return ScenarioConfig(
         interarrival=Exponential(1.0),
-        joint=ProductJoint(service, Exponential(1e-308)),
+        joint=ProductJoint(service, Exponential(1e-298 if scaled else 1e-308)),
         horizon=horizon,
         seed=6,
+        lead_scale=1e10 if scaled else 1.0,
     )
+
+
+# (service, scaled): vectorised and scalar blocks, drawn or scaled overflow
+_OVERFLOW_CASES = [
+    (service, scaled) for service in (Exponential(1.0), Uniform(0.0, 2.0)) for scaled in (False, True)
+]
 
 
 def test_stream_raises_at_the_offending_row():
     # the stream must fail on the same row as the scalar draws, not when
     # the block holding it is drawn
-    for service in (Exponential(1.0), Uniform(0.0, 2.0)):  # vectorised, scalar blocks
-        cfg = _overflowing_leads(1e4, service)
+    for service, scaled in _OVERFLOW_CASES:
+        cfg = _overflowing_leads(1e4, service, scaled)
         rng = np.random.default_rng(cfg.seed)
         bad = next(
             k
             for k in range(10_000)
-            if not math.isfinite(cfg.interarrival.sample(rng) + sum(cfg.joint.sample(rng)))
+            if not math.isfinite(
+                cfg.interarrival.sample(rng) + cfg.joint.service.sample(rng)
+                + cfg.lead_scale * cfg.joint.lead.sample(rng)
+            )
         )
         assert bad >= 2  # the failure lies inside a block
         stream = TrafficStream(cfg, np.random.default_rng(cfg.seed))
         for _ in range(bad):
-            stream.next()
+            assert math.isfinite(stream.next()[2])
         with pytest.raises(SimulationError, match="lead"):
             stream.next()
 
 
 def _stepping_raises(cfg):
     """Whether stepping ``TrafficStream.next`` up to the first row past
-    the horizon raises."""
+    the horizon raises; the error must be a lead's, drawn or scaled."""
     stream = TrafficStream(cfg, np.random.default_rng(cfg.seed))
     try:
         while stream.next()[0] <= cfg.horizon:
             pass
-    except SimulationError:
+    except SimulationError as exc:
+        assert "lead" in str(exc)
         return True
     return False
 
@@ -392,11 +404,11 @@ def test_run_raises_exactly_when_stepping_the_stream_would(monkeypatch):
     # run reads rows up to the first one past the horizon: a failed row
     # raises if it is that one or earlier, and not if it was only drawn
     # ahead in the same block
-    for service in (Exponential(1.0), Uniform(0.0, 2.0)):  # vectorised, scalar blocks
-        stream = TrafficStream(_overflowing_leads(service=service), np.random.default_rng(6))
+    for service, scaled in _OVERFLOW_CASES:
+        stream = TrafficStream(_overflowing_leads(service=service, scaled=scaled), np.random.default_rng(6))
         times = []
         with pytest.raises(SimulationError, match="lead"):
-            while True:
+            for _ in range(10_000):
                 times.append(stream.next()[0])
         bad = len(times)  # index of the failed row
         assert 2 <= bad < _BLOCK_ROWS
@@ -411,14 +423,16 @@ def test_run_raises_exactly_when_stepping_the_stream_would(monkeypatch):
         starts_block = bad - 1 if isinstance(service, Exponential) else bad
         for block_rows in (_BLOCK_ROWS, starts_block):
             monkeypatch.setattr(engine, "_BLOCK_ROWS", block_rows)
-            expected = [_stepping_raises(_overflowing_leads(h, service)) for h in horizons]
+            configs = [_overflowing_leads(h, service, scaled) for h in horizons]
+            expected = [_stepping_raises(c) for c in configs]
             assert expected == [False, True, True]
-            for h, raises in zip(horizons, expected):
+            for c, raises in zip(configs, expected):
                 if raises:
                     with pytest.raises(SimulationError, match="lead"):
-                        run(_overflowing_leads(h, service), path=False)
+                        run(c, path=False)
                 else:
-                    run(_overflowing_leads(h, service), path=False)
+                    run(c, path=False)
+        monkeypatch.undo()
 
 
 @settings(max_examples=15, deadline=None)

@@ -9,11 +9,12 @@ of service v stays v / (1 - rho) on average (Kleinrock 1967,
 "Reversibility and Stochastic Networks").  Soft deadlines change
 neither, since they never change who is served.
 
-One long sweep-cell run (``path=False``) per law gives both: Little's
-law turns the mean sojourn into E[Z], and the least-squares slope of
-sojourn on service through the origin estimates 1 / (1 - rho).  Each
-bound is four batch-means standard errors over consecutive arrivals,
-not a hand tolerance.
+One long run per law, with its path log, gives all three: Little's law
+turns the mean sojourn into E[Z], the least-squares slope of sojourn on
+service through the origin estimates 1 / (1 - rho), and the share of
+time the path spends at each Z estimates P(Z = n) = (1 - rho) rho^n.
+Each bound is four batch-means standard errors, over consecutive
+arrivals or over equal stretches of time, not a hand tolerance.
 """
 
 import math
@@ -33,6 +34,7 @@ from psdl import (
 
 _JOBS = 1e5  # expected arrivals per run
 _BATCHES = 20
+_TAIL = 6  # P(Z = n) is checked for n < _TAIL, then P(Z >= _TAIL)
 
 
 def _hyperexponential(scv: float) -> HyperExponential:
@@ -42,9 +44,9 @@ def _hyperexponential(scv: float) -> HyperExponential:
     return HyperExponential((p, 1.0 - p), (2.0 * p, 2.0 * (1.0 - p)))
 
 
-@pytest.mark.parametrize(
-    "service, rho",
-    [
+@pytest.fixture(
+    scope="module",
+    params=[
         (Exponential(1.0), 0.8),
         (Uniform(0.0, 2.0), 0.7),
         (Deterministic(1.0), 0.6),
@@ -52,7 +54,9 @@ def _hyperexponential(scv: float) -> HyperExponential:
     ],
     ids=["exp", "uniform", "det", "hyperexp"],
 )
-def test_mean_number_and_sojourn_slope_match_mg1_ps(service, rho):
+def cell(request):
+    """(rho, run): one long run per law, shared by the tests of its law."""
+    service, rho = request.param
     assert service.mean() == pytest.approx(1.0, rel=1e-12)
     cfg = ScenarioConfig(
         interarrival=Exponential(rho),
@@ -60,10 +64,15 @@ def test_mean_number_and_sojourn_slope_match_mg1_ps(service, rho):
         horizon=_JOBS / rho,
         seed=7,
     )
-    out = run(cfg, path=False)
+    return rho, run(cfg)
+
+
+def test_mean_number_and_sojourn_slope_match_mg1_ps(cell):
+    rho, out = cell
+    horizon = out.config.horizon
     # a 5% burn-in from the empty start; arrivals of the last 10% are
     # dropped so that every job kept has departed
-    jobs = [j for j in out.jobs if 0.05 * cfg.horizon < j.arrival_time <= 0.9 * cfg.horizon]
+    jobs = [j for j in out.jobs if 0.05 * horizon < j.arrival_time <= 0.9 * horizon]
     assert all(j.departure_time is not None for j in jobs)
     t = np.array([j.sojourn for j in jobs])
     v = np.array([j.service_req for j in jobs])
@@ -76,3 +85,23 @@ def test_mean_number_and_sojourn_slope_match_mg1_ps(service, rho):
         se = per_batch.std(ddof=1) / math.sqrt(_BATCHES)
         assert 4.0 * se < 0.2 * want  # the run resolves a 20% error
         assert abs(estimate(t, v) - want) <= 4.0 * se
+
+
+def test_number_in_system_is_geometric(cell):
+    # P(Z = n) = (1 - rho) rho^n for n < _TAIL and P(Z >= _TAIL) = rho^_TAIL,
+    # each read as the share of time the path log spends there over
+    # _BATCHES equal stretches of time after the 5% burn-in
+    rho, out = cell
+    p = out.path
+    state = np.minimum(p.z[:-1], _TAIL)  # Z on the interval after each event
+    time_in = np.zeros((_TAIL + 1, len(p)))
+    time_in[state, np.arange(1, len(p))] = np.diff(p.times)
+    cumulative = np.cumsum(time_in, axis=1)  # linear in t between events
+    edges = np.linspace(0.05 * out.config.horizon, out.config.horizon, _BATCHES + 1)
+    at_edges = np.array([np.interp(edges, p.times, c) for c in cumulative])
+    per_batch = (np.diff(at_edges, axis=1) / np.diff(edges)).T
+    n = np.arange(_TAIL)
+    want = np.append((1.0 - rho) * rho**n, rho**_TAIL)
+    se = per_batch.std(axis=0, ddof=1) / math.sqrt(_BATCHES)
+    assert np.all(4.0 * se < 0.5 * want)  # the run resolves each share to half its size
+    assert np.all(np.abs(per_batch.mean(axis=0) - want) <= 4.0 * se)

@@ -8,8 +8,12 @@ no worktree entry, even if the run is interrupted).  Each pair runs
 ``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0``
 once in each tree, N being BENCHMARK.json's ``run_seconds``.  The base
 runs first in even pairs and HEAD, the revision measured, in odd ones.
-Every ``__pycache__`` in both trees is removed before every run, so
-neither side starts with compiled bytecode the other lacks.  Pair k uses
+Every ``__pycache__`` in both trees is removed before every run, and
+every run has ``PYTHONDONTWRITEBYTECODE=1`` in its environment, so
+neither side starts with compiled bytecode the other lacks and
+``setup_s`` is always an uncached import: without it the first of
+perfbench's set-up probes would write bytecode that the later ones
+import, and ``setup_s`` would depend on the caller's shell.  Pair k uses
 seed ``--seed`` + k on both sides.
 
 For each workload and each end-to-end metric in BENCHMARK.json the output
@@ -62,7 +66,8 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     clear_bytecode(tree)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
     if proc.returncode != 0 or not lines:
         sys.exit(f"compare: {' '.join(cmd)} in {tree} failed:\n{proc.stderr[-2000:]}")

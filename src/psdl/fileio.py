@@ -17,10 +17,17 @@ rejected: a typo should fail loudly, not silently fall back to a
 default.  A missing field or a value of the wrong type or form raises
 ConfigError as well.
 
-Writers hand each table as columns to _write_csv, which formats and
-writes it a block of rows at a time: one row template repeated over the
-block and filled by a single ``%``.  Floats print with 17 significant
-digits and JSON is dumped with sorted keys: identical runs, identical bytes.
+Writers hand each table as columns to _write_csv, which writes it a
+block of rows at a time.  Floats print as ``%.17g`` (format_value) and
+JSON is dumped with sorted keys: identical runs, identical bytes.  A table
+of numeric columns is formatted by numpy (psdl.floattext): per cell,
+|x| * 10**(16 - E) with E = floor(log10 |x|) is formed as a double-double
+to within 2**-47, rounded to the 17-digit N that %.17g prints unless its
+fraction lies within 1e-12 of 1/2, and N's digits are laid out by %g's
+rules.  Cells that test cannot settle, and values outside [1e-99, 1e99)
+other than zero, are printed by ``%``, so the bytes are those of ``%``.
+Any other table is filled a block at a time by one ``%`` over a repeated
+row template.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ __all__ = [
 
 _FMT = "%.17g"
 _FORMATS = {"f": _FMT, "i": "%d", "u": "%d"}  # row format by numpy dtype kind
-_BLOCK_ROWS = 4096  # rows formatted and written per write call
+_BLOCK_ROWS = 1024  # rows per write call; keeps a block's temporaries under 0.5 MB
 _QUOTED = ',"\r\n'  # csv.writer quotes a cell holding any of these
 _REQUEST_KEYS = ("scenario", "sweep", "lift", "profile", "rbm")
 
@@ -223,8 +230,10 @@ def _parse_grid(spec: dict | None) -> QuadrantGrid:
         raise ConfigError("grid bounds and steps must be finite")
     if x_step <= 0 or y_step <= 0 or x_max <= 0 or y_max <= y_min:
         raise ConfigError("grid steps must be positive and y_max > y_min")
-    nx = int(round(x_max / x_step))
-    ny = int(round((y_max - y_min) / y_step))
+    steps = (x_max / x_step, (y_max - y_min) / y_step)
+    if not all(map(math.isfinite, steps)):
+        raise ConfigError(f"grid has more steps than a float counts: {steps}")
+    nx, ny = (int(round(k)) for k in steps)
     xs = np.linspace(0.0, x_max, nx + 1)
     ys = np.concatenate(([-np.inf], np.linspace(y_min, y_max, ny + 1)))
     return QuadrantGrid(xs, ys)
@@ -344,11 +353,18 @@ def parse_rbm(payload: dict) -> RBMRequest:
 def _write_csv(path, header: list[str], columns) -> None:
     """Write equal-length columns (float arrays as %.17g, integer arrays as
     integers, others cell by cell through format_value) under a header row,
-    _BLOCK_ROWS rows per write call, in csv.writer's bytes.  Each block is
-    one ``%``: the row template repeated once per row, filled with the
-    block's cells in row order.  A cell it would quote (holding a comma, a
-    double quote or a line break) raises ValueError, as does a table of
-    fewer than two columns."""
+    _BLOCK_ROWS rows per write call, in csv.writer's bytes.
+
+    A table of float arrays and integer arrays within +-2**53 (where %d
+    and %.17g print the same text) goes to floattext.write_table.  It takes
+    each cell's 17 digits from a double-double product accurate to
+    2**-47, far inside the 1e-12 window around 1/2 that it leaves to
+    format_value, along with the cells whose decimal exponent log10 misread
+    and the values beyond its tables (see psdl.floattext).  Any other table
+    is formatted a block at a time with one ``%``: the row template
+    repeated once per row, filled with the block's cells in row order.  A
+    cell it would quote (holding a comma, a double quote or a line break)
+    raises ValueError, as does a table of fewer than two columns."""
     n = len(columns[0]) if columns else 0
     if len(header) != len(columns) or len(columns) < 2 or any(len(c) != n for c in columns):
         raise ValueError(f"{path}: need two or more equal-length columns, one per header name")
@@ -356,10 +372,20 @@ def _write_csv(path, header: list[str], columns) -> None:
     row = ",".join(_FORMATS.get(k, "%s") for k in kinds) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_text(header)) + "\r\n")
+        if all(k == "f" or (k in "iu" and _within_2_53(c)) for c, k in zip(columns, kinds)):
+            from .floattext import write_table  # imported here: most runs write no table
+
+            fh.flush()
+            write_table(fh.buffer, columns, _BLOCK_ROWS, format_value)
+            return
         for lo in range(0, n, _BLOCK_ROWS):
             block = [c[lo : lo + _BLOCK_ROWS] for c in columns]
             cells = [b.tolist() if k in _FORMATS else _text(b) for b, k in zip(block, kinds)]
             fh.write(row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
+
+
+def _within_2_53(column: np.ndarray) -> bool:
+    return column.size == 0 or (-(2**53) < column.min() and column.max() < 2**53)
 
 
 def _text(values) -> list[str]:

@@ -24,6 +24,7 @@ from .errors import ConfigError
 __all__ = ["RBMSpec", "RBMPath", "simulate", "stationary_cdf", "deadline_quantile"]
 
 _BLOCK = 1_000_000
+_MAX_STEPS = 2.0**60  # n + 1 float64s stay below numpy's 2**63-byte array limit
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,10 @@ def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
         raise ConfigError(f"dt must lie in (0, horizon], got {dt}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    n = int(math.ceil(horizon / dt - 1e-12))
+    steps = horizon / dt  # inf once the quotient overflows
+    if not steps < _MAX_STEPS:
+        raise ConfigError(f"horizon / dt = {steps} steps, more than an array holds")
+    n = int(math.ceil(steps - 1e-12))
     rng = np.random.default_rng(seed)
     values = np.empty(n + 1)
     values[0] = spec.x0

@@ -347,6 +347,23 @@ def test_infinite_grid_bound_is_a_config_error(tmp_path, capsys, cmd, key, block
     assert "config error" in err and "finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "cmd, key, block, grid",
+    [
+        ("lift", "lift", LIFT, {"x_max": 1e300, "x_step": 1e-300}),
+        ("lift", "lift", LIFT, {"y_min": -1e308, "y_max": 1e308, "y_step": 1.0}),
+        ("sweep", "sweep", SWEEP, {"x_max": 1e300, "x_step": 1e-300}),
+    ],
+    ids=["lift-x", "lift-y", "sweep-x"],
+)
+def test_grid_step_count_overflow_is_a_config_error(tmp_path, capsys, cmd, key, block, grid):
+    # the step count is an infinite float: exit 2, before any allocation
+    cfg = write_config(tmp_path, {"schema_version": 1, key: {**block, "grid": {**LIFT["grid"], **grid}}})
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "grid" in err and "Traceback" not in err
+
+
 STRICT_FLOAT_CASES = [
     ("lift", "lift", {**LIFT, "alpha": True}),
     ("lift", "lift", {**LIFT, "z": "1.5"}),
@@ -407,6 +424,20 @@ def test_exit_code_allocation_failure(tmp_path, capsys, cmd, body):
     assert main([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("runtime error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# horizon / dt overflows a float, or counts more steps than an array can
+# hold: a config error raised before anything is allocated
+STEP_COUNT_OVERFLOW = [(1e300, 1e-10), (1e19, 1.0), (1e30, 1e-3)]
+
+
+@pytest.mark.parametrize("horizon, dt", STEP_COUNT_OVERFLOW)
+def test_rbm_step_count_overflow_is_a_config_error(tmp_path, capsys, horizon, dt):
+    cfg = write_config(tmp_path, {"schema_version": 1, "rbm": {**RBM, "horizon": horizon, "dt": dt}})
+    assert main(["rbm", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "steps" in err and err.count("\n") == 1
     assert "Traceback" not in err
 
 

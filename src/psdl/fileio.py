@@ -75,7 +75,7 @@ __all__ = [
 
 _FMT = "%.17g"
 _FORMATS = {"f": _FMT, "i": "%d", "u": "%d"}  # row format by numpy dtype kind
-_BLOCK_ROWS = 1024  # rows per write call; keeps a block's temporaries under 0.5 MB
+_BLOCK_ROWS = 1024  # rows per write call: about 0.4 MB of temporaries for two float columns
 _QUOTED = ',"\r\n'  # csv.writer quotes a cell holding any of these
 _REQUEST_KEYS = ("scenario", "sweep", "lift", "profile", "rbm")
 
@@ -373,7 +373,7 @@ def _write_csv(path, header: list[str], columns) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_text(header)) + "\r\n")
         if all(k == "f" or (k in "iu" and _within_2_53(c)) for c, k in zip(columns, kinds)):
-            from .floattext import write_table  # imported here: most runs write no table
+            from .floattext import write_table  # imported on first use: fileio's import skips it
 
             fh.flush()
             write_table(fh.buffer, columns, _BLOCK_ROWS, format_value)

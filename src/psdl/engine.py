@@ -45,22 +45,38 @@ still tests how S advances.  Event counts by kind and the largest Z
 are counted in the loop either way.
 
 Jobs are kept as per-job columns indexed by job id (arrival time,
-service, lead, S on entry, departure time); the heap holds only
-(target, job id).  The columns are ``SimOutput``'s one record of the
-jobs; ``SimOutput.jobs`` is a ``JobRecord`` view of them, built on
-first read and cached beside them.
+service, lead, S on entry, departure time).  The columns are
+``SimOutput``'s one record of the jobs; ``SimOutput.jobs`` is a
+``JobRecord`` view of them, built on first read and cached beside them.
+
+The heap holds bare targets: the loop never asks which job left.  Every
+job present receives the same service S, so jobs leave in the order of
+their targets, equal targets in job id order, as a heap of (target, job
+id) pairs would pop them.  That order is the order of the target column
+itself: S never decreases and equals each target as it is popped, and a
+job enters with a target at least the S it finds, so no target pushed is
+below one already popped, and one equal to it has a larger job id.
+Every departure due by the horizon runs before the stop, so the
+departed jobs are exactly those with target <= the final S.  The loop
+therefore keeps one more column, each admitted job's target, and after
+the loop the job ids of the departures, in departure order, are the
+first (departure count) entries of a stable argsort of it.  A snapshot
+reads the jobs in service from it as the entries above S.
 
 An event makes no Python call besides the heap's.  Traffic arrives
-through ``TrafficStream.refill`` in blocks of up to 256 checked rows,
-which the loop appends to the job columns and reads by index; a row
-that failed its check raises only when the loop reaches it.  The
-compensated add is written out in the arrival and departure branches,
-the same operations in the same order as ``_neumaier_add``.
+through ``TrafficStream.refill`` in blocks of checked rows, which the
+loop appends to the job columns and reads by index; a row that failed
+its check raises only when the loop reaches it.  Departures run in an
+inner loop against the next other event (the next arrival, snapshot or
+the horizon, whichever is first).  The compensated add is written out
+in the arrival and departure branches, the same operations in the same
+order as ``_neumaier_add``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -172,7 +188,8 @@ class PathLog:
         return int(self.times.size)
 
 
-_BLOCK_ROWS = 256  # most rows one refill returns
+_BLOCK_ROWS = 256  # rows of a scalar block, and of the first vectorised one
+_MAX_BLOCK_ROWS = 4096  # vectorised blocks double up to this
 
 
 def _row_error(gap: float, v: float, l: float, t: float) -> SimulationError:
@@ -193,7 +210,7 @@ class TrafficStream:
     Rows come in blocks through one path, ``refill``: ``run`` reads the
     blocks it returns by index, and ``next`` returns their rows one at a
     time.  When the interarrival law and both joint marginals are scaled
-    standard exponentials, a refill after the first draws _BLOCK_ROWS
+    standard exponentials, a refill after the first draws a block of
     rows as one (rows, 3) array of standard exponentials times the three
     scales.  numpy fills that array in the same order as the scalar draws
     and multiplies by the scale the same way, and arrival times are a
@@ -202,6 +219,12 @@ class TrafficStream:
     row of the block is checked by vectorised tests; the numpy pass over
     a one-row block took about 20 us, so the first row of such traffic
     (``first_interarrival`` may replace its gap) is a scalar block of one.
+    The first vectorised block has _BLOCK_ROWS rows and each later one
+    twice the rows of the one before, up to _MAX_BLOCK_ROWS: a long run
+    pays the fixed numpy cost per block less often, while a short one,
+    such as an r = 5 sweep cell of about 45 rows, draws one block of
+    _BLOCK_ROWS (a fixed block of _MAX_BLOCK_ROWS rows made the small
+    sweep cells' engine about half again slower).
 
     Other laws draw up to _BLOCK_ROWS rows per refill in one Python loop,
     each row gap first, then the joint pair, checked inline.  Such a
@@ -209,8 +232,8 @@ class TrafficStream:
     further, and an r = 5 sweep cell of about 45 rows would otherwise
     draw 256.  Later refills go on from there, one row at a time once
     past the horizon, so the sequence ``next`` returns does not depend
-    on where blocks end.  The vectorised block keeps all _BLOCK_ROWS
-    rows, which it has already drawn.
+    on where blocks end.  A vectorised block keeps all its rows, which it
+    has already drawn.
 
     A row that fails its check (a gap that is not a nonnegative real, a
     service that is not positive and finite, a scaled lead that is not
@@ -230,6 +253,7 @@ class TrafficStream:
             None if gap_scale is None or joint_scales is None
             else np.array((gap_scale, *joint_scales))
         )
+        self._rows = _BLOCK_ROWS  # rows of the next vectorised block
         self._error: SimulationError | None = None
         self._block: tuple[list[float], list[float], list[float]] = ([], [], [])
         self._pos = 0  # next row of _block that ``next`` returns
@@ -265,15 +289,17 @@ class TrafficStream:
                     break
             self._clock = clock
             return times, vs, leads
-        rows = rng.standard_exponential(3 * _BLOCK_ROWS).reshape(-1, 3)
+        size = self._rows
+        self._rows = min(2 * size, _MAX_BLOCK_ROWS)
+        rows = rng.standard_exponential(3 * size).reshape(-1, 3)
         with np.errstate(over="ignore", invalid="ignore"):  # a bad row fails its check below
             rows *= self._scales
             gaps, vs, leads = rows.T
             leads *= cfg.lead_scale  # in place, so the finiteness test sees the scaled lead
             ok = np.isfinite(rows).all(axis=1) & (gaps >= 0.0) & (vs > 0.0)
             times = np.cumsum(np.concatenate(((self._clock,), gaps)))[1:]
-        n = _BLOCK_ROWS if ok.all() else int(ok.argmin())
-        if n < _BLOCK_ROWS:
+        n = size if ok.all() else int(ok.argmin())
+        if n < size:
             self._error = _row_error(*rows[n].tolist(), float(times[n]))
             if n == 0:
                 raise self._error
@@ -294,12 +320,13 @@ class TrafficStream:
 @dataclass(frozen=True)
 class SimOutput:
     config: ScenarioConfig
-    # per-job columns [arrival, service, lead, S on entry, departure (None
+    # per-job columns [arrival, service, lead, S on entry, departure (NaN
     # while in service)], indexed by job id: the one record of the jobs,
-    # which ``jobs`` views.  Listed ahead of the arrays: fields are freed in
-    # order, and freeing the jobs first left about 1 MB less resident after
-    # an r = 80 ``psdl simulate`` followed by ``psdl rbm``.
-    job_columns: list[list] = field(repr=False, compare=False)
+    # which ``jobs`` views.  The first four are lists, the departures an
+    # array.  Listed ahead of the other arrays: fields are freed in order,
+    # and freeing the jobs first left about 1 MB less resident after an
+    # r = 80 ``psdl simulate`` followed by ``psdl rbm``.
+    job_columns: list = field(repr=False, compare=False)
     snapshots: tuple[tuple[float, float, PointMeasure], ...]  # (t, S at t, state)
     path: PathLog | None  # None when run with path=False
     # largest |running W - exact fsum of residuals| over the snapshot instants
@@ -317,9 +344,10 @@ class SimOutput:
     def jobs(self) -> tuple[JobRecord, ...]:
         """One record per admitted job, in job id order, built from the
         columns on first read."""
+        arr, svc, lead, off, dep = self.job_columns
         return tuple(
-            JobRecord(i, u, v, l, s0, s0 + v, u + l, d)
-            for i, (u, v, l, s0, d) in enumerate(zip(*self.job_columns))
+            JobRecord(i, u, v, l, s0, s0 + v, u + l, None if math.isnan(d) else d)
+            for i, (u, v, l, s0, d) in enumerate(zip(arr, svc, lead, off, dep.tolist()))
         )
 
     def departures(self) -> list[JobRecord]:
@@ -364,13 +392,13 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
     init = config.initial_jobs
     n_init = z = max_z = len(init)
     # per-job columns indexed by job id; initial jobs enter at t = 0, S = 0.
-    # Traffic rows join arr/svc/lead/dep a block at a time, so those run
-    # ahead of the admitted jobs until they are cut at the end.
+    # Traffic rows join arr/svc/lead a block at a time, so those run ahead
+    # of the admitted jobs until they are cut at the end.
     arr: list[float] = [0.0] * n_init
     svc: list[float] = [v for v, _ in init]
     lead: list[float] = [l for _, l in init]
     off: list[float] = [0.0] * n_init
-    dep: list[float | None] = [None] * n_init
+    targets = array("d", svc)  # the target of each admitted job
 
     def pull() -> int:
         """Append the next traffic rows to the columns; their new length."""
@@ -378,10 +406,9 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
         arr.extend(times)
         svc.extend(vs)
         lead.extend(leads)
-        dep.extend([None] * len(times))
         return len(arr)
 
-    heap = [(v, i) for i, v in enumerate(svc)]  # (target, job id) of the jobs in service
+    heap = list(svc)  # the targets of the jobs in service
     heapify(heap)
     tsum = tcomp = 0.0  # compensated sum of the heap targets
     for v in svc:
@@ -394,7 +421,6 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
     snapshots: list[tuple[float, float, PointMeasure]] = []
     workload_check = 0.0
     dep_times: list[float] = []  # departure times in departure order
-    dep_arr: list[float] = []  # and the arrival times of the departing jobs
     kinds = ["init"]  # event kinds in order of first appearance
     clock = s = 0.0
 
@@ -403,31 +429,33 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
     log = [clock, "init", n_init, w0, w0, s] if path else None
     k = n_init  # job id of the next traffic row
     n_rows = pull()
-    t_arr = arr[k] if arr[k] <= horizon else math.inf
+    t_arr = arr[k]  # past the horizon it never fires: t_ext stops there
 
     while True:
-        t_dep = math.inf
-        if z:
-            top = heap[0][0]
+        # the next event that is not a departure: arrival, snapshot or end
+        t_ext = t_arr if t_arr <= t_snap else t_snap
+        if horizon < t_ext:
+            t_ext = horizon
+
+        # departures up to t_ext, ties going to the departure
+        while z:
+            top = heap[0]
             t_dep = clock + z * (top - s)
             if t_dep < clock:
                 t_dep = clock
-
-        # simultaneous events: departure, then arrival, snapshot, end
-        if t_dep <= t_arr and t_dep <= t_snap and t_dep <= horizon:
+            if t_dep > t_ext:
+                break
             s = top  # exact landing on the target
             clock = t_dep
-            jid = heappop(heap)[1]
+            heappop(heap)
             if not dep_times:
                 kinds.append("departure")
-            dep[jid] = clock
             dep_times.append(clock)
-            dep_arr.append(arr[jid])
             z -= 1
             if z:
                 # _neumaier_add(tsum, tcomp, -top), inlined; top > 0
                 t1 = tsum - top
-                if abs(tsum) >= top:
+                if tsum >= top or tsum <= -top:
                     c1 = tcomp + ((tsum - t1) - top)
                 else:
                     c1 = tcomp + ((-top - t1) + tsum)
@@ -437,30 +465,27 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
                 w_pre, w_post = (tsum + tcomp) - (z + 1) * s, (t1 + c1) - z * s
                 log.extend((clock, "departure", z, w_pre, w_post, s))
             tsum, tcomp = t1, c1
-            continue
 
-        t_next = t_arr if t_arr <= t_snap else t_snap
-        if horizon < t_next:
-            t_next = horizon
-        if z and t_next > clock:
+        if z and t_ext > clock:
             # drift may not overshoot the nearest target; equality leaves a
             # zero-residual job that departs in the following zero-dt event
-            s += (t_next - clock) / z
+            s += (t_ext - clock) / z
             if s > top:
                 s = top
-        clock = t_next
+        clock = t_ext
 
-        if t_arr == t_next:
+        if t_arr == t_ext:
             if k == n_init:
                 kinds.append("arrival")
             if z == max_z:
                 max_z = z + 1
             target = s + svc[k]
-            heappush(heap, (target, k))
+            heappush(heap, target)
+            targets.append(target)
             off.append(s)
             # _neumaier_add(tsum, tcomp, target), inlined; target > 0
             t1 = tsum + target
-            if abs(tsum) >= target:
+            if tsum >= target or tsum <= -target:
                 c1 = tcomp + ((tsum - t1) + target)
             else:
                 c1 = tcomp + ((target - t1) + tsum)
@@ -472,15 +497,15 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
             k += 1
             if k == n_rows:
                 n_rows = pull()
-            t_arr = arr[k] if arr[k] <= horizon else math.inf
+            t_arr = arr[k]
             continue
 
         w_pre = (tsum + tcomp) - z * s
-        if t_snap == t_next:
+        if t_snap == t_ext:
             if not snapshots:
                 kinds.append("snapshot")
-            snapshots.append((clock, s, _snapshot_measure(heap, arr, lead, s, clock)))
-            workload_check = max(workload_check, abs(w_pre - fsum(t - s for t, _ in heap)))
+            snapshots.append((clock, s, _snapshot_measure(targets, arr, lead, s, clock)))
+            workload_check = max(workload_check, abs(w_pre - fsum(t - s for t in heap)))
             if log is not None:
                 log.extend((clock, "snapshot", z, w_pre, w_pre, s))
             snap_idx += 1
@@ -491,8 +516,13 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
                 log.extend((clock, "end", z, w_pre, w_pre, s))
             break
 
-    for col in (arr, svc, lead, dep):
+    for col in (arr, svc, lead):
         del col[k:]  # rows drawn past the last admitted arrival
+    departure_times = np.array(dep_times, dtype=float)
+    # job ids in departure order: the departed jobs' targets, sorted
+    departed = np.argsort(np.frombuffer(targets), kind="stable")[: len(dep_times)]
+    dep = np.full(k, np.nan)
+    dep[departed] = departure_times
     counts = {
         "init": 1,
         "arrival": k - n_init,
@@ -500,7 +530,6 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
         "snapshot": len(snapshots),
         "end": 1,
     }
-    departure_times = np.array(dep_times, dtype=float)
     return SimOutput(
         config=config,
         snapshots=tuple(snapshots),
@@ -514,7 +543,7 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
         ),
         workload_check=workload_check,
         departure_times=departure_times,
-        departure_sojourns=departure_times - np.array(dep_arr, dtype=float),
+        departure_sojourns=departure_times - np.array(arr, dtype=float)[departed],
         event_counts={kind: counts[kind] for kind in kinds},
         max_z=max_z,
         job_columns=[arr, svc, lead, off, dep],
@@ -522,13 +551,17 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
 
 
 def _snapshot_measure(
-    heap: list[tuple[float, int]], arr: list[float], lead: list[float], s: float, clock: float
+    targets: array, arr: list[float], lead: list[float], s: float, clock: float
 ) -> PointMeasure:
-    # a job whose residual has just hit zero belongs to the departure at
-    # this same instant, not to the right-continuous state
-    entries = sorted((jid, target - s) for target, jid in heap if target - s > 0.0)
-    res = np.array([r for _, r in entries])
-    leads = np.array([(arr[jid] + lead[jid]) - clock for jid, _ in entries])
+    """The jobs in service at a snapshot, in job id order.  A job whose
+    residual has just hit zero belongs to the departure at this same
+    instant, not to the right-continuous state."""
+    # a view of the column: it must not outlive this call, or the loop's
+    # next targets.append raises BufferError; indexing by ids copies
+    column = np.frombuffer(targets)
+    ids = np.flatnonzero(column > s)
+    res = column[ids] - s
+    leads = np.array([(arr[jid] + lead[jid]) - clock for jid in ids.tolist()], dtype=float)
     return PointMeasure(res, leads, np.ones(res.size))
 
 

@@ -405,8 +405,8 @@ def write_json(data: dict, path) -> None:
 
 
 def write_departures_csv(out: SimOutput, path) -> None:
-    # a job still in service has departure None, which reads NaN
-    arr, svc, lead, _, dep = (np.array(c, dtype=float) for c in out.job_columns)
+    # a job still in service has departure NaN
+    arr, svc, lead, _, dep = (np.asarray(c, dtype=float) for c in out.job_columns)
     ids = np.flatnonzero(~np.isnan(dep))
     ids = ids[np.lexsort((ids, dep[ids]))]  # departures() order: by time, then job id
     header = ["id", "arrival", "sojourn", "service_req", "lateness"]
@@ -449,7 +449,8 @@ def write_profile_overlay_csv(report: CollapseReport, path) -> None:
     ys = report.config["grid"]["y_values"]
     rows = [(ov.r, ov.t, *c) for ov in report.overlays for c in zip(ys, ov.empirical, ov.limit)]
     header = ["r", "t", "y", "empirical_survival", "limit_survival"]
-    _write_csv(path, header, [[row[k] for row in rows] for k in range(len(header))])
+    table = np.array(rows, dtype=float).reshape(-1, len(header))
+    _write_csv(path, header, list(table.T))
 
 
 def write_lift_csv(table: np.ndarray, grid: QuadrantGrid, path) -> None:
@@ -460,7 +461,7 @@ def write_lift_csv(table: np.ndarray, grid: QuadrantGrid, path) -> None:
 
 def write_profile_csv(values, label: str, path) -> None:
     """(y, profile value) pairs under the header y,<label>."""
-    _write_csv(path, ["y", label], [[y for y, _ in values], [v for _, v in values]])
+    _write_csv(path, ["y", label], list(np.array(values, dtype=float).reshape(-1, 2).T))
 
 
 def write_rbm_path_csv(rbm: RBMPath, path) -> None:

@@ -5,7 +5,10 @@ a block at a time and inlined the compensated add: it takes each arrival
 from ``TrafficStream.next`` and adds every target through
 ``_neumaier_add``.  It keeps the engine's job columns, path log, counters
 and ``SimOutput``, so a test can require the two to agree bit for bit on
-every output field.
+every output field.  Its heap holds (target, job id) pairs, and its
+snapshots read the jobs in service from that heap, so the engine's
+recovery of job ids from a column of bare targets is checked against
+code that does not share it.
 """
 
 from __future__ import annotations
@@ -16,13 +19,7 @@ from math import fsum
 
 import numpy as np
 
-from psdl.engine import (
-    PathLog,
-    ScenarioConfig,
-    SimOutput,
-    TrafficStream,
-    _snapshot_measure,
-)
+from psdl.engine import PathLog, ScenarioConfig, SimOutput, TrafficStream
 from psdl.measures import PointMeasure
 
 
@@ -34,6 +31,17 @@ def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
     else:
         comp += (x - t) + total
     return t, comp
+
+
+def _snapshot_measure(
+    heap: list[tuple[float, int]], arr: list[float], lead: list[float], s: float, clock: float
+) -> PointMeasure:
+    # a job whose residual has just hit zero belongs to the departure at
+    # this same instant, not to the right-continuous state
+    entries = sorted((jid, target - s) for target, jid in heap if target - s > 0.0)
+    res = np.array([r for _, r in entries])
+    leads = np.array([(arr[jid] + lead[jid]) - clock for jid, _ in entries])
+    return PointMeasure(res, leads, np.ones(res.size))
 
 
 def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
@@ -170,5 +178,5 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
         departure_sojourns=departure_times - np.array(departed[1::2], dtype=float),
         event_counts={k: counts[k] for k in kinds},
         max_z=max_z,
-        job_columns=[arr, svc, lead, off, dep],
+        job_columns=[arr, svc, lead, off, np.array(dep, dtype=float)],  # None reads NaN
     )

@@ -26,7 +26,7 @@ from psdl import (
     run_sweep,
     simulate,
 )
-from psdl import fileio
+from psdl import fileio, floattext
 from psdl.measures import grid_quadrant_masses
 
 SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1.0]
@@ -169,6 +169,27 @@ def test_each_writer_matches_row_oracle(writer_inputs, tmp_path, writer):
     new = (tmp_path / "new.csv").read_bytes()
     assert new.count(b"\r\n") > 2  # a header and more than one row
     assert new == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "writer",
+    [
+        "write_departures_csv",
+        "write_path_csv",
+        "write_snapshots_csv",
+        "write_rbm_path_csv",
+        "write_lift_csv",
+        "write_profile_csv",
+        "write_profile_overlay_csv",
+    ],
+)
+def test_numeric_tables_reach_the_float_kernel(writer_inputs, tmp_path, monkeypatch, writer):
+    # a table of numbers only is handed over as numeric arrays, so the
+    # vectorised formatter writes it rather than the % template
+    calls, write_table = [], floattext.write_table
+    monkeypatch.setattr(floattext, "write_table", lambda *a: calls.append(a) or write_table(*a))
+    getattr(fileio, writer)(*writer_inputs[writer], tmp_path / "out.csv")
+    assert len(calls) == 1
 
 
 def test_missing_values_are_empty_cells(writer_inputs, tmp_path):

@@ -31,7 +31,8 @@ from psdl import (
     verify_dynamic_equation,
 )
 from psdl import engine
-from psdl.engine import _BLOCK_ROWS, TrafficStream
+from psdl.engine import _BLOCK_ROWS, _MAX_BLOCK_ROWS, TrafficStream
+from psdl.harness import SweepConfig, build_scenario
 from psdl.measures import default_grid
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -158,8 +159,73 @@ def _output_fields(out):
     )
 
 
+# scenarios at the engine's ties and edges, run as oracle examples
+_TIE_CASES = [
+    # equal initial services: equal targets from the start
+    ScenarioConfig(
+        interarrival=Exponential(1.0),
+        joint=ProductJoint(Exponential(1.25), Exponential(0.5)),
+        horizon=20.0,
+        snapshot_times=(5.0, 20.0),
+        seed=3,
+        initial_jobs=((1.0, 0.5), (1.0, -1.0), (1.0, 2.0)),
+    ),
+    # a service below ulp(S)/2: target == S on entry, so the job leaves at
+    # zero dt, tied with the S it found
+    ScenarioConfig(
+        interarrival=Exponential(1.5),
+        joint=EmpiricalJoint(((1e-20, 0.5), (1.5, 1.0))),
+        horizon=20.0,
+        snapshot_times=(5.0, 20.0),
+        seed=4,
+        initial_jobs=((2.0, 0.5),),
+    ),
+    # duplicate atoms and deterministic gaps: jobs in service with equal targets
+    ScenarioConfig(
+        interarrival=Deterministic(0.75),
+        joint=EmpiricalJoint(((1.0, 0.5), (1.0, 0.5), (0.5, 0.5), (0.5, 0.5))),
+        horizon=20.0,
+        snapshot_times=(5.0, 20.0),
+        seed=19,
+    ),
+    # snapshots at 0 and at the horizon
+    ScenarioConfig(
+        interarrival=Uniform(0.5, 1.5),
+        joint=ProductJoint(Exponential(1.0), Uniform(0.0, 2.0)),
+        horizon=20.0,
+        snapshot_times=(0.0, 20.0),
+        seed=6,
+        initial_jobs=((1.0, 0.5),),
+    ),
+]
+
+
+def _with_examples(cases):
+    """Each case as an explicit example (cfg, t0=False, path), with the
+    path log off and on."""
+
+    def decorate(test):
+        for cfg in reversed(cases):
+            for path in (False, True):
+                test = example(cfg, False, path)(test)
+        return test
+    return decorate
+
+
+def test_tie_cases_tie():
+    # each tie case holds what it is there for
+    equal, tiny, dup, snaps = (run(cfg) for cfg in _TIE_CASES)
+    for out in (equal, dup):
+        targets = [j.target for j in out.jobs]
+        assert len(set(targets)) < len(targets)
+        assert 0.0 in np.diff(out.departure_times)
+    assert any(j.target == j.service_offset for j in tiny.jobs if j.departure_time is not None)
+    assert [t for t, _, _ in snaps.snapshots] == [0.0, snaps.config.horizon]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(scenarios(), exponential_scenarios()), st.booleans(), st.booleans())
+@_with_examples(_TIE_CASES)
 def test_engine_matches_per_event_oracle(cfg, t0, path):
     cfg = _with_t0_snapshot(cfg, t0)
     assert _output_fields(run(cfg, path=path)) == _output_fields(engine_oracle.run(cfg, path=path))
@@ -261,8 +327,8 @@ def exponential_traffic(draw):
 @given(
     seeds,
     st.one_of(exponential_traffic(), st.tuples(positive_laws(0.6, 2.0), joint_laws())),
-    # long: every refill fills its _BLOCK_ROWS rows; short: the first row
-    # past the horizon ends a block
+    # long: every scalar refill fills its _BLOCK_ROWS rows; short: the
+    # first row past the horizon ends a scalar block
     st.sampled_from((1e4, 5.0)),
     st.floats(min_value=0.1, max_value=200.0),
     st.one_of(st.none(), st.just(Deterministic(0.5)), st.just(Exponential(3.0))),
@@ -297,7 +363,8 @@ def test_stream_matches_scalar_draw_order(seed, traffic, horizon, lead_scale, fi
     )
     rng = np.random.default_rng(seed)
     clock, expected = 0.0, []
-    for k in range(1000):  # spans several draw blocks
+    # spans several draw blocks; vectorised ones grow to the cap by row 7937
+    for k in range(8000 if vectorised else 1000):
         gap_law = first if (k == 0 and first) else cfg.interarrival
         clock += gap_law.sample(rng)
         v, l = cfg.joint.sample(rng)
@@ -306,10 +373,11 @@ def test_stream_matches_scalar_draw_order(seed, traffic, horizon, lead_scale, fi
     assert [stream.next() for _ in expected] == expected
 
     stream = TrafficStream(cfg, np.random.default_rng(seed))
-    sizes = [len(stream.refill()[0]) for _ in range(3)]
     if vectorised:
-        assert sizes == [1, _BLOCK_ROWS, _BLOCK_ROWS]
+        # a scalar block of one, then blocks doubling from 256 rows to 4096
+        assert [len(stream.refill()[0]) for _ in range(7)] == [1, 256, 512, 1024, 2048, 4096, 4096]
     else:
+        sizes = [len(stream.refill()[0]) for _ in range(3)]
         # a scalar block ends at its _BLOCK_ROWS-th row or at the first row
         # past the horizon, whichever comes first
         want, n = [], 0
@@ -321,23 +389,69 @@ def test_stream_matches_scalar_draw_order(seed, traffic, horizon, lead_scale, fi
         assert sizes == want[:3]
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 7, 256])
-def test_block_size_changes_no_output(monkeypatch, block_rows):
+def _refill_sizes(monkeypatch):
+    """The rows of each refill from here on, recorded as they are drawn."""
+    sizes, refill = [], TrafficStream.refill
+
+    def counted(stream):
+        rows = refill(stream)
+        sizes.append(len(rows[0]))
+        return rows
+
+    monkeypatch.setattr(TrafficStream, "refill", counted)
+    return sizes
+
+
+# (service law, horizon): scalar blocks, and all-exponential traffic long
+# enough that its blocks reach the cap, at every block size and cap below
+# as well as at the module's
+_BLOCK_TRAFFIC = [(Uniform(0.0, 2.0), 600.0), (Exponential(1.0), 10_000.0)]
+
+
+@pytest.mark.parametrize("service, horizon", _BLOCK_TRAFFIC, ids=["scalar", "exponential"])
+@pytest.mark.parametrize("block_rows, max_block_rows", [(1, 1), (2, 16), (7, 56), (256, 256)])
+def test_block_size_changes_no_output(monkeypatch, service, horizon, block_rows, max_block_rows):
     # block boundaries decide only how many rows one refill draws, never
     # which rows the stream holds
     cfg = ScenarioConfig(
         interarrival=Exponential(0.9),
-        joint=ProductJoint(Uniform(0.0, 2.0), Exponential(1.0)),
-        horizon=600.0,
-        snapshot_times=(0.0, 150.0, 600.0),
+        joint=ProductJoint(service, Exponential(1.0)),
+        horizon=horizon,
+        snapshot_times=(0.0, 0.25 * horizon, horizon),
         seed=17,
         lead_scale=5.0,
         first_interarrival=Deterministic(0.5),
         initial_jobs=((1.0, 0.5),),
     )
+    capped = isinstance(service, Exponential)
+    sizes = _refill_sizes(monkeypatch)
     want = [_output_fields(run(cfg, path=path)) for path in (True, False)]
+    assert not capped or max(sizes) == _MAX_BLOCK_ROWS
+    sizes.clear()
     monkeypatch.setattr(engine, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(engine, "_MAX_BLOCK_ROWS", max_block_rows)
     assert [_output_fields(run(cfg, path=path)) for path in (True, False)] == want
+    assert not capped or max(sizes) == max_block_rows
+
+
+def test_short_exponential_stream_draws_one_block(monkeypatch):
+    # an r = 5 M/M/1 sweep cell admits about 45 rows: after its first row
+    # it draws one block of _BLOCK_ROWS, not one of _MAX_BLOCK_ROWS
+    sweep = SweepConfig(
+        joint=ProductJoint(Exponential(1.0), Exponential(1.0)),
+        alpha=1.0,
+        gamma=0.5,
+        r_values=(5.0,),
+        T=2.0,
+        snapshot_times=(0.5, 1.0, 1.5, 2.0),
+        replications=1,
+        seed_base=20260815,
+    )
+    scenario = build_scenario(sweep, 5.0, 0)
+    sizes = _refill_sizes(monkeypatch)
+    out = run(scenario, path=False)
+    assert 30 <= out.event_counts["arrival"] <= 60
+    assert sizes == [1, 256]
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 2.0), (0.5, 1.5), (3.0, 7.25), (0.1, 0.30000000000000004)])

@@ -223,8 +223,7 @@ class TrafficStream:
     twice the rows of the one before, up to _MAX_BLOCK_ROWS: a long run
     pays the fixed numpy cost per block less often, while a short one,
     such as an r = 5 sweep cell of about 45 rows, draws one block of
-    _BLOCK_ROWS (a fixed block of _MAX_BLOCK_ROWS rows made the small
-    sweep cells' engine about half again slower).
+    _BLOCK_ROWS, not _MAX_BLOCK_ROWS rows it would never read.
 
     Other laws draw up to _BLOCK_ROWS rows per refill in one Python loop,
     each row gap first, then the joint pair, checked inline.  Such a
@@ -519,14 +518,17 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
     for col in (arr, svc, lead):
         del col[k:]  # rows drawn past the last admitted arrival
     departure_times = np.array(dep_times, dtype=float)
+    # free the float per departure before the arrays below are built: it
+    # cut the traced peak of an r = 160 M/M/1 sweep cell by 1.5 MB
+    dep_times.clear()
     # job ids in departure order: the departed jobs' targets, sorted
-    departed = np.argsort(np.frombuffer(targets), kind="stable")[: len(dep_times)]
+    departed = np.argsort(np.frombuffer(targets), kind="stable")[: departure_times.size]
     dep = np.full(k, np.nan)
     dep[departed] = departure_times
     counts = {
         "init": 1,
         "arrival": k - n_init,
-        "departure": len(dep_times),
+        "departure": departure_times.size,
         "snapshot": len(snapshots),
         "end": 1,
     }

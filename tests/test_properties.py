@@ -408,30 +408,34 @@ def _refill_sizes(monkeypatch):
 _BLOCK_TRAFFIC = [(Uniform(0.0, 2.0), 600.0), (Exponential(1.0), 10_000.0)]
 
 
-@pytest.mark.parametrize("service, horizon", _BLOCK_TRAFFIC, ids=["scalar", "exponential"])
-@pytest.mark.parametrize("block_rows, max_block_rows", [(1, 1), (2, 16), (7, 56), (256, 256)])
-def test_block_size_changes_no_output(monkeypatch, service, horizon, block_rows, max_block_rows):
+@pytest.mark.parametrize(
+    "block_rows, max_block_rows", [(1, 1), (2, 16), (7, 56), (256, 256)], ids=["1", "2", "7", "256"]
+)
+def test_block_size_changes_no_output(monkeypatch, block_rows, max_block_rows):
     # block boundaries decide only how many rows one refill draws, never
     # which rows the stream holds
-    cfg = ScenarioConfig(
-        interarrival=Exponential(0.9),
-        joint=ProductJoint(service, Exponential(1.0)),
-        horizon=horizon,
-        snapshot_times=(0.0, 0.25 * horizon, horizon),
-        seed=17,
-        lead_scale=5.0,
-        first_interarrival=Deterministic(0.5),
-        initial_jobs=((1.0, 0.5),),
-    )
-    capped = isinstance(service, Exponential)
     sizes = _refill_sizes(monkeypatch)
-    want = [_output_fields(run(cfg, path=path)) for path in (True, False)]
-    assert not capped or max(sizes) == _MAX_BLOCK_ROWS
-    sizes.clear()
-    monkeypatch.setattr(engine, "_BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(engine, "_MAX_BLOCK_ROWS", max_block_rows)
-    assert [_output_fields(run(cfg, path=path)) for path in (True, False)] == want
-    assert not capped or max(sizes) == max_block_rows
+    for service, horizon in _BLOCK_TRAFFIC:
+        cfg = ScenarioConfig(
+            interarrival=Exponential(0.9),
+            joint=ProductJoint(service, Exponential(1.0)),
+            horizon=horizon,
+            snapshot_times=(0.0, 0.25 * horizon, horizon),
+            seed=17,
+            lead_scale=5.0,
+            first_interarrival=Deterministic(0.5),
+            initial_jobs=((1.0, 0.5),),
+        )
+        capped = isinstance(service, Exponential)
+        sizes.clear()
+        want = [_output_fields(run(cfg, path=path)) for path in (True, False)]
+        assert not capped or max(sizes) == _MAX_BLOCK_ROWS
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_BLOCK_ROWS", block_rows)
+            m.setattr(engine, "_MAX_BLOCK_ROWS", max_block_rows)
+            assert [_output_fields(run(cfg, path=path)) for path in (True, False)] == want
+        assert not capped or max(sizes) == max_block_rows
 
 
 def test_short_exponential_stream_draws_one_block(monkeypatch):

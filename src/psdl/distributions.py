@@ -120,12 +120,9 @@ class ScalarDistribution(ABC):
         return 0.0
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Points where the survival function has a kink or a jump."""
+        """Points where the survival function has a kink or a jump; a
+        bounded law's support ends at its last one."""
         return ()
-
-    def support_upper(self) -> float:
-        """Supremum of the support (may be inf)."""
-        return math.inf
 
     def tail_integral_array(self, w: np.ndarray) -> np.ndarray:
         """int_w^inf P(X >= u) du on an array of real w; w may contain -inf
@@ -217,9 +214,6 @@ class Deterministic(ScalarDistribution):
     def breakpoints(self) -> tuple[float, ...]:
         return (self.value,)
 
-    def support_upper(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Uniform(ScalarDistribution):
@@ -282,9 +276,6 @@ class Uniform(ScalarDistribution):
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.lo, self.hi)
-
-    def support_upper(self) -> float:
-        return self.hi
 
 
 @dataclass(frozen=True)
@@ -376,9 +367,6 @@ class PointMassZero(ScalarDistribution):
     def breakpoints(self) -> tuple[float, ...]:
         return (0.0,)
 
-    def support_upper(self) -> float:
-        return 0.0
-
 
 def _pick(weights: tuple[float, ...], rng: np.random.Generator) -> int:
     """Index drawn with probabilities ``weights``: the first whose running
@@ -461,22 +449,6 @@ class JointDistribution(ABC):
     @abstractmethod
     def service_mass_at_zero(self) -> float: ...
 
-    @abstractmethod
-    def service_upper(self) -> float:
-        """Supremum of the service support (may be inf)."""
-
-    @abstractmethod
-    def lead_upper(self) -> float:
-        """Supremum of the lead support (may be inf)."""
-
-    @abstractmethod
-    def service_breakpoints(self) -> tuple[float, ...]:
-        """Service values where quadrant sections have a kink or a jump."""
-
-    @abstractmethod
-    def lead_breakpoints(self) -> tuple[float, ...]:
-        """Lead values where quadrant sections have a kink or a jump."""
-
     moment_exponent: float
 
     def service_std(self) -> float:
@@ -500,12 +472,6 @@ class _ScalarServiceJoint(JointDistribution):
 
     def service_std(self) -> float:
         return self.service.std()
-
-    def service_upper(self) -> float:
-        return self.service.support_upper()
-
-    def service_breakpoints(self) -> tuple[float, ...]:
-        return self.service.breakpoints()
 
 
 @dataclass(frozen=True)
@@ -535,12 +501,6 @@ class ProductJoint(_ScalarServiceJoint):
         cv, cl = self.service.exponential_scale(), self.lead.exponential_scale()
         return None if cv is None or cl is None else (cv, cl)
 
-    def lead_upper(self) -> float:
-        return self.lead.support_upper()
-
-    def lead_breakpoints(self) -> tuple[float, ...]:
-        return self.lead.breakpoints()
-
 
 @dataclass(frozen=True)
 class LinearJoint(_ScalarServiceJoint):
@@ -564,12 +524,6 @@ class LinearJoint(_ScalarServiceJoint):
     def sample(self, rng: np.random.Generator) -> tuple[float, float]:
         v = self.service.sample(rng)
         return v, self.c * v
-
-    def lead_upper(self) -> float:
-        return self.c * self.service.support_upper()
-
-    def lead_breakpoints(self) -> tuple[float, ...]:
-        return tuple(self.c * s for s in self.service.breakpoints())
 
 
 @dataclass(frozen=True)
@@ -618,18 +572,6 @@ class EmpiricalJoint(JointDistribution):
 
     def service_mass_at_zero(self) -> float:
         return sum(w for (s, _), w in zip(self.points, self.weights) if s == 0.0)
-
-    def service_upper(self) -> float:
-        return max(s for s, _ in self.points)
-
-    def lead_upper(self) -> float:
-        return max(l for _, l in self.points)
-
-    def service_breakpoints(self) -> tuple[float, ...]:
-        return tuple(sorted({s for s, _ in self.points}))
-
-    def lead_breakpoints(self) -> tuple[float, ...]:
-        return tuple(sorted({l for _, l in self.points}))
 
 
 _JOINT_KINDS = {c.kind: c for c in (ProductJoint, LinearJoint, EmpiricalJoint)}

@@ -603,19 +603,15 @@ def verify_dynamic_equation(
 
     res = snap0.residuals - ds
     keep = res > 0.0
-    parts_res = [res[keep]]
-    parts_lead = [snap0.leads[keep] - dtm]
 
-    arr, svc, lead, off, _ = out.job_columns
-    for u, v, l, s_in in zip(arr, svc, lead, off):
-        if t0 < u <= t1:
-            rem = (s_in + v) - s1  # the job's target less S at t1
-            if rem > 0.0:
-                parts_res.append(np.array([rem]))
-                parts_lead.append(np.array([(u + l) - t1]))
+    arr, svc, lead, off = (np.asarray(c, dtype=float) for c in out.job_columns[:4])
+    new = (t0 < arr) & (arr <= t1)
+    arr, svc, lead, off = arr[new], svc[new], lead[new], off[new]
+    rem = (off + svc) - s1  # each arrival's target less S at t1
+    left = rem > 0.0
 
-    res_all = np.concatenate(parts_res)
-    lead_all = np.concatenate(parts_lead)
+    res_all = np.concatenate([res[keep], rem[left]])
+    lead_all = np.concatenate([snap0.leads[keep] - dtm, ((arr + lead) - t1)[left]])
     transported = PointMeasure(res_all, lead_all, np.ones(res_all.size))
 
     return quadrant_distance(transported, snap1, grid)

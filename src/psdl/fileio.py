@@ -26,8 +26,7 @@ to within 2**-47, rounded to the 17-digit N that %.17g prints unless its
 fraction lies within 1e-12 of 1/2, and N's digits are laid out by %g's
 rules.  Cells that test cannot settle, and values outside [1e-99, 1e99)
 other than zero, are printed by ``%``, so the bytes are those of ``%``.
-Any other table is filled a block at a time by one ``%`` over a repeated
-row template.
+Any other table is formatted cell by cell through format_value.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +72,6 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
-_FORMATS = {"f": _FMT, "i": "%d", "u": "%d"}  # row format by numpy dtype kind
 _BLOCK_ROWS = 1024  # rows per write call: about 0.4 MB of temporaries for two float columns
 _QUOTED = ',"\r\n'  # csv.writer quotes a cell holding any of these
 _REQUEST_KEYS = ("scenario", "sweep", "lift", "profile", "rbm")
@@ -351,9 +348,8 @@ def parse_rbm(payload: dict) -> RBMRequest:
 
 
 def _write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length columns (float arrays as %.17g, integer arrays as
-    integers, others cell by cell through format_value) under a header row,
-    _BLOCK_ROWS rows per write call, in csv.writer's bytes.
+    """Write equal-length columns under a header row, _BLOCK_ROWS rows per
+    write call, in csv.writer's bytes, each cell as format_value prints it.
 
     A table of float arrays and integer arrays within +-2**53 (where %d
     and %.17g print the same text) goes to floattext.write_table.  It takes
@@ -361,15 +357,14 @@ def _write_csv(path, header: list[str], columns) -> None:
     2**-47, far inside the 1e-12 window around 1/2 that it leaves to
     format_value, along with the cells whose decimal exponent log10 misread
     and the values beyond its tables (see psdl.floattext).  Any other table
-    is formatted a block at a time with one ``%``: the row template
-    repeated once per row, filled with the block's cells in row order.  A
-    cell it would quote (holding a comma, a double quote or a line break)
-    raises ValueError, as does a table of fewer than two columns."""
+    is formatted cell by cell through format_value and joined row by row.
+    A cell csv.writer would quote (holding a comma, a double quote or a
+    line break) raises ValueError, as does a table of fewer than two
+    columns."""
     n = len(columns[0]) if columns else 0
     if len(header) != len(columns) or len(columns) < 2 or any(len(c) != n for c in columns):
         raise ValueError(f"{path}: need two or more equal-length columns, one per header name")
     kinds = [c.dtype.kind if isinstance(c, np.ndarray) else "O" for c in columns]
-    row = ",".join(_FORMATS.get(k, "%s") for k in kinds) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_text(header)) + "\r\n")
         if all(k == "f" or (k in "iu" and _within_2_53(c)) for c, k in zip(columns, kinds)):
@@ -379,9 +374,8 @@ def _write_csv(path, header: list[str], columns) -> None:
             write_table(fh.buffer, columns, _BLOCK_ROWS, format_value)
             return
         for lo in range(0, n, _BLOCK_ROWS):
-            block = [c[lo : lo + _BLOCK_ROWS] for c in columns]
-            cells = [b.tolist() if k in _FORMATS else _text(b) for b, k in zip(block, kinds)]
-            fh.write(row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
+            cells = [_text(c[lo : lo + _BLOCK_ROWS]) for c in columns]
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
 
 
 def _within_2_53(column: np.ndarray) -> bool:

@@ -22,10 +22,10 @@ contributes alpha * w_i * max(0, min(z (s_i - x), l_i - y)).  The rest,
 each with a bounded service support and piecewise-linear or step
 survival functions, integrate the defining formula with the two-point
 Gauss–Legendre rule: the grid points are taken in blocks of 256, each
-point's u-range ends where the service support does and is cut at the
-service and lead kinks and the deadline crossing, and every panel
-between two cuts gets the rule, which is exact on the polynomial the
-integrand is there.
+point's u-range ends where the service or lead support does (a bounded
+law's support ends at its last kink) and is cut at the service and lead
+kinks and the deadline crossing, and every panel between two cuts gets
+the rule, which is exact on the polynomial the integrand is there.
 
 The lead-coordinate sections of these measures are the planning
 profiles: the lead-profile CDF of an independent product, the
@@ -214,16 +214,21 @@ def _empirical_builder(joint: EmpiricalJoint, alpha: float, z: float):
 _GAUSS2 = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
 
-def _quadrature_builder(joint: JointDistribution, alpha: float, z: float):
-    su, lu = joint.service_upper(), joint.lead_upper()
-    service_breaks = np.array(joint.service_breakpoints(), dtype=float)
-    lead_breaks = np.array(joint.lead_breakpoints(), dtype=float)
-    # the deadline line c v = y crosses the residual line at one u
-    c = joint.c if isinstance(joint, LinearJoint) and z != joint.c else None
+def _quadrature_builder(joint: ProductJoint | LinearJoint, alpha: float, z: float):
+    # only bounded laws with piecewise-linear or step survivals get here, so
+    # each support ends at the law's last kink
+    service_breaks = np.array(joint.service.breakpoints(), dtype=float)
+    c = None
+    if isinstance(joint, LinearJoint):
+        lead_breaks = joint.c * service_breaks
+        # the deadline line c v = y crosses the residual line at one u
+        c = joint.c if z != joint.c else None
+    else:
+        lead_breaks = np.array(joint.lead.breakpoints(), dtype=float)
+    su, lu = service_breaks.max(), lead_breaks.max()
 
     def point_fn(x, y):
-        # the u-range ends where either support does; the service support is
-        # bounded for every joint without a closed form
+        # the u-range ends where either support does
         upper = np.maximum(np.minimum(z * (su - x), lu - y), 0.0)
         cuts = [z * (service_breaks - x[:, None]), lead_breaks - y[:, None]]
         if c is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 
 __all__ = ["RBMSpec", "RBMPath", "simulate", "stationary_cdf", "deadline_quantile"]
 
@@ -60,7 +60,8 @@ class RBMPath:
 
 
 def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
-    """Euler path on the grid {0, dt, ..., n dt} covering [0, horizon]."""
+    """Euler path on the grid {0, dt, ..., n dt} covering [0, horizon].  A
+    step, path value or time average past the float range raises."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ConfigError(f"horizon must be positive, got {horizon}")
     if not (0.0 < dt <= horizon):
@@ -70,27 +71,37 @@ def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
     steps = horizon / dt  # inf once the quotient overflows
     if not steps < _MAX_STEPS:
         raise ConfigError(f"horizon / dt = {steps} steps, more than an array holds")
+    scale = math.sqrt(spec.variance * dt)
+    mu = spec.drift * dt
+    if not (math.isfinite(scale) and math.isfinite(mu)):
+        raise ConfigError(
+            f"a step of dt = {dt} leaves the float range: "
+            f"sqrt(variance * dt) = {scale}, drift * dt = {mu}"
+        )
     n = int(math.ceil(steps - 1e-12))
     rng = np.random.default_rng(seed)
     values = np.empty(n + 1)
     values[0] = spec.x0
-    scale = math.sqrt(spec.variance * dt)
-    mu = spec.drift * dt
     x = spec.x0
     pos = 1
-    while pos <= n:
-        # Lindley, in place in s and in the block of values: X_k = S_k + max(x, -min_{j<=k} S_j)
-        m = min(_BLOCK, n - pos + 1)
-        s = rng.standard_normal(m)
-        s *= scale
-        s += mu
-        np.cumsum(s, out=s)
-        block = np.minimum.accumulate(s, out=values[pos : pos + m])
-        np.maximum(x, np.negative(block, out=block), out=block)
-        block += s
-        x = block[-1]
-        pos += m
-    del s
+    with np.errstate(over="ignore", invalid="ignore"):
+        while pos <= n:
+            # Lindley, in place in s and in the block of values: X_k = S_k + max(x, -min_{j<=k} S_j)
+            m = min(_BLOCK, n - pos + 1)
+            s = rng.standard_normal(m)
+            s *= scale
+            s += mu
+            np.cumsum(s, out=s)
+            block = np.minimum.accumulate(s, out=values[pos : pos + m])
+            np.maximum(x, np.negative(block, out=block), out=block)
+            block += s
+            x = block[-1]
+            pos += m
+        del s
+        # finite only if every value is, and their sum stays in range
+        average = values.mean()
+    if not math.isfinite(average):
+        raise SimulationError(f"the path or its time average leaves the float range: mean {average}")
     times = np.arange(n + 1, dtype=float)
     times *= dt
     return RBMPath(times=times, values=values)

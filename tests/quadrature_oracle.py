@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from joint_supports import supports
 from psdl.distributions import JointDistribution, LinearJoint
 from psdl.errors import SimulationError
 from psdl.manifold import InvariantMeasure, _blocked
@@ -109,11 +110,11 @@ def tail_cut(g, start: float, n: int, tol: float) -> np.ndarray:
 def _grid_fn(joint: JointDistribution, alpha: float, z: float, tol: float):
     scale = z * joint.mean_service()
     start = max(scale, 1.0)
-    su, lu = joint.service_upper(), joint.lead_upper()
+    su, lu, service_kinks, lead_kinks = supports(joint)
     doublings = math.ceil(-math.log2(scale)) if math.isinf(su) and 0.0 < scale < 1.0 else 0
     scale_cuts = scale * 2.0 ** np.arange(doublings)
-    service_breaks = np.array(joint.service_breakpoints(), dtype=float)
-    lead_breaks = np.array(joint.lead_breakpoints(), dtype=float)
+    service_breaks = np.array(service_kinks, dtype=float)
+    lead_breaks = np.array(lead_kinks, dtype=float)
     c = joint.c if isinstance(joint, LinearJoint) and z != joint.c else None
 
     def point_fn(x, y):

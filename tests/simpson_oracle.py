@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+from joint_supports import supports
 from psdl.distributions import JointDistribution, LinearJoint, ProductJoint
 from psdl.errors import ConfigError, SimulationError
 
@@ -138,17 +139,18 @@ def lift_mass(
     def g(u: float) -> float:
         return quadrant_survival(joint, x + u / z, y + u)
 
+    su, lu, service_kinks, lead_kinks = supports(joint)
     bounds = []
-    if math.isfinite(joint.service_upper()):
-        bounds.append(z * max(joint.service_upper() - x, 0.0))
-    if not math.isinf(y) and math.isfinite(joint.lead_upper()):
-        bounds.append(max(joint.lead_upper() - y, 0.0))
+    if math.isfinite(su):
+        bounds.append(z * max(su - x, 0.0))
+    if not math.isinf(y) and math.isfinite(lu):
+        bounds.append(max(lu - y, 0.0))
     upper = min(bounds) if bounds else truncation_point(g, max(z * joint.mean_service(), 1.0))
     if upper <= 0.0:
         return 0.0
-    cuts = [z * (s - x) for s in joint.service_breakpoints()]
+    cuts = [z * (s - x) for s in service_kinks]
     if not math.isinf(y):
-        cuts.extend(l - y for l in joint.lead_breakpoints())
+        cuts.extend(l - y for l in lead_kinks)
         if isinstance(joint, LinearJoint) and z != joint.c:
             cuts.append(z * (y - joint.c * x) / (joint.c - z))
     step = z * joint.mean_service() / 50.0

@@ -441,6 +441,25 @@ def test_rbm_step_count_overflow_is_a_config_error(tmp_path, capsys, horizon, dt
     assert "Traceback" not in err
 
 
+# a step past the float range is a config error; a path or time average
+# that leaves it is a runtime error, and neither writes a file or warns
+RBM_OUT_OF_RANGE = [
+    ({"drift": -1.0, "variance": 1e308, "horizon": 10.0, "dt": 5.0}, 2, "config error"),
+    # every path value is finite, but their sum is not
+    ({"drift": 1e303, "variance": 1.0, "horizon": 1000.0, "dt": 1.0}, 3, "runtime error"),
+]
+
+
+@pytest.mark.parametrize("body, code, prefix", RBM_OUT_OF_RANGE, ids=["step", "average"])
+def test_rbm_out_of_float_range(tmp_path, capsys, body, code, prefix):
+    cfg = write_config(tmp_path, {"schema_version": 1, "rbm": body})
+    out = tmp_path / "out"
+    assert main(["rbm", "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "float range" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _leaves(node, path=()):
     """Paths to every non-dict value of a JSON tree, lists and their items included."""
     if isinstance(node, dict):

@@ -22,11 +22,13 @@ from psdl import (
     ProductJoint,
     QuadrantGrid,
     ScenarioConfig,
+    Uniform,
     busy_rate_check,
     mass_moment_chi,
     run,
     verify_dynamic_equation,
 )
+from psdl import engine
 from psdl.measures import default_grid
 
 MM1 = ProductJoint(Exponential(1.0), Exponential(1.0))
@@ -193,6 +195,46 @@ def test_dynamic_equation_random():
     g = default_grid()
     for t, h in ((0.0, 2.0), (2.0, 2.0), (10.0, 4.0), (20.0, 20.0)):
         assert verify_dynamic_equation(out, t, h, g) <= 1e-9
+
+
+def _transported_by_loop(out, t, h):
+    """(residuals, leads) of the transported state, built job by job as
+    verify_dynamic_equation did before it selected arrivals with one mask."""
+    t0, s0, snap0 = out.snapshot_at(t)
+    t1, s1, _ = out.snapshot_at(t + h)
+    res = snap0.residuals - (s1 - s0)
+    keep = res > 0.0
+    parts_res, parts_lead = [res[keep]], [snap0.leads[keep] - (t1 - t0)]
+    arr, svc, lead, off, _ = out.job_columns
+    for u, v, l, s_in in zip(arr, svc, lead, off):
+        if t0 < u <= t1:
+            rem = (s_in + v) - s1
+            if rem > 0.0:
+                parts_res.append(np.array([rem]))
+                parts_lead.append(np.array([(u + l) - t1]))
+    return np.concatenate(parts_res), np.concatenate(parts_lead)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 40])
+def test_dynamic_equation_transport_matches_job_loop(seed, monkeypatch):
+    cfg = ScenarioConfig(
+        interarrival=Exponential(1.1),
+        joint=ProductJoint(Uniform(0.0, 2.0), Exponential(0.5)),
+        horizon=30.0,
+        snapshot_times=(0.0, 5.0, 5.0, 12.5, 12.5, 30.0),
+        seed=seed,
+        initial_jobs=((2.0, 1.0), (0.5, -3.0), (4.0, 0.0)),
+    )
+    out = run(cfg)
+    # quadrant_distance handed back unscored: the call returns the transported state
+    monkeypatch.setattr(engine, "quadrant_distance", lambda transported, snap, grid: transported)
+    pairs = [(0.0, 5.0), (5.0, 7.5), (0.0, 30.0), (12.5, 17.5), (5.0, 25.0)]
+    for t, h in pairs:
+        res, lead = _transported_by_loop(out, t, h)
+        m = verify_dynamic_equation(out, t, h, default_grid())
+        assert m.residuals.tobytes() == res.tobytes(), (seed, t, h)
+        assert m.leads.tobytes() == lead.tobytes(), (seed, t, h)
+        assert m.weights.tobytes() == np.ones(res.size).tobytes()
 
 
 def test_snapshot_lookup_errors():

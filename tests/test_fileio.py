@@ -201,13 +201,20 @@ def test_missing_values_are_empty_cells(writer_inputs, tmp_path):
 
 
 def test_text_cells_holding_percent_signs_are_written_literally(tmp_path):
-    # a block is one % over the repeated row template: cells are its
-    # arguments, never part of the template
-    columns = [["%", "%s", "100%d", "%%"], np.array([1.0, 2.0, 3.0, 4.0])]
-    fileio._write_csv(tmp_path / "new.csv", ["label", "%s"], columns)
-    csv_oracle.write_csv(tmp_path / "old.csv", ["label", "%s"], zip(*columns))
+    # a table with a text column is formatted cell by cell, so no cell is
+    # read as a format; its other columns are a float array, an integer
+    # array past 2**53 and a list holding None
+    columns = [
+        ["%", "%s", "100%d", "%%"],
+        np.array([1.0, 2.0, 3.0, 4.0]),
+        np.array([7, -(2**62), 0, 2**60 + 1], dtype=np.int64),
+        [None, 2.5, None, 3],
+    ]
+    header = ["label", "%s", "count", "maybe"]
+    fileio._write_csv(tmp_path / "new.csv", header, columns)
+    csv_oracle.write_csv(tmp_path / "old.csv", header, zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    assert b"100%d,3\r\n" in (tmp_path / "new.csv").read_bytes()
+    assert b"100%d,3,0,\r\n" in (tmp_path / "new.csv").read_bytes()
 
 
 def _departures_match_oracle(out, tmp_path) -> bytes:

@@ -38,6 +38,7 @@ from psdl import (
 from psdl import distributions, manifold
 from psdl.errors import SimulationError
 from psdl.measures import default_grid
+from joint_supports import scalar_support
 from simpson_oracle import lift_mass
 
 EXP1 = Exponential(1.0)
@@ -351,8 +352,24 @@ def test_quadrature_only_on_bounded_service(service):
     for joint in joints:
         m = lift(joint, 1.0, 0.7)
         if m.method == "quadrature":
-            assert math.isfinite(joint.service_upper()), joint
+            assert math.isfinite(scalar_support(joint.service)[0]), joint
         assert math.isfinite(m.eval(0.0, -math.inf))
+
+
+def test_fallback_laws_end_at_their_last_kink():
+    # the fallback's premise: every law of a joint that reaches it has no
+    # mass past its last breakpoint, which is where it ends the u-range
+    joints = [ProductJoint(s, l) for s in _FAMILIES for l in _FAMILIES]
+    joints += [LinearJoint(s, 0.8) for s in _FAMILIES]
+    laws = set()
+    for joint in joints:
+        if lift(joint, 1.3, 1.0).method == "quadrature":
+            laws.add(joint.service)
+            laws.add(getattr(joint, "lead", joint.service))
+    assert laws
+    for d in laws:
+        past = np.nextafter(max(d.breakpoints()), np.inf)
+        assert d.survival_array(np.array([past]))[0] == 0.0, d
 
 
 def test_quadrature_fallback_matches_oracle_on_the_grid():

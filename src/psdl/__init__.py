@@ -20,8 +20,6 @@ from .distributions import (
     ScalarDistribution,
     Uniform,
     check_assumptions,
-    joint_from_spec,
-    scalar_from_spec,
     to_spec,
 )
 from .engine import (
@@ -34,6 +32,7 @@ from .engine import (
     verify_dynamic_equation,
 )
 from .errors import ConfigError, SimulationError
+from .fileio import joint_from_spec, scalar_from_spec
 from .harness import (
     CollapseReport,
     SweepConfig,

@@ -127,13 +127,10 @@ def cmd_profiles(args) -> int:
 def cmd_rbm(args) -> int:
     cfg = fileio.load_config(args.config)
     req = fileio.parse_rbm(_require(cfg, "rbm", args.seed_override))
-    path = simulate(req.spec, req.horizon, req.dt, req.seed)
-    d = _out_dir(args, cfg)
-    fileio.write_rbm_path_csv(path, d / "rbm_path.csv")
+    # the stationary law first, so that a request it cannot serve writes nothing
     summary = {
         "drift": req.spec.drift,
         "variance": req.spec.variance,
-        "time_average": path.time_average(),
         "quantiles": {
             fileio.format_value(q): deadline_quantile(req.spec, q) for q in req.quantiles
         },
@@ -144,8 +141,12 @@ def cmd_rbm(args) -> int:
         summary["stationary_cdf_at_mean"] = stationary_cdf(
             req.spec, summary["stationary_mean"]
         )
+    path = simulate(req.spec, req.horizon, req.dt, req.seed)
+    summary["time_average"] = path.time_average()
+    d = _out_dir(args, cfg)
+    fileio.write_rbm_path_csv(path, d / "rbm_path.csv")
     fileio.write_json(summary, d / "rbm_summary.json")
-    print(f"rbm: {path.values.size - 1} steps, time average {path.time_average():.6g} -> {d}")
+    print(f"rbm: {path.values.size - 1} steps, time average {summary['time_average']:.6g} -> {d}")
     return 0
 
 

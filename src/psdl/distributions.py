@@ -44,8 +44,6 @@ __all__ = [
     "ProductJoint",
     "LinearJoint",
     "EmpiricalJoint",
-    "scalar_from_spec",
-    "joint_from_spec",
     "to_spec",
     "AssumptionCheck",
     "AssumptionReport",
@@ -357,9 +355,7 @@ class PointMassZero(ScalarDistribution):
         raise ConfigError("excess lifetime undefined for the point mass at zero")
 
     def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        up = np.where(np.isneginf(ys), np.inf, np.maximum(-ys, 0.0))
-        return _exp_window(up, s)
+        return _exp_window(np.maximum(-np.asarray(ys, dtype=float), 0.0), s)  # +inf at y = -inf
 
     def mass_at(self, x: float) -> float:
         return 1.0 if x == 0.0 else 0.0
@@ -378,41 +374,6 @@ def _pick(weights: tuple[float, ...], rng: np.random.Generator) -> int:
         if u < acc:
             return i
     return len(weights) - 1
-
-
-_SCALAR_KINDS: dict[str, type] = {
-    c.kind: c for c in (Exponential, Deterministic, Uniform, HyperExponential, PointMassZero)
-}
-
-
-def _from_spec(kinds: dict[str, type], spec: dict, what: str, convert: dict):
-    """Build the law named by spec["kind"] from the rest of the spec: the
-    keys are the class's fields, each value goes through its converter
-    in ``convert`` (or is taken as it is), and unknown keys and boolean
-    values are rejected."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{what} distribution spec must be a dict with 'kind': {spec!r}")
-    kind = spec["kind"]
-    cls = kinds.get(kind)
-    if cls is None:
-        raise ConfigError(f"unknown {what} distribution kind {kind!r}")
-    flags = sorted(k for k, v in spec.items() if _has_bool(v))
-    if flags:
-        raise ConfigError(f"bad parameters for {kind!r}: booleans in {flags}")
-    try:
-        params = {k: convert[k](v) if k in convert else v for k, v in spec.items() if k != "kind"}
-        return cls(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for {kind!r}: {exc}") from None
-
-
-def _has_bool(v) -> bool:
-    return isinstance(v, bool) or (isinstance(v, (list, tuple)) and any(map(_has_bool, v)))
-
-
-def scalar_from_spec(spec: dict) -> ScalarDistribution:
-    """Build a scalar law from a plain dict like {"kind": "exponential", "rate": 2.0}."""
-    return _from_spec(_SCALAR_KINDS, spec, "scalar", {})
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +430,6 @@ class _ScalarServiceJoint(JointDistribution):
 
     def service_mass_at_zero(self) -> float:
         return self.service.mass_at(0.0)
-
-    def service_std(self) -> float:
-        return self.service.std()
 
 
 @dataclass(frozen=True)
@@ -574,23 +532,8 @@ class EmpiricalJoint(JointDistribution):
         return sum(w for (s, _), w in zip(self.points, self.weights) if s == 0.0)
 
 
-_JOINT_KINDS = {c.kind: c for c in (ProductJoint, LinearJoint, EmpiricalJoint)}
-# empirical points and weights are converted by EmpiricalJoint itself
-_JOINT_CONVERT = {
-    "service": scalar_from_spec,
-    "lead": scalar_from_spec,
-    "c": float,
-    "moment_exponent": float,
-}
-
-
-def joint_from_spec(spec: dict) -> JointDistribution:
-    """Build a joint law from a plain dict; scalar components are nested specs."""
-    return _from_spec(_JOINT_KINDS, spec, "joint", _JOINT_CONVERT)
-
-
 def to_spec(d: ScalarDistribution | JointDistribution) -> dict:
-    """Plain-dict form of a scalar or joint law, read back by
+    """Plain-dict form of a scalar or joint law, read back by fileio's
     ``scalar_from_spec`` / ``joint_from_spec``: the kind plus every
     dataclass field, with nested laws as nested specs and tuples as lists."""
     return {"kind": d.kind, **{f.name: _plain(getattr(d, f.name)) for f in fields(d)}}

@@ -10,12 +10,12 @@ schema_version, an optional output_dir, and exactly one request block:
     profile   -> profiles     (profile.csv)
     rbm       -> rbm          (rbm_path.csv, rbm_summary.json)
 
-Each block is read into its dataclass, whose fields are the
-block's keys and whose defaults fill the keys left out, so a request is
-declared once.  Unknown keys anywhere, distribution specs included, are
-rejected: a typo should fail loudly, not silently fall back to a
-default.  A missing field or a value of the wrong type or form raises
-ConfigError as well.
+One reader (_read) builds each block, and each law spec in it, into its
+dataclass: the keys are the fields, each value goes through the reader
+of its field's declared type, and defaults fill the keys left out, so a
+request or a law is declared once.  A number is never a boolean or a
+numeric string.  An unknown key (a typo should fail loudly), a missing
+field or a value of the wrong type or form raises ConfigError.
 
 Writers hand each table as columns to _write_csv, which writes it a
 block of rows at a time.  Floats print as ``%.17g`` (format_value) and
@@ -34,12 +34,24 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .distributions import JointDistribution, ScalarDistribution, joint_from_spec, scalar_from_spec
+from .distributions import (
+    Deterministic,
+    EmpiricalJoint,
+    Exponential,
+    HyperExponential,
+    JointDistribution,
+    LinearJoint,
+    PointMassZero,
+    ProductJoint,
+    ScalarDistribution,
+    Uniform,
+)
 from .engine import ScenarioConfig, SimOutput
 from .errors import ConfigError
 from .harness import CollapseReport, SweepConfig, SweepRow
@@ -52,6 +64,8 @@ __all__ = [
     "ProfileRequest",
     "RBMRequest",
     "load_config",
+    "scalar_from_spec",
+    "joint_from_spec",
     "parse_scenario",
     "parse_sweep",
     "parse_lift",
@@ -89,33 +103,6 @@ def format_value(v) -> str:
     return _FMT % float(v)
 
 
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
-    extra = set(d) - allowed
-    if extra:
-        raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
-
-
-def _parser(where: str):
-    """Make a parse_* function report a missing field, or a value it cannot
-    convert, in the ``where`` block as ConfigError."""
-
-    def decorate(parse):
-        @functools.wraps(parse)
-        def checked(*args, **kwargs):
-            try:
-                return parse(*args, **kwargs)
-            except ConfigError:
-                raise
-            except KeyError as exc:
-                raise ConfigError(f"{where} missing required field {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value in {where}: {exc}") from None
-
-        return checked
-
-    return decorate
-
-
 @dataclass(frozen=True)
 class ConfigFile:
     schema_version: int
@@ -125,46 +112,73 @@ class ConfigFile:
 
 
 def load_config(path) -> ConfigFile:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, {"schema_version", "output_dir", *_REQUEST_KEYS}, "config root")
-    version = raw.get("schema_version")
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:  # also past int() digits or nesting depth
+        raise ConfigError(f"cannot read config {path} as JSON: {exc}") from None
+    root = _object(raw, _ROOT, "config root")
+    version = root.get("schema_version")
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version!r}; expected 1")
-    present = [k for k in _REQUEST_KEYS if k in raw]
+    present = [k for k in _REQUEST_KEYS if k in root]
     if len(present) != 1:
         raise ConfigError(
             f"config must contain exactly one of {_REQUEST_KEYS}, found {present or 'none'}"
         )
-    kind = present[0]
-    payload = raw[kind]
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{kind!r} block must be a JSON object")
-    out_dir = raw.get("output_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("output_dir must be a string")
-    return ConfigFile(1, out_dir, kind, payload)
+    return ConfigFile(1, root.get("output_dir"), present[0], root[present[0]])
 
 
 # ---------------------------------------------------------------------------
-# request parsing
+# the reader: a JSON object into a request or law dataclass
 # ---------------------------------------------------------------------------
 
 
-def _optional(convert):
-    """Converter for a field whose JSON null means None."""
-    return lambda v: None if v is None else convert(v)
+def _read(cls, obj, where: str):
+    """Build the dataclass ``cls`` from the JSON object ``obj``: its keys are
+    the fields of ``cls``, each value goes through the reader of its field's
+    declared type (_reader), and absent keys take the field's default."""
+    readers, required = _schema(cls)
+    return cls(**_object(obj, readers, where, required))
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict, tuple[str, ...]]:
+    """The reader of each field of ``cls``, and the fields with no default."""
+    hints = get_type_hints(cls, include_extras=True)
+    readers = {f.name: _reader(hints[f.name]) for f in fields(cls)}
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING is f.default_factory)
+    return readers, required
+
+
+def _reader(tp):
+    """The reader of a value declared as ``tp``: the entry in _READERS, the
+    reader an ``Annotated`` type names, or for ``T | None`` the reader of T
+    with null read as None.  A type with none raises KeyError."""
+    if get_origin(tp) is Annotated:
+        return tp.__metadata__[0]
+    if type(None) in get_args(tp):
+        read = _reader(next(a for a in get_args(tp) if a is not type(None)))
+        return lambda v: None if v is None else read(v)
+    return _READERS[tp]
+
+
+def _object(obj, readers: dict, where: str, required=()) -> dict:
+    """``obj``'s values, each through ``readers[key]``.  A value that is not
+    a JSON object, an unknown key (a typo should fail loudly, not fall back
+    to a default) or a missing required key raises ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - set(readers))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ConfigError(f"{where} missing required fields {missing}")
+    return {k: readers[k](v) for k, v in obj.items()}
 
 
 def _int(v) -> int:
-    """An integer field: integral numbers only, never a boolean."""
+    """Integral numbers only, never a boolean."""
     integral = isinstance(v, int) or (isinstance(v, float) and v.is_integer())
     if isinstance(v, bool) or not integral:
         raise ConfigError(f"expected an integer, got {v!r}")
@@ -172,57 +186,51 @@ def _int(v) -> int:
 
 
 def _float(v) -> float:
-    """A float field: numbers only, never a boolean or a numeric string."""
+    """Numbers only, never a boolean or a numeric string; a JSON 300 reads as 300.0."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"expected a number within the float range, got {v}") from None
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(_float(v) for v in values)
+def _str(v) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"expected a string, got {v!r}")
+    return v
 
 
-def _from_payload(cls, payload: dict, where: str, convert: dict):
-    """Build the request dataclass ``cls`` from its block: the accepted keys
-    are the fields of ``cls``, each present key goes through its converter
-    in ``convert`` (or is taken as it is), and absent keys take the field's
-    default.  Float fields convert with _float() so that a JSON 300 is
-    echoed in the outputs as 300.0."""
-    _reject_unknown(payload, {f.name for f in fields(cls)}, where)
-    return cls(**{k: convert[k](v) if k in convert else v for k, v in payload.items()})
+def _floats(v) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise ConfigError(f"expected a list of numbers, got {v!r}")
+    return tuple(map(_float, v))
 
 
-def _initial_jobs(spec) -> tuple[tuple[float, float], ...]:
-    if spec == "empty":
+def _pairs(v) -> tuple[tuple[float, float], ...]:
+    """A list of [a, b] pairs of numbers, or "empty" for none."""
+    if v == "empty":
         return ()
-    if not isinstance(spec, list):
-        raise ConfigError('initial_jobs must be "empty" or a list of [service, lead] pairs')
-    return tuple((_float(v), _float(l)) for v, l in spec)
+    if not (isinstance(v, list) and all(isinstance(p, list) and len(p) == 2 for p in v)):
+        raise ConfigError(f'expected "empty" or a list of [a, b] pairs, got {v!r}')
+    return tuple((_float(a), _float(b)) for a, b in v)
 
 
-@_parser("scenario")
-def parse_scenario(payload: dict) -> ScenarioConfig:
-    convert = {
-        "interarrival": scalar_from_spec,
-        "first_interarrival": _optional(scalar_from_spec),
-        "joint": joint_from_spec,
-        "horizon": _float,
-        "snapshot_times": _floats,
-        "seed": _int,
-        "lead_scale": _float,
-        "initial_jobs": _initial_jobs,
-        "r": _float,
-    }
-    return _from_payload(ScenarioConfig, payload, "scenario", convert)
+def _block(v) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigError(f"a request block must be a JSON object, got {v!r}")
+    return v
 
 
-def _parse_grid(spec: dict | None) -> QuadrantGrid:
+_GRID_KEYS = ("x_max", "x_step", "y_min", "y_max", "y_step")
+
+
+def _grid(spec) -> QuadrantGrid:
+    """The grid an object holding the _GRID_KEYS spans; null gives the default grid."""
     if spec is None:
         return default_grid()
-    allowed = {"x_max", "x_step", "y_min", "y_max", "y_step"}
-    _reject_unknown(spec, allowed, "grid")
-    x_max, x_step = _float(spec["x_max"]), _float(spec["x_step"])
-    y_min, y_max, y_step = _float(spec["y_min"]), _float(spec["y_max"]), _float(spec["y_step"])
+    g = _object(spec, dict.fromkeys(_GRID_KEYS, _float), "grid", _GRID_KEYS)
+    x_max, x_step, y_min, y_max, y_step = (g[k] for k in _GRID_KEYS)
     if not all(map(math.isfinite, (x_max, x_step, y_min, y_max, y_step))):
         raise ConfigError("grid bounds and steps must be finite")
     if x_step <= 0 or y_step <= 0 or x_max <= 0 or y_max <= y_min:
@@ -236,22 +244,63 @@ def _parse_grid(spec: dict | None) -> QuadrantGrid:
     return QuadrantGrid(xs, ys)
 
 
-@_parser("sweep")
+def _y_values(spec) -> tuple[float, ...]:
+    """A list of numbers, or {y_min, y_max, n} for n evenly spaced ones; no NaN."""
+    if isinstance(spec, dict):
+        keys = {"y_min": _float, "y_max": _float, "n": _int}
+        s = _object(spec, keys, "y_values", tuple(keys))
+        if s["n"] < 0:
+            raise ConfigError(f"y_values needs n >= 0, got {s['n']}")
+        spec = np.linspace(s["y_min"], s["y_max"], s["n"]).tolist()
+    ys = _floats(spec)
+    if any(map(math.isnan, ys)):
+        raise ConfigError("y_values must not contain NaN")
+    return ys
+
+
+_SCALAR_KINDS = {
+    c.kind: c for c in (Exponential, Deterministic, Uniform, HyperExponential, PointMassZero)
+}
+_JOINT_KINDS = {c.kind: c for c in (ProductJoint, LinearJoint, EmpiricalJoint)}
+
+
+def scalar_from_spec(spec) -> ScalarDistribution:
+    """The scalar law of a spec like {"kind": "exponential", "rate": 2.0}."""
+    return _law(_SCALAR_KINDS, spec)
+
+
+def joint_from_spec(spec) -> JointDistribution:
+    """The joint law of a spec whose scalar components are nested specs."""
+    return _law(_JOINT_KINDS, spec)
+
+
+def _law(kinds: dict, spec):
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"a law spec needs a 'kind' in {sorted(kinds)}, got {spec!r}")
+    return _read(kinds[kind], {k: v for k, v in spec.items() if k != "kind"}, f"{kind} law")
+
+
+_READERS = {
+    float: _float,
+    int: _int,
+    str: _str,
+    tuple[float, ...]: _floats,
+    tuple[tuple[float, float], ...]: _pairs,
+    ScalarDistribution: scalar_from_spec,
+    JointDistribution: joint_from_spec,
+    QuadrantGrid: _grid,
+}
+_ROOT = {"schema_version": _int, "output_dir": _reader(str | None)}
+_ROOT.update(dict.fromkeys(_REQUEST_KEYS, _block))
+
+
+def parse_scenario(payload: dict) -> ScenarioConfig:
+    return _read(ScenarioConfig, payload, "scenario")
+
+
 def parse_sweep(payload: dict) -> SweepConfig:
-    convert = {
-        "joint": joint_from_spec,
-        "alpha": _float,
-        "gamma": _float,
-        "r_values": _floats,
-        "T": _float,
-        "snapshot_times": _floats,
-        "replications": _int,
-        "seed_base": _int,
-        "sojourn_window": _float,
-        "interarrival_kind": str,
-        "grid": _parse_grid,
-    }
-    return _from_payload(SweepConfig, payload, "sweep", convert)
+    return _read(SweepConfig, payload, "sweep")
 
 
 @dataclass(frozen=True)
@@ -264,15 +313,8 @@ class LiftRequest:
     grid: QuadrantGrid = field(default_factory=default_grid)
 
 
-@_parser("lift")
 def parse_lift(payload: dict) -> LiftRequest:
-    convert = {
-        "joint": joint_from_spec,
-        "alpha": _float,
-        "z": _float,
-        "grid": _parse_grid,
-    }
-    return _from_payload(LiftRequest, payload, "lift", convert)
+    return _read(LiftRequest, payload, "lift")
 
 
 @dataclass(frozen=True)
@@ -283,34 +325,14 @@ class ProfileRequest:
     profile: str
     nu: ScalarDistribution
     z: float
-    y_values: tuple[float, ...]
+    y_values: Annotated[tuple[float, ...], _y_values]
     lam: ScalarDistribution | None = None
     alpha: float | None = None
     c: float | None = None
 
 
-def _y_values(spec) -> tuple[float, ...]:
-    if isinstance(spec, dict):
-        _reject_unknown(spec, {"y_min", "y_max", "n"}, "y_values")
-        spec = np.linspace(_float(spec["y_min"]), _float(spec["y_max"]), _int(spec["n"]))
-    ys = _floats(spec)
-    if any(map(math.isnan, ys)):
-        raise ConfigError("y_values must not contain NaN")
-    return ys
-
-
-@_parser("profile")
 def parse_profile(payload: dict) -> ProfileRequest:
-    convert = {
-        "profile": str,
-        "nu": scalar_from_spec,
-        "z": _float,
-        "y_values": _y_values,
-        "lam": _optional(scalar_from_spec),
-        "alpha": _optional(_float),
-        "c": _optional(_float),
-    }
-    return _from_payload(ProfileRequest, payload, "profile", convert)
+    return _read(ProfileRequest, payload, "profile")
 
 
 @dataclass(frozen=True)
@@ -328,18 +350,8 @@ class RBMRequest:
         return RBMSpec(self.drift, self.variance, self.x0)
 
 
-@_parser("rbm")
 def parse_rbm(payload: dict) -> RBMRequest:
-    convert = {
-        "drift": _float,
-        "variance": _float,
-        "horizon": _float,
-        "dt": _float,
-        "x0": _float,
-        "seed": _int,
-        "quantiles": _floats,
-    }
-    return _from_payload(RBMRequest, payload, "rbm", convert)
+    return _read(RBMRequest, payload, "rbm")
 
 
 # ---------------------------------------------------------------------------

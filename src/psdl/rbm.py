@@ -47,7 +47,10 @@ class RBMSpec:
             raise ConfigError(
                 f"stationary law needs negative drift, got {self.drift}"
             )
-        return 2.0 * abs(self.drift) / self.variance
+        rate = 2.0 * abs(self.drift) / self.variance
+        if not 0.0 < rate < math.inf:
+            raise ConfigError(f"stationary rate 2 |drift| / variance = {rate} leaves the float range")
+        return rate
 
 
 @dataclass(frozen=True)

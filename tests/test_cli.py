@@ -382,6 +382,13 @@ STRICT_FLOAT_CASES = [
     ("rbm", "rbm", {**RBM, "drift": True}),
     ("rbm", "rbm", {**RBM, "dt": "0.01"}),
     ("rbm", "rbm", {**RBM, "quantiles": [True]}),
+    # law parameters follow the same rules as request fields
+    ("simulate", "scenario", {**SCENARIO, "interarrival": {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": ["1", "3"]}}),
+    ("lift", "lift", {**LIFT, "joint": {"kind": "empirical", "points": [["1.5", "0.5"]]}}),
+    ("lift", "lift", {**LIFT, "joint": {"kind": "empirical", "points": [[1.5, 0.5]], "weights": ["1"]}}),
+    ("simulate", "scenario", {**SCENARIO, "joint": {**SCENARIO["joint"], "lead": {"kind": "uniform", "lo": 0.0, "hi": "2"}}}),
+    ("lift", "lift", {**LIFT, "joint": {**LINEAR_JOINT, "c": "1"}}),
+    ("sweep", "sweep", {**SWEEP, "joint": {**MM1_JOINT, "moment_exponent": "1"}}),
 ]
 
 
@@ -457,6 +464,60 @@ def test_rbm_out_of_float_range(tmp_path, capsys, body, code, prefix):
     assert main(["rbm", "--config", cfg, "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and "float range" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+# the stationary law is checked before the path is drawn, so a request it
+# cannot serve exits 2 and writes nothing
+RBM_NO_STATIONARY_LAW = [
+    # 2 |drift| / variance underflows to 0
+    {"drift": -1e-300, "variance": 1e300, "horizon": 1.0, "dt": 0.5, "quantiles": [0.5]},
+    # quantiles of a drift with no stationary law
+    {**RBM, "drift": 0.5, "quantiles": [0.5]},
+]
+
+
+@pytest.mark.parametrize("body", RBM_NO_STATIONARY_LAW, ids=["rate-underflow", "nonnegative-drift"])
+def test_rbm_without_a_stationary_law_writes_nothing(tmp_path, capsys, body):
+    cfg = write_config(tmp_path, {"schema_version": 1, "rbm": body})
+    out = tmp_path / "out"
+    assert main(["rbm", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "stationary" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# configs Python cannot read as they stand: an integer past the float
+# range, an integer of more digits than int() converts, nesting deeper
+# than the decoder recurses, bytes that are not UTF-8, a directory and no
+# file at all
+UNREADABLE_CONFIGS = [
+    b'{"schema_version": 1, "rbm": {"drift": -1, "variance": 2, "horizon": 1, "dt": 1%s}}' % (b"0" * 400),
+    b'{"schema_version": 1, "rbm": {"drift": -%s}}' % (b"1" * 5000),
+    b'{"schema_version": 1, "rbm": %s%s}' % (b"[" * 100_000, b"]" * 100_000),
+    b'{"schema_version": 1, "rbm": {"drift": -1\xff}}',
+    "directory",
+    "missing",
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    UNREADABLE_CONFIGS,
+    ids=["float-range", "int-digits", "depth", "not-utf8", "directory", "missing"],
+)
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "config.json"
+    if text == "directory":
+        cfg.mkdir()
+    elif text != "missing":
+        cfg.write_bytes(text)
+    out = tmp_path / "out"
+    assert main(["rbm", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -289,6 +289,9 @@ def test_joint_spec_round_trip():
     for spec in ({**product, "c": 2.0}, {**linear, "lead": to_spec(Exponential(1.0))}):
         with pytest.raises(ConfigError):
             joint_from_spec(spec)
+    # an empirical point is a (service, lead) pair
+    with pytest.raises(ConfigError):
+        joint_from_spec({"kind": "empirical", "points": [[1, 2, 3]]})
 
 
 def test_check_assumptions_pass():

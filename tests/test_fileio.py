@@ -1,6 +1,9 @@
-"""The column-wise CSV writer against the row-at-a-time csv.writer oracle."""
+"""The config reader, and the column-wise CSV writer against the
+row-at-a-time csv.writer oracle."""
 
+import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -268,3 +271,43 @@ def test_tied_departures_go_by_job_id(tmp_path):
     assert out.departure_times.tolist() == [5.0, 5.0, 6.5, 6.5, 6.5]
     rows = _departures_match_oracle(out, tmp_path).split(b"\r\n")[1:-1]
     assert [int(r.split(b",")[0]) for r in rows] == [1, 3, 0, 2, 4]
+
+
+# ---------------------------------------------------------------------------
+# the config reader
+# ---------------------------------------------------------------------------
+
+REQUESTS = (ScenarioConfig, SweepConfig, fileio.LiftRequest, fileio.ProfileRequest, fileio.RBMRequest)
+LAWS = (*fileio._SCALAR_KINDS.values(), *fileio._JOINT_KINDS.values())
+
+
+def test_every_field_the_reader_builds_has_a_reader():
+    # a declared type with no reader fails here, not in a user's config as
+    # a ConfigError
+    assert (len(REQUESTS), len(fileio._SCALAR_KINDS), len(fileio._JOINT_KINDS)) == (5, 5, 3)
+    for cls in (*REQUESTS, *LAWS):
+        readers, required = fileio._schema(cls)
+        assert list(readers) == [f.name for f in dataclasses.fields(cls)], cls
+        assert all(map(callable, readers.values())) and set(required) <= set(readers)
+
+    @dataclasses.dataclass
+    class Unreadable:
+        x: complex
+
+    with pytest.raises(KeyError):
+        fileio._schema(Unreadable)
+
+
+def test_readme_config_examples_parse(tmp_path):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"```json\n(.*?)```", text, flags=re.S)
+    assert len(examples) == 2
+    parsed = {}
+    for i, example in enumerate(examples):
+        (tmp_path / f"{i}.json").write_text(example)
+        cfg = fileio.load_config(tmp_path / f"{i}.json")
+        parsed[cfg.kind] = getattr(fileio, f"parse_{cfg.kind}")(cfg.payload)
+    scenario, sweep = parsed["scenario"], parsed["sweep"]
+    assert scenario.joint == ProductJoint(Exponential(1.0), Uniform(0.0, 2.0))
+    assert (scenario.horizon, scenario.snapshot_times, scenario.seed) == (1000.0, (250.0, 500.0), 7)
+    assert sweep.r_values == (5.0, 10.0, 20.0) and sweep.replications == 40

@@ -35,7 +35,7 @@ from psdl import (
     sojourn_limit_cdf,
     time_in_queue_profile,
 )
-from psdl import distributions, manifold
+from psdl import fileio, manifold
 from psdl.errors import SimulationError
 from psdl.measures import default_grid
 from joint_supports import scalar_support
@@ -376,7 +376,7 @@ def test_quadrature_fallback_matches_oracle_on_the_grid():
     # every joint without a closed form has piecewise-linear or step sections,
     # so the two-point rule on the cut panels is exact up to rounding; a new
     # family reaching the fallback with a curved section fails here
-    assert {d.kind for d in _FAMILIES} == set(distributions._SCALAR_KINDS)
+    assert {d.kind for d in _FAMILIES} == set(fileio._SCALAR_KINDS)
     joints = [ProductJoint(s, l) for s in _FAMILIES for l in _FAMILIES]
     joints += [LinearJoint(s, 0.8) for s in _FAMILIES]
     fallback = [j for j in joints if lift(j, 1.3, 1.0).method == "quadrature"]

@@ -364,6 +364,10 @@ def test_grid_step_count_overflow_is_a_config_error(tmp_path, capsys, cmd, key, 
     assert err.startswith("config error") and "grid" in err and "Traceback" not in err
 
 
+# laws whose parameters the cases below replace with numeric strings
+HYPER = {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": [1.0, 3.0]}
+EMPIRICAL = {"kind": "empirical", "points": [[1.5, 0.5]]}
+UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 2.0}
 STRICT_FLOAT_CASES = [
     ("lift", "lift", {**LIFT, "alpha": True}),
     ("lift", "lift", {**LIFT, "z": "1.5"}),
@@ -383,10 +387,10 @@ STRICT_FLOAT_CASES = [
     ("rbm", "rbm", {**RBM, "dt": "0.01"}),
     ("rbm", "rbm", {**RBM, "quantiles": [True]}),
     # law parameters follow the same rules as request fields
-    ("simulate", "scenario", {**SCENARIO, "interarrival": {"kind": "hyperexponential", "weights": [0.5, 0.5], "rates": ["1", "3"]}}),
+    ("simulate", "scenario", {**SCENARIO, "interarrival": {**HYPER, "rates": ["1", "3"]}}),
     ("lift", "lift", {**LIFT, "joint": {"kind": "empirical", "points": [["1.5", "0.5"]]}}),
-    ("lift", "lift", {**LIFT, "joint": {"kind": "empirical", "points": [[1.5, 0.5]], "weights": ["1"]}}),
-    ("simulate", "scenario", {**SCENARIO, "joint": {**SCENARIO["joint"], "lead": {"kind": "uniform", "lo": 0.0, "hi": "2"}}}),
+    ("lift", "lift", {**LIFT, "joint": {**EMPIRICAL, "weights": ["1"]}}),
+    ("simulate", "scenario", {**SCENARIO, "joint": {**SCENARIO["joint"], "lead": {**UNIFORM, "hi": "2"}}}),
     ("lift", "lift", {**LIFT, "joint": {**LINEAR_JOINT, "c": "1"}}),
     ("sweep", "sweep", {**SWEEP, "joint": {**MM1_JOINT, "moment_exponent": "1"}}),
 ]

@@ -7,8 +7,6 @@ harness that measures the collapse along a ladder of scaling parameters.
 """
 
 from .distributions import (
-    AssumptionCheck,
-    AssumptionReport,
     Deterministic,
     EmpiricalJoint,
     Exponential,
@@ -44,7 +42,6 @@ from .harness import (
     sojourn_snapshot_experiment,
 )
 from .manifold import (
-    HeavyTrafficParams,
     InvariantMeasure,
     ht_params,
     lead_profile_product,

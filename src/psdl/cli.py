@@ -34,7 +34,10 @@ from .rbm import deadline_quantile, simulate, stationary_cdf
 
 def _out_dir(args, cfg: fileio.ConfigFile) -> Path:
     d = Path(args.out) if args.out else Path(cfg.output_dir or ".")
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file where the directory or one of its parents should be
+        raise ConfigError(f"cannot make the output directory {d}: {exc}") from None
     return d
 
 
@@ -129,19 +132,19 @@ def cmd_rbm(args) -> int:
     req = fileio.parse_rbm(_require(cfg, "rbm", args.seed_override))
     # the stationary law first, so that a request it cannot serve writes nothing
     summary = {
-        "drift": req.spec.drift,
-        "variance": req.spec.variance,
+        "drift": req.drift,
+        "variance": req.variance,
         "quantiles": {
-            fileio.format_value(q): deadline_quantile(req.spec, q) for q in req.quantiles
+            fileio.format_value(q): deadline_quantile(req, q) for q in req.quantiles
         },
     }
-    if req.spec.drift < 0.0:
-        summary["stationary_rate"] = req.spec.stationary_rate
-        summary["stationary_mean"] = req.spec.variance / (2.0 * abs(req.spec.drift))
+    if req.drift < 0.0:
+        summary["stationary_rate"] = req.stationary_rate
+        summary["stationary_mean"] = req.variance / (2.0 * abs(req.drift))
         summary["stationary_cdf_at_mean"] = stationary_cdf(
-            req.spec, summary["stationary_mean"]
+            req, summary["stationary_mean"]
         )
-    path = simulate(req.spec, req.horizon, req.dt, req.seed)
+    path = simulate(req, req.horizon, req.dt, req.seed)
     summary["time_average"] = path.time_average()
     d = _out_dir(args, cfg)
     fileio.write_rbm_path_csv(path, d / "rbm_path.csv")

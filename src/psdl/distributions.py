@@ -45,8 +45,6 @@ __all__ = [
     "LinearJoint",
     "EmpiricalJoint",
     "to_spec",
-    "AssumptionCheck",
-    "AssumptionReport",
     "check_assumptions",
 ]
 
@@ -289,9 +287,9 @@ class HyperExponential(ScalarDistribution):
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         if len(self.weights) != len(self.rates) or not self.weights:
             raise ConfigError("hyperexponential needs matching nonempty weights/rates")
-        if any(w <= 0.0 for w in self.weights) or any(r <= 0.0 for r in self.rates):
-            raise ConfigError("hyperexponential weights and rates must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if not all(x > 0.0 and math.isfinite(x) for x in self.weights + self.rates):
+            raise ConfigError("hyperexponential weights and rates must be positive and finite")
+        if not (abs(sum(self.weights) - 1.0) <= 1e-9):
             raise ConfigError("hyperexponential weights must sum to 1")
 
     def mean(self) -> float:
@@ -442,8 +440,8 @@ class ProductJoint(_ScalarServiceJoint):
     kind: ClassVar[str] = "product"
 
     def __post_init__(self):
-        if self.moment_exponent <= 0.0:
-            raise ConfigError("moment_exponent must be positive")
+        if not (self.moment_exponent > 0.0 and math.isfinite(self.moment_exponent)):
+            raise ConfigError("moment_exponent must be positive and finite")
 
     def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # every lead survival is 1 at y = -inf
@@ -472,8 +470,8 @@ class LinearJoint(_ScalarServiceJoint):
     def __post_init__(self):
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise ConfigError(f"linear coupling needs c > 0, got {self.c}")
-        if self.moment_exponent <= 0.0:
-            raise ConfigError("moment_exponent must be positive")
+        if not (self.moment_exponent > 0.0 and math.isfinite(self.moment_exponent)):
+            raise ConfigError("moment_exponent must be positive and finite")
 
     def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # {v >= x, c v >= y} collapses to a single service tail
@@ -498,19 +496,19 @@ class EmpiricalJoint(JointDistribution):
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ConfigError("empirical joint law needs at least one point")
-        if any(s < 0.0 for s, _ in pts):
-            raise ConfigError("empirical service coordinates must be >= 0")
+        if not all(s >= 0.0 and math.isfinite(s) and math.isfinite(l) for s, l in pts):
+            raise ConfigError("empirical points must be finite, with service coordinates >= 0")
         if self.weights is None:
             w = tuple(1.0 / len(pts) for _ in pts)
         else:
             w = tuple(float(x) for x in self.weights)
             if len(w) != len(pts):
                 raise ConfigError("empirical weights must match points")
-            if any(x <= 0.0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-                raise ConfigError("empirical weights must be positive and sum to 1")
+            if not (all(x > 0.0 and math.isfinite(x) for x in w) and abs(sum(w) - 1.0) <= 1e-9):
+                raise ConfigError("empirical weights must be positive, finite and sum to 1")
         object.__setattr__(self, "weights", w)
-        if self.moment_exponent <= 0.0:
-            raise ConfigError("moment_exponent must be positive")
+        if not (self.moment_exponent > 0.0 and math.isfinite(self.moment_exponent)):
+            raise ConfigError("moment_exponent must be positive and finite")
 
     def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # one pass per atom keeps the working set at the size of x
@@ -552,66 +550,29 @@ def _plain(v):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[AssumptionCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[AssumptionCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def check_assumptions(d: JointDistribution, alpha: float) -> AssumptionReport:
-    """Admissibility of a joint (service, lead) law at arrival rate alpha.
+def check_assumptions(d: JointDistribution, alpha: float) -> dict[str, str]:
+    """The admissibility checks a joint (service, lead) law fails at arrival
+    rate alpha, each name mapped to its detail; empty when it passes them.
 
     Checks: no service atom at zero; finite (4 + p)-th service moment for
     the law's moment exponent p; service mean equal to 1/alpha (critical
-    loading of the prelimit sequence).
+    loading of the prelimit sequence).  A NaN fails every check it reaches.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ConfigError(f"arrival rate must be positive and finite, got {alpha}")
-    checks: list[AssumptionCheck] = []
-
+    failed: dict[str, str] = {}
     atom = d.service_mass_at_zero()
-    checks.append(
-        AssumptionCheck(
-            "no_service_atom_at_zero",
-            atom == 0.0,
-            f"P(service = 0) = {atom}",
-        )
-    )
-
+    if not (atom == 0.0):
+        failed["no_service_atom_at_zero"] = f"P(service = 0) = {atom}"
     k = 4.0 + d.moment_exponent
     try:
         mk = d.service_moment(k)
     except (OverflowError, ZeroDivisionError):  # beyond the float range
         mk = math.inf
-    checks.append(
-        AssumptionCheck(
-            "service_moment_finite",
-            math.isfinite(mk),
-            f"E[service^{k}] = {mk}",
-        )
-    )
-
+    if not math.isfinite(mk):
+        failed["service_moment_finite"] = f"E[service^{k}] = {mk}"
     m = d.mean_service()
     target = 1.0 / alpha
-    ok = abs(m - target) <= 1e-9 * max(1.0, target)
-    checks.append(
-        AssumptionCheck(
-            "service_mean_matches_rate",
-            ok,
-            f"mean service {m} vs 1/alpha = {target}",
-        )
-    )
-    return AssumptionReport(tuple(checks))
+    if not (abs(m - target) <= 1e-9 * max(1.0, target)):
+        failed["service_mean_matches_rate"] = f"mean service {m} vs 1/alpha = {target}"
+    return failed

@@ -335,19 +335,14 @@ def parse_profile(payload: dict) -> ProfileRequest:
     return _read(ProfileRequest, payload, "profile")
 
 
-@dataclass(frozen=True)
-class RBMRequest:
-    drift: float
-    variance: float
+@dataclass(frozen=True, kw_only=True)
+class RBMRequest(RBMSpec):
+    """An rbm request: the process (drift, variance, x0) and the path to draw."""
+
     horizon: float
     dt: float
-    x0: float = 0.0
     seed: int = 0
     quantiles: tuple[float, ...] = ()
-
-    @property
-    def spec(self) -> RBMSpec:
-        return RBMSpec(self.drift, self.variance, self.x0)
 
 
 def parse_rbm(payload: dict) -> RBMRequest:
@@ -452,10 +447,8 @@ def write_collapse_vs_r_csv(report: CollapseReport, path) -> None:
 
 
 def write_profile_overlay_csv(report: CollapseReport, path) -> None:
-    ys = report.config["grid"]["y_values"]
-    rows = [(ov.r, ov.t, *c) for ov in report.overlays for c in zip(ys, ov.empirical, ov.limit)]
     header = ["r", "t", "y", "empirical_survival", "limit_survival"]
-    table = np.array(rows, dtype=float).reshape(-1, len(header))
+    table = np.array(report.overlays, dtype=float).reshape(-1, len(header))
     _write_csv(path, header, list(table.T))
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import product, repeat
 from typing import Callable
 
@@ -54,7 +54,6 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "SojournSample",
-    "OverlayCurve",
     "CollapseReport",
     "build_scenario",
     "collapse_error",
@@ -111,9 +110,9 @@ class SweepConfig:
                 f"interarrival_kind must be one of {_INTERARRIVAL_KINDS}, "
                 f"got {self.interarrival_kind!r}"
             )
-        report = check_assumptions(self.joint, self.alpha)
-        if not report.passed:
-            names = ", ".join(f"{c.name} ({c.detail})" for c in report.failures())
+        failed = check_assumptions(self.joint, self.alpha)
+        if failed:
+            names = ", ".join(f"{name} ({detail})" for name, detail in failed.items())
             raise ConfigError(f"joint law inadmissible at alpha={self.alpha}: {names}")
 
 
@@ -249,22 +248,15 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class OverlayCurve:
-    """Empirical vs limit lead-survival on the grid's y values (x = 0 row),
-    recorded for replication 0 of each (r, t)."""
-
-    r: float
-    t: float
-    empirical: tuple[float, ...]
-    limit: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class CollapseReport:
+    """``overlays`` holds (r, t, y, empirical, limit) rows: the empirical and
+    limit lead survival at each grid y value (the x = 0 row), recorded for
+    replication 0 of each (r, t)."""
+
     config: dict
     theory: dict
     rows: tuple[SweepRow, ...]
-    overlays: tuple[OverlayCurve, ...]
+    overlays: tuple[tuple[float, float, float, float, float], ...]
     aggregates: dict
 
     def to_json_dict(self) -> dict:
@@ -276,12 +268,13 @@ class CollapseReport:
         }
 
 
-def _run_cell(sweep: SweepConfig, r_idx: int, replication: int) -> tuple[list[SweepRow], list[OverlayCurve]]:
+def _run_cell(sweep: SweepConfig, r_idx: int, replication: int) -> tuple[list[SweepRow], list[tuple]]:
     r = sweep.r_values[r_idx]
     out = run(build_scenario(sweep, r, replication), path=False)
     nu = getattr(sweep.joint, "service", None)  # empirical laws have no service marginal
     rows: list[SweepRow] = []
-    overlays: list[OverlayCurve] = []
+    overlays: list[tuple] = []
+    ys = sweep.grid.y_values.tolist()
     for t in sweep.snapshot_times:
         _, _, snap = out.snapshot_at(r * r * t)
         scaled = scale_diffusion(snap, r) if snap.count else snap
@@ -310,9 +303,7 @@ def _run_cell(sweep: SweepConfig, r_idx: int, replication: int) -> tuple[list[Sw
             )
         )
         if replication == 0:
-            overlays.append(
-                OverlayCurve(r, t, tuple(float(v) for v in emp[0, :]), tuple(float(v) for v in th[0, :]))
-            )
+            overlays += zip(repeat(r), repeat(t), ys, emp[0].tolist(), th[0].tolist())
     return rows, overlays
 
 
@@ -419,7 +410,7 @@ def run_sweep(sweep: SweepConfig, threads: int = 1) -> CollapseReport:
     }
     return CollapseReport(
         config=config_echo,
-        theory=asdict(theory),
+        theory=theory,
         rows=rows,
         overlays=overlays,
         aggregates=_aggregate(sweep, rows),

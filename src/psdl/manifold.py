@@ -59,7 +59,6 @@ from .measures import QuadrantFunction
 
 __all__ = [
     "InvariantMeasure",
-    "HeavyTrafficParams",
     "lift",
     "lead_profile_product",
     "time_in_queue_profile",
@@ -385,9 +384,10 @@ def linear_deadline_profile(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeavyTrafficParams:
-    """Limit constants for a critically loaded sequence.
+def ht_params(
+    alpha: float, interarrival_std: float, service_std: float, gamma: float
+) -> dict:
+    """Reflected-Brownian limit constants for (alpha, a, b, gamma), keyed by name.
 
     alpha: limiting arrival rate (service mean is 1/alpha).
     interarrival_std / service_std: limiting standard deviations of one
@@ -399,22 +399,6 @@ class HeavyTrafficParams:
     workload_* / queue_*: drift and variance of the two reflected
     Brownian limits.
     """
-
-    alpha: float
-    interarrival_std: float
-    service_std: float
-    gamma: float
-    queue_workload_ratio: float
-    workload_drift: float
-    workload_var: float
-    queue_drift: float
-    queue_var: float
-
-
-def ht_params(
-    alpha: float, interarrival_std: float, service_std: float, gamma: float
-) -> HeavyTrafficParams:
-    """Reflected-Brownian limit constants for (alpha, a, b, gamma)."""
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ConfigError(f"arrival rate must be positive, got {alpha}")
     if interarrival_std < 0.0 or service_std < 0.0:
@@ -424,7 +408,7 @@ def ht_params(
     a2, b2 = interarrival_std**2, service_std**2
     ratio = 2.0 * alpha / (1.0 + alpha**2 * b2)
     w_var = alpha * (a2 + b2)
-    return HeavyTrafficParams(
+    return dict(
         alpha=alpha,
         interarrival_std=interarrival_std,
         service_std=service_std,

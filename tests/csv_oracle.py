@@ -77,14 +77,7 @@ def write_collapse_vs_r_csv(report, path) -> None:
 
 
 def write_profile_overlay_csv(report, path) -> None:
-    ys = report.config["grid"]["y_values"]
-
-    def rows():
-        for ov in report.overlays:
-            for y, e, l in zip(ys, ov.empirical, ov.limit):
-                yield (ov.r, ov.t, y, e, l)
-
-    write_csv(path, ["r", "t", "y", "empirical_survival", "limit_survival"], rows())
+    write_csv(path, ["r", "t", "y", "empirical_survival", "limit_survival"], report.overlays)
 
 
 def write_lift_csv(table, grid, path) -> None:

@@ -528,10 +528,14 @@ def test_criterion_11_rbm_stationary_law():
 def _report_bytes(rep) -> bytes:
     payload = dict(rep.to_json_dict())
     payload["rows"] = [asdict(row) for row in rep.rows]
-    payload["overlays"] = [
-        {"r": o.r, "t": o.t, "empirical": list(o.empirical), "limit": list(o.limit)}
-        for o in rep.overlays
-    ]
+    # one curve per (r, t), as the overlays were first serialized; the grid's
+    # y values are in the config echo
+    curves: dict = {}
+    for r, t, _, e, l in rep.overlays:
+        c = curves.setdefault((r, t), {"r": r, "t": t, "empirical": [], "limit": []})
+        c["empirical"].append(e)
+        c["limit"].append(l)
+    payload["overlays"] = list(curves.values())
     return json.dumps(payload, sort_keys=True).encode()
 
 

@@ -404,6 +404,36 @@ def test_float_fields_reject_booleans_and_strings(tmp_path, capsys, cmd, key, bl
     assert "expected a number" in err and "Traceback" not in err
 
 
+def test_non_finite_law_parameter_is_a_config_error(tmp_path, capsys):
+    # JSON's NaN reads as a float; a NaN lead would print nan masses
+    joint = {"kind": "empirical", "points": [[1.0, float("nan")], [1.0, 2.0]]}
+    cfg = write_config(tmp_path, {"schema_version": 1, "lift": {**LIFT, "joint": joint}})
+    out = tmp_path / "out"
+    assert main(["lift", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# an output directory that names a file, or lies under one
+@pytest.mark.parametrize(
+    "flag, where", [("--out", "taken"), ("--out", "taken/sub"), ("output_dir", "taken")]
+)
+def test_output_directory_that_is_a_file_is_a_config_error(tmp_path, capsys, flag, where):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    body = {"schema_version": 1, "rbm": RBM}
+    argv = ["rbm"]
+    if flag == "output_dir":
+        body["output_dir"] = str(tmp_path / where)
+    else:
+        argv += [flag, str(tmp_path / where)]
+    assert main([*argv, "--config", write_config(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1 and "Traceback" not in err
+    assert taken.read_text() == "kept\n"
+
+
 def test_exit_code_wrong_request_kind(tmp_path):
     cfg = scenario_config(tmp_path)
     assert main(["lift", "--config", cfg, "--out", str(tmp_path / "w")]) == 2

@@ -294,23 +294,56 @@ def test_joint_spec_round_trip():
         joint_from_spec({"kind": "empirical", "points": [[1, 2, 3]]})
 
 
+NAN, INF = float("nan"), float("inf")
+EXP = {"kind": "exponential", "rate": 1.0}
+# non-finite law parameters, which Python's JSON reader takes from NaN and Infinity
+NON_FINITE_SCALARS = [
+    {"kind": "hyperexponential", "weights": [1.0], "rates": [INF]},
+    {"kind": "hyperexponential", "weights": [NAN], "rates": [1.0]},
+    {"kind": "hyperexponential", "weights": [0.5, NAN], "rates": [1.0, 2.0]},
+]
+NON_FINITE_JOINTS = [
+    {"kind": "empirical", "points": [[1.0, NAN], [1.0, 2.0]]},
+    {"kind": "empirical", "points": [[INF, 1.0]]},
+    {"kind": "empirical", "points": [[1.0, -INF]]},
+    {"kind": "empirical", "points": [[1.0, 0.0], [2.0, 0.0]], "weights": [NAN, 0.5]},
+    {"kind": "empirical", "points": [[1.0, 0.0]], "weights": [INF]},
+    *(
+        {**spec, "moment_exponent": p}
+        for spec in (
+            {"kind": "product", "service": EXP, "lead": EXP},
+            {"kind": "linear", "service": EXP, "c": 1.0},
+            {"kind": "empirical", "points": [[1.0, 0.0]]},
+        )
+        for p in (NAN, INF)
+    ),
+]
+
+
+@pytest.mark.parametrize("spec", NON_FINITE_SCALARS)
+def test_non_finite_scalar_parameters_are_rejected(spec):
+    with pytest.raises(ConfigError, match="finite"):
+        scalar_from_spec(spec)
+
+
+@pytest.mark.parametrize("spec", NON_FINITE_JOINTS)
+def test_non_finite_joint_parameters_are_rejected(spec):
+    with pytest.raises(ConfigError, match="finite"):
+        joint_from_spec(spec)
+
+
 def test_check_assumptions_pass():
-    rep = check_assumptions(ProductJoint(Exponential(1.0), Exponential(1.0)), alpha=1.0)
-    assert rep.passed
-    assert rep.failures() == ()
+    assert check_assumptions(ProductJoint(Exponential(1.0), Exponential(1.0)), alpha=1.0) == {}
 
 
 def test_check_assumptions_mean_mismatch():
-    rep = check_assumptions(ProductJoint(Exponential(1.0), Exponential(1.0)), alpha=2.0)
-    assert not rep.passed
-    assert "service_mean_matches_rate" in [c.name for c in rep.failures()]
+    failed = check_assumptions(ProductJoint(Exponential(1.0), Exponential(1.0)), alpha=2.0)
+    assert failed == {"service_mean_matches_rate": "mean service 1.0 vs 1/alpha = 0.5"}
 
 
 def test_check_assumptions_atom_at_zero():
     j = EmpiricalJoint(((1e-9, 0.0), (2.0, 0.0)), (0.5, 0.5))
-    rep = check_assumptions(j, alpha=1.0 / j.mean_service())
-    names = [c.name for c in rep.failures()]
-    assert "no_service_atom_at_zero" not in names  # tiny but positive service is fine
+    failed = check_assumptions(j, alpha=1.0 / j.mean_service())
+    assert "no_service_atom_at_zero" not in failed  # tiny but positive service is fine
     j2 = ProductJoint(PointMassZero(), Exponential(1.0))
-    rep2 = check_assumptions(j2, alpha=1.0)
-    assert "no_service_atom_at_zero" in [c.name for c in rep2.failures()]
+    assert "no_service_atom_at_zero" in check_assumptions(j2, alpha=1.0)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import csv_oracle
 from psdl import (
+    ConfigError,
     Deterministic,
     Exponential,
     LinearJoint,
@@ -296,6 +297,15 @@ def test_every_field_the_reader_builds_has_a_reader():
 
     with pytest.raises(KeyError):
         fileio._schema(Unreadable)
+
+
+def test_rbm_request_is_its_process_checked_as_read():
+    body = {"drift": -1.0, "variance": 2.0, "horizon": 1.0, "dt": 0.5}
+    req = fileio.parse_rbm({**body, "x0": 0.25})
+    assert isinstance(req, RBMSpec) and (req.drift, req.variance, req.x0) == (-1.0, 2.0, 0.25)
+    for bad in ({"variance": 0.0}, {"x0": -1.0}, {"drift": math.inf}):
+        with pytest.raises(ConfigError):
+            fileio.parse_rbm({**body, **bad})
 
 
 def test_readme_config_examples_parse(tmp_path):

@@ -76,6 +76,25 @@ def test_build_scenario_scalings():
     assert (cfg2.horizon, cfg2.snapshot_times) == (cfg.horizon, cfg.snapshot_times)
 
 
+@pytest.mark.parametrize(
+    "kind, a", [("exponential", 0.5), ("deterministic", 0.0), ("uniform", 1.0 / math.sqrt(12.0))]
+)
+def test_interarrival_kinds(kind, a):
+    # alpha = 2: mean service 1/2, and a is the std of one limiting gap of mean 1/2
+    sweep = tiny_sweep(
+        joint=ProductJoint(Exponential(2.0), Exponential(1.0)),
+        alpha=2.0,
+        r_values=(3.0,),
+        replications=1,
+        interarrival_kind=kind,
+    )
+    rate_r = 2.0 * (1.0 - 0.5 / 3.0)
+    assert build_scenario(sweep, 3.0, 0).interarrival.mean() == pytest.approx(1.0 / rate_r, rel=1e-12)
+    report = run_sweep(sweep)
+    assert len(report.rows) == len(sweep.snapshot_times)
+    assert report.theory["interarrival_std"] == pytest.approx(a, rel=1e-12, abs=0.0)
+
+
 def test_collapse_error_empty_snapshot_is_zero():
     assert collapse_error(EMPTY, 5.0, MM1, 1.0, default_grid()) == 0.0
 
@@ -137,10 +156,11 @@ def test_run_sweep_shapes_and_rows():
         assert row.collapse_error >= 0.0
         assert row.lead_profile_error <= row.collapse_error + 1e-12
         assert row.n_jobs >= 0
-    # r=0 rows of the overlay come out once per (r, t)
-    assert {(o.r, o.t) for o in report.overlays} == {
-        (r, t) for r in sweep.r_values for t in sweep.snapshot_times
-    }
+    # replication 0 gives one overlay row per (r, t) and grid y value
+    ys = sweep.grid.y_values.tolist()
+    assert [(r, t, y) for r, t, y, _, _ in report.overlays] == [
+        (r, t, y) for r in sweep.r_values for t in sweep.snapshot_times for y in ys
+    ]
 
 
 def test_row_values_match_engine_rerun():

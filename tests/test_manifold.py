@@ -430,22 +430,23 @@ def test_equilibrium_density_identity():
 
 def test_ht_params_mm1():
     p = ht_params(1.0, 1.0, 1.0, 0.5)
-    assert p.queue_workload_ratio == pytest.approx(1.0)
-    assert p.workload_drift == -0.5
-    assert p.workload_var == pytest.approx(2.0)
-    assert p.queue_drift == pytest.approx(-0.5)
-    assert p.queue_var == pytest.approx(2.0)
+    assert p["queue_workload_ratio"] == pytest.approx(1.0)
+    assert p["workload_drift"] == -0.5
+    assert p["workload_var"] == pytest.approx(2.0)
+    assert p["queue_drift"] == pytest.approx(-0.5)
+    assert p["queue_var"] == pytest.approx(2.0)
 
 
 def test_ht_params_md1():
     p = ht_params(1.0, 1.0, 0.0, 0.25)
-    assert p.queue_workload_ratio == pytest.approx(2.0)
-    assert p.workload_var == pytest.approx(1.0)
-    assert p.queue_var == pytest.approx(4.0)
+    assert p["queue_workload_ratio"] == pytest.approx(2.0)
+    assert p["workload_var"] == pytest.approx(1.0)
+    assert p["queue_var"] == pytest.approx(4.0)
     # identities relating queue and workload diffusions
-    assert p.queue_drift == pytest.approx(p.queue_workload_ratio * p.workload_drift)
-    assert p.queue_var == pytest.approx(p.queue_workload_ratio**2 * p.workload_var)
+    ratio = p["queue_workload_ratio"]
+    assert p["queue_drift"] == pytest.approx(ratio * p["workload_drift"])
+    assert p["queue_var"] == pytest.approx(ratio**2 * p["workload_var"])
 
 
 def test_ht_params_zero_drift():
-    assert ht_params(1.0, 1.0, 1.0, 0.0).queue_drift == 0.0
+    assert ht_params(1.0, 1.0, 1.0, 0.0)["queue_drift"] == 0.0

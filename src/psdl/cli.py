@@ -84,8 +84,8 @@ def cmd_lift(args) -> int:
     cfg = fileio.load_config(args.config)
     req = fileio.parse_lift(_require(cfg, "lift"))
     meas = lift(req.joint, req.alpha, req.z)
-    d = _out_dir(args, cfg)
     table = grid_quadrant_masses(meas.quadrant, req.grid)
+    d = _out_dir(args, cfg)
     fileio.write_lift_csv(table, req.grid, d / "lift.csv")
     summary = {
         "method": meas.method,

@@ -236,7 +236,9 @@ class Uniform(ScalarDistribution):
         return (self.hi - x) / (self.hi - self.lo)
 
     def survival_array(self, x: np.ndarray) -> np.ndarray:
-        return np.clip((self.hi - np.asarray(x, dtype=float)) / (self.hi - self.lo), 0.0, 1.0)
+        # clipped before the division, which then cannot overflow for a narrow law
+        w = self.hi - self.lo
+        return np.clip(self.hi - np.asarray(x, dtype=float), 0.0, w) / w
 
     def sample(self, rng: np.random.Generator) -> float:
         # numpy draws uniform(lo, hi) as lo + (hi - lo) * next_double, and
@@ -266,8 +268,10 @@ class Uniform(ScalarDistribution):
             t = s * ramp
             series = 1.0 - t / 3 * (1.0 - t / 4 * (1.0 - t / 5 * (1.0 - t / 6 * (1.0 - t / 7))))
             sloped = np.square(ramp) / (2.0 * w) * series
-        else:
+        elif s * s * w < math.inf:
             sloped = (s * ramp + np.expm1(-s * ramp)) / (s * s * w)
+        else:  # (s * ramp)^2 / s^2 w would read inf / inf
+            raise ConfigError(f"uniform transform rate {s} leaves the float range")
         return -np.expm1(-s * a) / s + np.exp(-s * a) * sloped
 
     def breakpoints(self) -> tuple[float, ...]:

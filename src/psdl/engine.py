@@ -24,25 +24,21 @@ snapshots, then the horizon stop; ties within a class go by job id.
 
 A snapshot at time t is the point measure {(target_i - S, deadline_i - t)}
 over jobs still in service, the state descriptor the limit theory
-speaks about.  The workload is
+speaks about.  The workload W, the sum of residuals, is only a
+self-check, and the loop does not pay for it: it records where the
+events fell (per departure the job id of the next arrival, per snapshot
+its complement) and S at the horizon.  On first read of ``path`` or
+``workload_check``, ``SimOutput`` replays that record, each departure
+at its target (jobs leave in target order, below), and keeps
 
-    W = sum of residuals = (sum of targets) - Z * S,
+    W = (sum of targets) - Z * S,
 
-with the target sum kept as a compensated (Neumaier) running sum that
-is reset to exactly 0 whenever the system empties.  An event therefore
-costs O(log Z), the heap operation, instead of a sum over every job.
-At each snapshot the exact sum of residuals is taken as a cross-check;
-``SimOutput.workload_check`` is the largest gap seen.
-
-The path log keeps (t, kind, Z, W before, W after, S) at every event,
-so conservation checks need no replay.  It is kept only for callers
-that read it: ``run(config)`` records it, while ``run(config,
-path=False)``, as a sweep cell runs, skips it and every W it would
-hold (W is then formed only at snapshots) and leaves
-``SimOutput.path`` None.  Between events the targets and Z are fixed,
-so the logged W falls by Z times the advance of S: the busy-rate check
-still tests how S advances.  Event counts by kind and the largest Z
-are counted in the loop either way.
+the target sum a compensated (Neumaier) running sum reset to exactly 0
+whenever the system empties.  The path log holds (t, kind, Z, W before,
+W after, S) per event; the workload check is the largest gap at a
+snapshot between W and the exact sum of its residuals.  Between events
+the targets and Z are fixed, so the logged W falls by Z times the
+advance of S: the busy-rate check tests how S advances.
 
 Jobs are kept as per-job columns indexed by job id (arrival time,
 service, lead, S on entry, departure time).  The columns are
@@ -68,9 +64,7 @@ through ``TrafficStream.refill`` in blocks of checked rows, which the
 loop appends to the job columns and reads by index; a row that failed
 its check raises only when the loop reaches it.  Departures run in an
 inner loop against the next other event (the next arrival, snapshot or
-the horizon, whichever is first).  The compensated add is written out
-in the arrival and departure branches, the same operations in the same
-order as ``_neumaier_add``.
+the horizon, whichever is first).
 """
 
 from __future__ import annotations
@@ -80,6 +74,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import fsum, isfinite
 
 import numpy as np
@@ -327,17 +322,17 @@ class SimOutput:
     # r = 80 ``psdl simulate`` followed by ``psdl rbm``.
     job_columns: list = field(repr=False, compare=False)
     snapshots: tuple[tuple[float, float, PointMeasure], ...]  # (t, S at t, state)
-    path: PathLog | None  # None when run with path=False
-    # largest |running W - exact fsum of residuals| over the snapshot instants
-    workload_check: float
     # departure times in the order the jobs left (nondecreasing) and the
     # matching sojourns, for window queries by bisection
     departure_times: np.ndarray
     departure_sojourns: np.ndarray
-    # events by kind (init, arrival, departure, snapshot, end), keys in
-    # order of first appearance
+    # events by kind, in the order init, arrival, departure, snapshot,
+    # end; a kind that never occurred has no key
     event_counts: dict[str, int]
     max_z: int  # largest number of jobs in the system over the run
+    # where the events fell: per departure the next arrival's job id k, per snapshot ~k
+    event_marks: array = field(repr=False, compare=False)
+    s_end: float  # S at the horizon
 
     @cached_property
     def jobs(self) -> tuple[JobRecord, ...]:
@@ -354,6 +349,73 @@ class SimOutput:
         done.sort(key=lambda j: (j.departure_time, j.job_id))
         return done
 
+    @property
+    def path(self) -> PathLog:
+        """The state after each event, replayed from the run's record."""
+        return self._replay[0]
+
+    @property
+    def workload_check(self) -> float:
+        """Largest |running W - exact fsum of residuals| over the snapshots."""
+        return self._replay[1]
+
+    @cached_property
+    def _replay(self) -> tuple[PathLog, float]:
+        """One pass: the arrivals before each mark, the event it marks, the end."""
+        arr, svc, _, off, _ = self.job_columns
+        n_init = len(self.config.initial_jobs)
+        # (t, S) per departure: S lands on the departing target, and jobs leave in target order
+        dep_s = np.sort(np.add(off, svc))[: self.departure_times.size]
+        departures, snapshots = zip(self.departure_times.tolist(), dep_s.tolist()), iter(self.snapshots)
+        tsum = tcomp = 0.0  # compensated sum of the targets in service
+        for v in svc[:n_init]:
+            tsum, tcomp = _neumaier_add(tsum, tcomp, v)
+        w = tsum + tcomp
+        # flat event log, six fields per event: t, kind, Z after, W before, W after, S
+        log = [0.0, "init", n_init, w, w, 0.0]
+        check = 0.0
+        z = j = n_init  # jobs present; the next arrival's job id
+        for mark in chain(self.event_marks, (None,)):
+            stop = len(arr) if mark is None else mark if mark >= 0 else ~mark
+            while j < stop:
+                s = off[j]
+                target = s + svc[j]
+                # _neumaier_add(tsum, tcomp, target), inlined; target > 0
+                t1 = tsum + target
+                if tsum >= target or tsum <= -target:
+                    c1 = tcomp + ((tsum - t1) + target)
+                else:
+                    c1 = tcomp + ((target - t1) + tsum)
+                log.extend((arr[j], "arrival", z + 1, (tsum + tcomp) - z * s, (t1 + c1) - (z + 1) * s, s))
+                tsum, tcomp = t1, c1
+                z += 1
+                j += 1
+            if mark is None:
+                break
+            if mark >= 0:
+                t, s = next(departures)
+                z -= 1
+                if z:
+                    # _neumaier_add(tsum, tcomp, -s), inlined; s > 0
+                    t1 = tsum - s
+                    if tsum >= s or tsum <= -s:
+                        c1 = tcomp + ((tsum - t1) - s)
+                    else:
+                        c1 = tcomp + ((-s - t1) + tsum)
+                else:
+                    t1 = c1 = 0.0  # drop the rounding left by the finished busy period
+                log.extend((t, "departure", z, (tsum + tcomp) - (z + 1) * s, (t1 + c1) - z * s, s))
+                tsum, tcomp = t1, c1
+            else:
+                t, s, state = next(snapshots)
+                w = (tsum + tcomp) - z * s
+                check = max(check, abs(w - fsum(state.residuals.tolist())))
+                log.extend((t, "snapshot", z, w, w, s))
+        w = (tsum + tcomp) - z * self.s_end
+        log.extend((self.config.horizon, "end", z, w, w, self.s_end))
+        columns = (np.array(log[i::6]) for i in (2, 3, 4, 5))  # Z, W before, W after, S
+        return PathLog(np.array(log[0::6]), tuple(log[1::6]), *columns), check
+
     def sojourns_departing(self, t_lo: float, t_hi: float) -> np.ndarray:
         """Sojourns of the jobs departing in [t_lo, t_hi], in departure order."""
         t = self.departure_times
@@ -366,9 +428,7 @@ class SimOutput:
         if not self.snapshots:
             raise ConfigError("run recorded no snapshots")
         times = [s[0] for s in self.snapshots]
-        i = min(
-            range(len(times)), key=lambda k: (abs(times[k] - t), times[k])
-        )
+        i = min(range(len(times)), key=lambda k: (abs(times[k] - t), times[k]))
         if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise ConfigError(f"no snapshot recorded at t={t}; nearest is {times[i]}")
         return self.snapshots[i]
@@ -384,9 +444,8 @@ def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
     return t, comp
 
 
-def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
-    """Simulate one scenario to its horizon; ``path=False`` skips the
-    path log, leaving ``SimOutput.path`` None."""
+def run(config: ScenarioConfig) -> SimOutput:
+    """Simulate one scenario to its horizon."""
     stream = TrafficStream(config, np.random.default_rng(config.seed))
     init = config.initial_jobs
     n_init = z = max_z = len(init)
@@ -409,23 +468,15 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
 
     heap = list(svc)  # the targets of the jobs in service
     heapify(heap)
-    tsum = tcomp = 0.0  # compensated sum of the heap targets
-    for v in svc:
-        tsum, tcomp = _neumaier_add(tsum, tcomp, v)
 
     horizon = config.horizon
     snap_times = config.snapshot_times
     snap_idx = 0
     t_snap = snap_times[0] if snap_times else math.inf
     snapshots: list[tuple[float, float, PointMeasure]] = []
-    workload_check = 0.0
     dep_times: list[float] = []  # departure times in departure order
-    kinds = ["init"]  # event kinds in order of first appearance
+    marks = array("q")  # per departure k, per snapshot ~k
     clock = s = 0.0
-
-    w0 = tsum + tcomp
-    # flat event log, six fields per event: t, kind, Z after, W before, W after, S
-    log = [clock, "init", n_init, w0, w0, s] if path else None
     k = n_init  # job id of the next traffic row
     n_rows = pull()
     t_arr = arr[k]  # past the horizon it never fires: t_ext stops there
@@ -447,23 +498,9 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
             s = top  # exact landing on the target
             clock = t_dep
             heappop(heap)
-            if not dep_times:
-                kinds.append("departure")
             dep_times.append(clock)
+            marks.append(k)
             z -= 1
-            if z:
-                # _neumaier_add(tsum, tcomp, -top), inlined; top > 0
-                t1 = tsum - top
-                if tsum >= top or tsum <= -top:
-                    c1 = tcomp + ((tsum - t1) - top)
-                else:
-                    c1 = tcomp + ((-top - t1) + tsum)
-            else:
-                t1 = c1 = 0.0  # drop the rounding left by the finished busy period
-            if log is not None:
-                w_pre, w_post = (tsum + tcomp) - (z + 1) * s, (t1 + c1) - z * s
-                log.extend((clock, "departure", z, w_pre, w_post, s))
-            tsum, tcomp = t1, c1
 
         if z and t_ext > clock:
             # drift may not overshoot the nearest target; equality leaves a
@@ -474,24 +511,12 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
         clock = t_ext
 
         if t_arr == t_ext:
-            if k == n_init:
-                kinds.append("arrival")
             if z == max_z:
                 max_z = z + 1
             target = s + svc[k]
             heappush(heap, target)
             targets.append(target)
             off.append(s)
-            # _neumaier_add(tsum, tcomp, target), inlined; target > 0
-            t1 = tsum + target
-            if tsum >= target or tsum <= -target:
-                c1 = tcomp + ((tsum - t1) + target)
-            else:
-                c1 = tcomp + ((target - t1) + tsum)
-            if log is not None:
-                w_pre, w_post = (tsum + tcomp) - z * s, (t1 + c1) - (z + 1) * s
-                log.extend((clock, "arrival", z + 1, w_pre, w_post, s))
-            tsum, tcomp = t1, c1
             z += 1
             k += 1
             if k == n_rows:
@@ -499,21 +524,12 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
             t_arr = arr[k]
             continue
 
-        w_pre = (tsum + tcomp) - z * s
-        if t_snap == t_ext:
-            if not snapshots:
-                kinds.append("snapshot")
-            snapshots.append((clock, s, _snapshot_measure(targets, arr, lead, s, clock)))
-            workload_check = max(workload_check, abs(w_pre - fsum(t - s for t in heap)))
-            if log is not None:
-                log.extend((clock, "snapshot", z, w_pre, w_pre, s))
-            snap_idx += 1
-            t_snap = snap_times[snap_idx] if snap_idx < len(snap_times) else math.inf
-        else:
-            kinds.append("end")
-            if log is not None:
-                log.extend((clock, "end", z, w_pre, w_pre, s))
+        if t_snap != t_ext:
             break
+        marks.append(~k)
+        snapshots.append((clock, s, _snapshot_measure(targets, arr, lead, s, clock)))
+        snap_idx += 1
+        t_snap = snap_times[snap_idx] if snap_idx < len(snap_times) else math.inf
 
     for col in (arr, svc, lead):
         del col[k:]  # rows drawn past the last admitted arrival
@@ -525,30 +541,18 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
     departed = np.argsort(np.frombuffer(targets), kind="stable")[: departure_times.size]
     dep = np.full(k, np.nan)
     dep[departed] = departure_times
-    counts = {
-        "init": 1,
-        "arrival": k - n_init,
-        "departure": departure_times.size,
-        "snapshot": len(snapshots),
-        "end": 1,
-    }
+    counts = zip(("init", "arrival", "departure", "snapshot", "end"),
+                 (1, k - n_init, departure_times.size, len(snapshots), 1))
     return SimOutput(
         config=config,
         snapshots=tuple(snapshots),
-        path=None if log is None else PathLog(
-            times=np.array(log[0::6]),
-            kinds=tuple(log[1::6]),
-            z=np.array(log[2::6], dtype=int),
-            w_pre=np.array(log[3::6]),
-            w_post=np.array(log[4::6]),
-            s=np.array(log[5::6]),
-        ),
-        workload_check=workload_check,
         departure_times=departure_times,
         departure_sojourns=departure_times - np.array(arr, dtype=float)[departed],
-        event_counts={kind: counts[kind] for kind in kinds},
+        event_counts={kind: n for kind, n in counts if n},
         max_z=max_z,
         job_columns=[arr, svc, lead, off, dep],
+        event_marks=marks,
+        s_end=s,
     )
 
 
@@ -574,10 +578,6 @@ def busy_rate_check(out: SimOutput) -> float:
     workload must drain at exactly unit rate between events.
     """
     p = out.path
-    if p is None:
-        raise ConfigError("busy_rate_check needs a run that kept its path log")
-    if len(p) < 2:
-        return 0.0
     dt = p.times[1:] - p.times[:-1]
     err = np.abs(p.w_pre[1:] - p.w_post[:-1] + dt)
     busy = p.z[:-1] >= 1

@@ -56,7 +56,7 @@ from .engine import ScenarioConfig, SimOutput
 from .errors import ConfigError
 from .harness import CollapseReport, SweepConfig, SweepRow
 from .measures import QuadrantGrid, default_grid
-from .rbm import RBMPath, RBMSpec
+from .rbm import _MAX_FLOATS, RBMPath, RBMSpec
 
 __all__ = [
     "ConfigFile",
@@ -236,8 +236,9 @@ def _grid(spec) -> QuadrantGrid:
     if x_step <= 0 or y_step <= 0 or x_max <= 0 or y_max <= y_min:
         raise ConfigError("grid steps must be positive and y_max > y_min")
     steps = (x_max / x_step, (y_max - y_min) / y_step)
-    if not all(map(math.isfinite, steps)):
-        raise ConfigError(f"grid has more steps than a float counts: {steps}")
+    # a lift table holds (nx + 1) x (ny + 2) floats; an inf or nan count fails too
+    if not (steps[0] + 1.0) * (steps[1] + 2.0) < _MAX_FLOATS:
+        raise ConfigError(f"grid of {steps} steps has more cells than an array holds")
     nx, ny = (int(round(k)) for k in steps)
     xs = np.linspace(0.0, x_max, nx + 1)
     ys = np.concatenate(([-np.inf], np.linspace(y_min, y_max, ny + 1)))
@@ -249,8 +250,8 @@ def _y_values(spec) -> tuple[float, ...]:
     if isinstance(spec, dict):
         keys = {"y_min": _float, "y_max": _float, "n": _int}
         s = _object(spec, keys, "y_values", tuple(keys))
-        if s["n"] < 0:
-            raise ConfigError(f"y_values needs n >= 0, got {s['n']}")
+        if not 0 <= s["n"] < _MAX_FLOATS:
+            raise ConfigError(f"y_values needs 0 <= n < 2**60 (an array's size), got {s['n']}")
         spec = np.linspace(s["y_min"], s["y_max"], s["n"]).tolist()
     ys = _floats(spec)
     if any(map(math.isnan, ys)):

@@ -270,7 +270,7 @@ class CollapseReport:
 
 def _run_cell(sweep: SweepConfig, r_idx: int, replication: int) -> tuple[list[SweepRow], list[tuple]]:
     r = sweep.r_values[r_idx]
-    out = run(build_scenario(sweep, r, replication), path=False)
+    out = run(build_scenario(sweep, r, replication))
     nu = getattr(sweep.joint, "service", None)  # empirical laws have no service marginal
     rows: list[SweepRow] = []
     overlays: list[tuple] = []

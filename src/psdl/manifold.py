@@ -96,13 +96,22 @@ def _exp_parts(d: Exponential | HyperExponential) -> tuple[tuple[float, float], 
     return tuple(zip(d.weights, d.rates)) if isinstance(d, HyperExponential) else ((1.0, d.rate),)
 
 
+def _rate(s: float, name: str) -> float:
+    """s, a rate formed from z; at 0 or inf (it left the float range) the
+    transforms take 0 * inf, so that is a ConfigError."""
+    if not 0.0 < s < math.inf:
+        raise ConfigError(f"{name} = {s} leaves the float range")
+    return s
+
+
 def _exp_service_builder(parts, lam: ScalarDistribution, alpha: float, z: float):
     # the lift is linear in the service law: one exponential-service term per part
     def grid_fn(xs, ys):
         xs = np.asarray(xs, dtype=float)
+        rates = [_rate(n / z, f"service rate {n} / z") for _, n in parts]
         return sum(
-            (alpha * w) * np.exp(-n * xs)[:, None] * lam.shifted_exp_integral_array(ys, n / z)
-            for w, n in parts
+            (alpha * w) * np.exp(-n * xs)[:, None] * lam.shifted_exp_integral_array(ys, s)
+            for (w, n), s in zip(parts, rates)
         )
 
     return grid_fn
@@ -114,11 +123,12 @@ def _exp_lead_builder(nu: ScalarDistribution, parts, alpha: float, z: float):
     def grid_fn(xs, ys):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
+        rates = [_rate(m * z, f"lead rate {m} * z") for _, m in parts]
         split = xs[:, None] + np.maximum(-ys, 0.0)[None, :] / z  # +inf at y = -inf
         lead = np.maximum(ys, 0.0)
         out = nu.tail_integral_array(xs)[:, None] - nu.tail_integral_array(split)
-        for w, m in parts:
-            out += w * np.exp(-m * lead)[None, :] * nu.shifted_exp_integral_array(split, m * z)
+        for (w, m), s in zip(parts, rates):
+            out += w * np.exp(-m * lead)[None, :] * nu.shifted_exp_integral_array(split, s)
         return alpha * z * out
 
     return grid_fn
@@ -294,8 +304,10 @@ def lift(joint: JointDistribution, alpha: float, z: float) -> InvariantMeasure:
     method, grid_fn = found or ("quadrature", _quadrature_builder(joint, alpha, z))
     if z == 0.0:
         grid_fn = lambda xs, ys: np.zeros((np.size(xs), np.size(ys)))
-    qf = QuadrantFunction(grid_fn, alpha * z * joint.mean_service())
-    return InvariantMeasure(joint, alpha, z, method, qf)
+    total = alpha * z * joint.mean_service()
+    if not math.isfinite(total):
+        raise ConfigError(f"total mass alpha * z * mean service = {total} leaves the float range")
+    return InvariantMeasure(joint, alpha, z, method, QuadrantFunction(grid_fn, total))
 
 
 # ---------------------------------------------------------------------------

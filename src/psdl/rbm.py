@@ -24,7 +24,7 @@ from .errors import ConfigError, SimulationError
 __all__ = ["RBMSpec", "RBMPath", "simulate", "stationary_cdf", "deadline_quantile"]
 
 _BLOCK = 1_000_000
-_MAX_STEPS = 2.0**60  # n + 1 float64s stay below numpy's 2**63-byte array limit
+_MAX_FLOATS = 2.0**60  # fewer float64s stay below numpy's 2**63-byte array limit
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     steps = horizon / dt  # inf once the quotient overflows
-    if not steps < _MAX_STEPS:
+    if not steps < _MAX_FLOATS:  # n + 1 floats
         raise ConfigError(f"horizon / dt = {steps} steps, more than an array holds")
     scale = math.sqrt(spec.variance * dt)
     mu = spec.drift * dt

@@ -3,17 +3,21 @@
 ``run`` below is the loop ``psdl.engine.run`` ran before it read traffic
 a block at a time and inlined the compensated add: it takes each arrival
 from ``TrafficStream.next`` and adds every target through
-``_neumaier_add``.  It keeps the engine's job columns, path log, counters
-and ``SimOutput``, so a test can require the two to agree bit for bit on
-every output field.  Its heap holds (target, job id) pairs, and its
-snapshots read the jobs in service from that heap, so the engine's
+``_neumaier_add``.  It keeps the engine's job columns, counters, event
+record and ``SimOutput``, so a test can require the two to agree bit for
+bit on every output field.  Its heap holds (target, job id) pairs, and
+its snapshots read the jobs in service from that heap, so the engine's
 recovery of job ids from a column of bare targets is checked against
-code that does not share it.
+code that does not share it.  It keeps the running workload sum and the
+path log event by event, as the engine loop once did, and returns them
+beside its ``SimOutput``: the engine replays both from its record, and a
+test compares that replay with this log.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from heapq import heapify, heappop, heappush
 from math import fsum
 
@@ -44,9 +48,10 @@ def _snapshot_measure(
     return PointMeasure(res, leads, np.ones(res.size))
 
 
-def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
+def run(config: ScenarioConfig) -> tuple[SimOutput, PathLog, float]:
     """``psdl.engine.run``, one ``TrafficStream.next`` and one
-    ``_neumaier_add`` call per event."""
+    ``_neumaier_add`` call per event; returns the output, the path log
+    and the workload check."""
     stream = TrafficStream(config, np.random.default_rng(config.seed))
     init = config.initial_jobs
     n_init = max_z = len(init)
@@ -69,12 +74,12 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
     snapshots: list[tuple[float, float, PointMeasure]] = []
     workload_check = 0.0
     departed: list[float] = []  # departure time, arrival time per departure
-    kinds = ["init"]  # event kinds in order of first appearance
+    marks: list[int] = []  # per departure the next job id k, per snapshot ~k
     clock = s = 0.0
 
     w0 = tsum + tcomp
     # flat event log, six fields per event: t, kind, Z after, W before, W after, S
-    log = [clock, "init", n_init, w0, w0, s] if path else None
+    log = [clock, "init", n_init, w0, w0, s]
     u, v, l = stream.next()
     t_arr = u if u <= horizon else math.inf
 
@@ -93,16 +98,14 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
             clock = t_dep
             _, jid = heappop(heap)
             dep[jid] = clock
-            if not departed:
-                kinds.append("departure")
+            marks.append(len(arr))
             departed.extend((clock, arr[jid]))
             if heap:
                 t1, c1 = _neumaier_add(tsum, tcomp, -top)
             else:
                 t1 = c1 = 0.0  # drop the rounding left by the finished busy period
-            if log is not None:
-                w_pre, w_post = (tsum + tcomp) - z * s, (t1 + c1) - (z - 1) * s
-                log.extend((clock, "departure", z - 1, w_pre, w_post, s))
+            w_pre, w_post = (tsum + tcomp) - z * s, (t1 + c1) - (z - 1) * s
+            log.extend((clock, "departure", z - 1, w_pre, w_post, s))
             tsum, tcomp = t1, c1
             continue
 
@@ -118,8 +121,6 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
         clock = t_next
 
         if t_arr == t_next:
-            if len(arr) == n_init:
-                kinds.append("arrival")
             if z == max_z:
                 max_z = z + 1
             target = s + v
@@ -130,9 +131,8 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
             off.append(s)
             dep.append(None)
             t1, c1 = _neumaier_add(tsum, tcomp, target)
-            if log is not None:
-                w_pre, w_post = (tsum + tcomp) - z * s, (t1 + c1) - (z + 1) * s
-                log.extend((clock, "arrival", z + 1, w_pre, w_post, s))
+            w_pre, w_post = (tsum + tcomp) - z * s, (t1 + c1) - (z + 1) * s
+            log.extend((clock, "arrival", z + 1, w_pre, w_post, s))
             tsum, tcomp = t1, c1
             u, v, l = stream.next()
             t_arr = u if u <= horizon else math.inf
@@ -140,18 +140,14 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
 
         w_pre = (tsum + tcomp) - z * s
         if t_snap == t_next:
-            if not snapshots:
-                kinds.append("snapshot")
+            marks.append(~len(arr))
             snapshots.append((clock, s, _snapshot_measure(heap, arr, lead, s, clock)))
             workload_check = max(workload_check, abs(w_pre - fsum(t - s for t, _ in heap)))
-            if log is not None:
-                log.extend((clock, "snapshot", z, w_pre, w_pre, s))
+            log.extend((clock, "snapshot", z, w_pre, w_pre, s))
             snap_idx += 1
             t_snap = snap_times[snap_idx] if snap_idx < len(snap_times) else math.inf
         else:
-            kinds.append("end")
-            if log is not None:
-                log.extend((clock, "end", z, w_pre, w_pre, s))
+            log.extend((clock, "end", z, w_pre, w_pre, s))
             break
 
     counts = {
@@ -162,21 +158,23 @@ def run(config: ScenarioConfig, *, path: bool = True) -> SimOutput:
         "end": 1,
     }
     departure_times = np.array(departed[0::2], dtype=float)
-    return SimOutput(
+    out = SimOutput(
         config=config,
         snapshots=tuple(snapshots),
-        path=None if log is None else PathLog(
-            times=np.array(log[0::6]),
-            kinds=tuple(log[1::6]),
-            z=np.array(log[2::6], dtype=int),
-            w_pre=np.array(log[3::6]),
-            w_post=np.array(log[4::6]),
-            s=np.array(log[5::6]),
-        ),
-        workload_check=workload_check,
         departure_times=departure_times,
         departure_sojourns=departure_times - np.array(departed[1::2], dtype=float),
-        event_counts={k: counts[k] for k in kinds},
+        event_counts={k: n for k, n in counts.items() if n},
         max_z=max_z,
         job_columns=[arr, svc, lead, off, np.array(dep, dtype=float)],  # None reads NaN
+        event_marks=array("q", marks),
+        s_end=s,
     )
+    path = PathLog(
+        times=np.array(log[0::6]),
+        kinds=tuple(log[1::6]),
+        z=np.array(log[2::6], dtype=int),
+        w_pre=np.array(log[3::6]),
+        w_post=np.array(log[4::6]),
+        s=np.array(log[5::6]),
+    )
+    return out, path, workload_check

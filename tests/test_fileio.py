@@ -308,6 +308,16 @@ def test_rbm_request_is_its_process_checked_as_read():
             fileio.parse_rbm({**body, **bad})
 
 
+def test_readme_python_quick_start_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    path = names["out"].path
+    assert names["t"] == 500.0 and names["snap"].count == path.z[path.kinds.index("snapshot")]
+    assert names["w"].size == len(path) and 0.0 < names["meas"].eval(0.5, -1.0) < 2.0
+
+
 def test_readme_config_examples_parse(tmp_path):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     examples = re.findall(r"```json\n(.*?)```", text, flags=re.S)

@@ -91,6 +91,38 @@ def test_lift_at_extreme_mass_is_finite(joint, z):
     assert m.total_mass == pytest.approx(z, rel=1e-12)
 
 
+# z drives a rate the closed forms build out of the float range, where
+# every grid cell once read NaN (inf * 0): the service rate / z overflows,
+# the uniform transform's s^2 (hi - lo) overflows, the lead rate * z
+# underflows; and a total mass alpha * z * mean past the float range
+RATE_OUT_OF_RANGE = [
+    (ProductJoint(Exponential(1e10), UNIF), 1e-300, "service rate"),
+    (ProductJoint(EXP1, UNIF), 1e-308, "uniform transform"),
+    (ProductJoint(UNIF, HyperExponential((0.5, 0.5), (0.5, 2.0))), 5e-324, "lead rate"),
+    (ProductJoint(Exponential(5e-324), EXP1), 1.5, "total mass"),
+]
+
+
+@pytest.mark.parametrize(
+    "joint, z, name", RATE_OUT_OF_RANGE, ids=["service-rate", "uniform-square", "lead-rate", "total-mass"]
+)
+def test_rate_out_of_float_range_is_a_config_error(joint, z, name):
+    g = default_grid()
+    with pytest.raises(ConfigError, match=f"{name}.*float range"):
+        lift(joint, 1.0, z).quadrant.eval_grid(g.x_values, g.y_values)
+
+
+@pytest.mark.parametrize("service", [EXP1, UNIF], ids=["exp", "unif"])
+def test_narrow_uniform_lead_is_the_zero_lead(service):
+    # Uniform(0, 5e-324): its survival's quotient once overflowed to be clipped
+    g = default_grid()
+    narrow = lift(ProductJoint(service, Uniform(0.0, 5e-324)), 1.0, 1.5).quadrant
+    zero = lift(ProductJoint(service, PointMassZero()), 1.0, 1.5).quadrant
+    narrow, zero = (q.eval_grid(g.x_values, g.y_values) for q in (narrow, zero))
+    np.testing.assert_allclose(narrow, zero, rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(Uniform(0.0, 5e-324).survival_array([-1.0, 0.0, 5e-324, 1.0]), [1, 1, 0, 0])
+
+
 def test_lift_zero_mass_is_zero_function():
     m = lift(ProductJoint(EXP1, EXP1), 1.0, 0.0)
     assert m.eval(0.0, -math.inf) == 0.0

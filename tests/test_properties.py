@@ -126,37 +126,43 @@ def _snapshot_bytes(out):
     ]
 
 
+_KINDS = ("init", "arrival", "departure", "snapshot", "end")
+
+
 @settings(max_examples=40, deadline=None)
 @given(scenarios(), st.booleans())
-def test_path_log_changes_no_output(cfg, t0):
-    cfg = _with_t0_snapshot(cfg, t0)
-    a = run(cfg)
-    b = run(cfg, path=False)
-    assert b.path is None
-    assert a.departure_times.tobytes() == b.departure_times.tobytes()
-    assert a.departure_sojourns.tobytes() == b.departure_sojourns.tobytes()
-    assert _snapshot_bytes(a) == _snapshot_bytes(b)
-    assert (a.workload_check, a.max_z) == (b.workload_check, b.max_z)
-    assert list(a.event_counts.items()) == list(b.event_counts.items())
-    # the loop's counters agree with the log, key order included
-    assert list(a.event_counts.items()) == list(Counter(a.path.kinds).items())
-    assert a.max_z == int(a.path.z.max())
+def test_replayed_path_agrees_with_counters(cfg, t0):
+    out = run(_with_t0_snapshot(cfg, t0))
+    # the loop's counters agree with the log replayed from its record
+    assert out.event_counts == Counter(out.path.kinds)
+    assert list(out.event_counts) == [k for k in _KINDS if k in out.path.kinds]
+    assert out.max_z == int(out.path.z.max())
+    assert len(out.event_marks) == out.event_counts.get("departure", 0) + len(out.snapshots)
+    assert out.path is out.path  # replayed once
+
+
+def _record_fields(out):
+    """Every ``SimOutput`` field, floats as bytes."""
+    return (
+        _snapshot_bytes(out),
+        out.departure_times.tobytes(),
+        out.departure_sojourns.tobytes(),
+        out.event_counts,
+        out.max_z,
+        out.jobs,
+        out.event_marks,
+        out.s_end,
+    )
+
+
+def _path_fields(p):
+    return (p.times.tobytes(), p.kinds, p.z.tobytes(), p.w_pre.tobytes(), p.w_post.tobytes(), p.s.tobytes())
 
 
 def _output_fields(out):
-    """Every ``SimOutput`` field, floats as bytes."""
-    p = out.path
-    return (
-        _snapshot_bytes(out),
-        None if p is None
-        else (p.times.tobytes(), p.kinds, p.z.tobytes(), p.w_pre.tobytes(), p.w_post.tobytes(), p.s.tobytes()),
-        out.workload_check,
-        out.departure_times.tobytes(),
-        out.departure_sojourns.tobytes(),
-        list(out.event_counts.items()),
-        out.max_z,
-        out.jobs,
-    )
+    """Every ``SimOutput`` field, floats as bytes, then the replayed path
+    log and workload check."""
+    return (*_record_fields(out), _path_fields(out.path), out.workload_check)
 
 
 # scenarios at the engine's ties and edges, run as oracle examples
@@ -201,13 +207,11 @@ _TIE_CASES = [
 
 
 def _with_examples(cases):
-    """Each case as an explicit example (cfg, t0=False, path), with the
-    path log off and on."""
+    """Each case as an explicit example (cfg, t0=False)."""
 
     def decorate(test):
         for cfg in reversed(cases):
-            for path in (False, True):
-                test = example(cfg, False, path)(test)
+            test = example(cfg, False)(test)
         return test
     return decorate
 
@@ -224,11 +228,14 @@ def test_tie_cases_tie():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(scenarios(), exponential_scenarios()), st.booleans(), st.booleans())
+@given(st.one_of(scenarios(), exponential_scenarios()), st.booleans())
 @_with_examples(_TIE_CASES)
-def test_engine_matches_per_event_oracle(cfg, t0, path):
+def test_engine_matches_per_event_oracle(cfg, t0):
     cfg = _with_t0_snapshot(cfg, t0)
-    assert _output_fields(run(cfg, path=path)) == _output_fields(engine_oracle.run(cfg, path=path))
+    # the engine replays its path log and workload check from its record;
+    # the oracle keeps them event by event
+    want, path, workload_check = engine_oracle.run(cfg)
+    assert _output_fields(run(cfg)) == (*_record_fields(want), _path_fields(path), workload_check)
 
 
 def _time_scaled(law, c):
@@ -263,8 +270,8 @@ def test_time_scaling_scales_departures_exactly(cfg, k):
         snapshot_times=tuple(c * t for t in cfg.snapshot_times),
         initial_jobs=tuple((c * v, l) for v, l in cfg.initial_jobs),
     )
-    a = run(cfg, path=False)
-    b = run(scaled, path=False)
+    a = run(cfg)
+    b = run(scaled)
     assert b.departure_times.tobytes() == (c * a.departure_times).tobytes()
     assert b.departure_sojourns.tobytes() == (c * a.departure_sojourns).tobytes()
     assert [(j.job_id, j.departure_time) for j in b.departures()] == [
@@ -277,7 +284,7 @@ def test_time_scaling_scales_departures_exactly(cfg, k):
 def test_dynamic_equation_holds_between_snapshots(cfg, t0, data):
     h = cfg.horizon
     cfg = _with_t0_snapshot(replace(cfg, snapshot_times=(0.25 * h, 0.6 * h, h)), t0)
-    out = run(cfg, path=data.draw(st.booleans()))
+    out = run(cfg)
     times = cfg.snapshot_times
     i = data.draw(st.integers(0, len(times) - 2))
     j = data.draw(st.integers(i + 1, len(times) - 1))
@@ -428,13 +435,13 @@ def test_block_size_changes_no_output(monkeypatch, block_rows, max_block_rows):
         )
         capped = isinstance(service, Exponential)
         sizes.clear()
-        want = [_output_fields(run(cfg, path=path)) for path in (True, False)]
+        want = _output_fields(run(cfg))
         assert not capped or max(sizes) == _MAX_BLOCK_ROWS
         sizes.clear()
         with monkeypatch.context() as m:
             m.setattr(engine, "_BLOCK_ROWS", block_rows)
             m.setattr(engine, "_MAX_BLOCK_ROWS", max_block_rows)
-            assert [_output_fields(run(cfg, path=path)) for path in (True, False)] == want
+            assert _output_fields(run(cfg)) == want
         assert not capped or max(sizes) == max_block_rows
 
 
@@ -453,7 +460,7 @@ def test_short_exponential_stream_draws_one_block(monkeypatch):
     )
     scenario = build_scenario(sweep, 5.0, 0)
     sizes = _refill_sizes(monkeypatch)
-    out = run(scenario, path=False)
+    out = run(scenario)
     assert 30 <= out.event_counts["arrival"] <= 60
     assert sizes == [1, 256]
 
@@ -547,9 +554,9 @@ def test_run_raises_exactly_when_stepping_the_stream_would(monkeypatch):
             for c, raises in zip(configs, expected):
                 if raises:
                     with pytest.raises(SimulationError, match="lead"):
-                        run(c, path=False)
+                        run(c)
                 else:
-                    run(c, path=False)
+                    run(c)
         monkeypatch.undo()
 
 

@@ -14,7 +14,8 @@ so distributions with atoms (deterministic, the point mass at zero)
 include the atom at the threshold.  The excess-lifetime transform of a
 scalar law with mean m > 0 and survival S is the density S(x)/m on
 [0, oo).  Each family carries its survival as ``excess_survival_array``,
-next to the integrated tail and the shifted exponential transform.
+next to the integrated tail and the shifted exponential transform; its
+``exp_form``, an atom or exponentials past a shift, drives the lifts.
 
 ``check_assumptions`` bundles the admissibility conditions a joint law
 must satisfy before it can drive a heavy-traffic experiment with
@@ -98,6 +99,11 @@ class ScalarDistribution(ABC):
         otherwise.  Lets callers batch draws without changing the stream."""
         return None
 
+    def exp_form(self) -> tuple[float, tuple[tuple[float, float], ...]] | None:
+        """(a, parts) when P(X >= a + u) is sum(w * exp(-m * u)) over the
+        (w, m) parts for u > 0 and 1 for u <= 0 (no parts: an atom at a)."""
+        return None
+
     @abstractmethod
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
         """Survival of the excess-lifetime law on an array of x >= 0;
@@ -158,6 +164,9 @@ class Exponential(ScalarDistribution):
         # numpy's exponential(scale) is scale * standard_exponential()
         return 1.0 / self.rate
 
+    def exp_form(self):
+        return 0.0, ((1.0, self.rate),)
+
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
         return np.exp(-self.rate * np.maximum(np.asarray(x, dtype=float), 0.0))
 
@@ -196,6 +205,9 @@ class Deterministic(ScalarDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
+
+    def exp_form(self):
+        return self.value, ()
 
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
         return np.clip(1.0 - np.asarray(x, dtype=float) / self.value, 0.0, 1.0)
@@ -316,6 +328,9 @@ class HyperExponential(ScalarDistribution):
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rates[_pick(self.weights, rng)]))
 
+    def exp_form(self):
+        return 0.0, tuple(zip(self.weights, self.rates))
+
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
         xx = np.maximum(np.asarray(x, dtype=float), 0.0)
         tail = sum(w * np.exp(-r * xx) / r for w, r in zip(self.weights, self.rates))
@@ -352,6 +367,9 @@ class PointMassZero(ScalarDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return 0.0
+
+    def exp_form(self):
+        return 0.0, ()
 
     def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
         raise ConfigError("excess lifetime undefined for the point mass at zero")

@@ -10,17 +10,24 @@ fixed points of the critically loaded processor-sharing dynamics: the
 residual coordinate is thinned at rate 1/z per unit of elapsed service
 while the lead coordinate translates at unit rate.
 
-Closed forms are installed for every independent product except a
-uniform lead with a uniform or zero service (a zero or deterministic
-lead, or a deterministic service, leaves tail integrals of the other
-law; an exponential or mixture service or lead leaves one shifted
-exponential transform of the other law per exponential part), for
-exponential or mixture service with proportional lead = c * service (the
-service law's tail integral along whichever of the lines x + u/z and
-(y + u)/c is higher), and for empirical point sets, where each atom
-contributes alpha * w_i * max(0, min(z (s_i - x), l_i - y)).  The rest,
-each with a bounded service support and piecewise-linear or step
-survival functions, integrate the defining formula with the two-point
+With T the tail integral of a law, T(w) = int_w^inf P(X >= s) ds,
+swapping the order of integration gives two forms for a product:
+
+    F_z(x, y) = alpha E_V[T_lam(y) - T_lam(y + z (V - x)^+)]      (service side)
+              = alpha z E_L[T_nu(x) - T_nu(x + (L - y)^+ / z)]    (lead side)
+
+A product whose service law has an ``exp_form`` (an atom, or exponentials
+past a shift: every family but the uniform) takes the service side,
+where the atom leaves two lead tail integrals and each exponential part
+one shifted exponential transform of the lead; a uniform service takes
+the lead side, the same way round, when the lead has one.  The method is
+``closed_form_tiq`` when every lead is 0.  Exponential or mixture service
+with lead = c * service has one term per part (the service law's tail
+integral along whichever of the lines x + u/z and (y + u)/c is higher),
+and each atom of an empirical point set contributes alpha * w_i *
+max(0, min(z (s_i - x), l_i - y)).  The rest, uniform-by-uniform products
+and linear joints with a bounded service, have piecewise-linear or step
+survival functions and integrate the defining formula with the two-point
 Gauss–Legendre rule: the grid points are taken in blocks of 256, each
 point's u-range ends where the service or lead support does (a bounded
 law's support ends at its last kink) and is cut at the service and lead
@@ -43,17 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    Deterministic,
-    EmpiricalJoint,
-    Exponential,
-    HyperExponential,
-    JointDistribution,
-    LinearJoint,
-    PointMassZero,
-    ProductJoint,
-    ScalarDistribution,
-)
+from .distributions import EmpiricalJoint, JointDistribution, LinearJoint, ProductJoint, ScalarDistribution
 from .errors import ConfigError
 from .measures import QuadrantFunction
 
@@ -91,42 +88,53 @@ class InvariantMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _exp_parts(d: Exponential | HyperExponential) -> tuple[tuple[float, float], ...]:
-    """The (weight, rate) pairs of an exponential or mixture law."""
-    return tuple(zip(d.weights, d.rates)) if isinstance(d, HyperExponential) else ((1.0, d.rate),)
-
-
 def _rate(s: float, name: str) -> float:
-    """s, a rate formed from z; at 0 or inf (it left the float range) the
-    transforms take 0 * inf, so that is a ConfigError."""
+    """s, a rate formed from z; at 0 or inf the transforms read 0 * inf."""
     if not 0.0 < s < math.inf:
         raise ConfigError(f"{name} = {s} leaves the float range")
     return s
 
 
-def _exp_service_builder(parts, lam: ScalarDistribution, alpha: float, z: float):
-    # the lift is linear in the service law: one exponential-service term per part
+def _service_side(form, lam: ScalarDistribution, alpha: float, z: float):
+    # V = a + U, P(U >= u) = sum w e^{-m u}: the service tail is 1 while
+    # u <= z (a - x)^+, spanning two lead tail integrals; past that window
+    # each part leaves one shifted exponential transform of the lead
+    a, parts = form
+
     def grid_fn(xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        rates = [_rate(n / z, f"service rate {n} / z") for _, n in parts]
-        return sum(
-            (alpha * w) * np.exp(-n * xs)[:, None] * lam.shifted_exp_integral_array(ys, s)
-            for (w, n), s in zip(parts, rates)
-        )
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        rates = [_rate(m / z, f"service rate {m} / z") for _, m in parts]
+        out = np.zeros((xs.size, ys.size))
+        if a > 0.0:
+            span = z * np.maximum(a - xs, 0.0)[:, None]
+            neg = np.isneginf(ys)
+            ysf = np.where(neg, 0.0, ys)
+            out = alpha * (lam.tail_integral_array(ysf)[None, :] - lam.tail_integral_array(ysf + span))
+            out[:, neg] = alpha * span
+            ys = ys + span
+        past = np.maximum(xs - a, 0.0)[:, None]
+        # near z = 1e308 1 / rate overflows at y = -inf; eval_grid reports it
+        with np.errstate(over="ignore"):
+            for (w, m), s in zip(parts, rates):
+                out += (alpha * w) * np.exp(-m * past) * lam.shifted_exp_integral_array(ys, s)
+        return out
 
     return grid_fn
 
 
-def _exp_lead_builder(nu: ScalarDistribution, parts, alpha: float, z: float):
-    # the lead survival is 1 until u = -y and a sum of exponentials after it;
-    # past the split the u-integral is one shifted exponential transform per part
+def _lead_side(nu: ScalarDistribution, form, alpha: float, z: float):
+    # F = alpha z E_L[T_nu(x) - T_nu(x + (L - y)^+ / z)] for L = a + U: the
+    # lead survival is 1 until u = a - y and a sum of exponentials after it;
+    # past that split each part leaves one shifted exponential transform
+    a, parts = form
+
     def grid_fn(xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         rates = [_rate(m * z, f"lead rate {m} * z") for _, m in parts]
-        split = xs[:, None] + np.maximum(-ys, 0.0)[None, :] / z  # +inf at y = -inf
-        lead = np.maximum(ys, 0.0)
+        with np.errstate(over="ignore"):  # +inf, the split's limit, at y = -inf or a tiny z
+            split = xs[:, None] + np.maximum(a - ys, 0.0)[None, :] / z
         out = nu.tail_integral_array(xs)[:, None] - nu.tail_integral_array(split)
+        lead = np.maximum(ys - a, 0.0)
         for (w, m), s in zip(parts, rates):
             out += w * np.exp(-m * lead)[None, :] * nu.shifted_exp_integral_array(split, s)
         return alpha * z * out
@@ -134,53 +142,25 @@ def _exp_lead_builder(nu: ScalarDistribution, parts, alpha: float, z: float):
     return grid_fn
 
 
-def _det_lead_builder(nu: ScalarDistribution, lead_value: float, alpha: float, z: float):
-    # lead fixed at lead_value: the u-integral runs while y + u <= lead_value
-    def grid_fn(xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        window = np.where(np.isneginf(ys), np.inf, np.maximum(lead_value - ys, 0.0))
-        t0 = nu.tail_integral_array(xs)[:, None]
-        t1 = nu.tail_integral_array(xs[:, None] + window[None, :] / z)
-        return alpha * z * (t0 - t1)
-
-    return grid_fn
-
-
-def _det_service_builder(nu: Deterministic, lam: ScalarDistribution, alpha: float, z: float):
-    d = nu.value
-
-    def grid_fn(xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        span = z * np.maximum(d - xs, 0.0)  # u-window where the service tail is 1
-        neg = np.isneginf(ys)
-        ysf = np.where(neg, 0.0, ys)
-        t0 = lam.tail_integral_array(ysf)[None, :]
-        t1 = lam.tail_integral_array(ysf[None, :] + span[:, None])
-        out = alpha * (t0 - t1)
-        if np.any(neg):
-            out[:, neg] = alpha * span[:, None]
-        return out
-
-    return grid_fn
-
-
-def _linear_builder(nu: ScalarDistribution, c: float, alpha: float, z: float):
+def _linear_builder(parts, c: float, alpha: float, z: float):
     # lead = c * service: the quadrant holds while v >= max(x + u/z, (y + u)/c).
-    # The line higher at u = 0 leads until a steeper one overtakes it at level
-    # w; a line of slope 1/k running from level a to b spans k * (T(a) - T(b))
-    # of the u-integral, k = z for the residual line and c for the deadline line
+    # The line higher at u = 0 starts at level a, and a steeper one overtakes
+    # it h later (h = inf if none does); a line of slope 1/k spans k * (T(lo) -
+    # T(hi)) of the u-integral, k = z or c.  With each part's T(v) = (w/m) e^{-m v}
+    # only h enters, formed from y - c x, not from two levels 1/z apart
     def grid_fn(xs, ys):
         x = np.asarray(xs, dtype=float)[:, None]
         y = np.asarray(ys, dtype=float)[None, :]
         residual_leads = y <= c * x  # at y = -inf too
-        lead0 = np.where(residual_leads, x, y / c)
+        a = np.where(residual_leads, x, y / c)
         k_lead, k_other = np.where(residual_leads, z, c), np.where(residual_leads, c, z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(k_lead > k_other, (y - z * x) / (c - z), np.inf)
-        t_w = nu.tail_integral_array(w)
-        return alpha * (k_lead * (nu.tail_integral_array(lead0) - t_w) + k_other * t_w)
+            gap = np.where(residual_leads, (y - c * x) / (c - z), (y - c * x) / c * np.divide(z, c - z))
+        h = np.where(k_lead > k_other, gap, np.inf)
+        out = np.zeros(h.shape)
+        for w, m in parts:
+            out += (w / m) * np.exp(-m * a) * (k_other * np.exp(-m * h) - k_lead * np.expm1(-m * h))
+        return alpha * out
 
     return grid_fn
 
@@ -236,6 +216,8 @@ def _quadrature_builder(joint: ProductJoint | LinearJoint, alpha: float, z: floa
         lead_breaks = np.array(joint.lead.breakpoints(), dtype=float)
     su, lu = service_breaks.max(), lead_breaks.max()
 
+    # near z = 1e308 z (su - x) overflows; eval_grid reports the cells it spoils
+    @np.errstate(over="ignore", invalid="ignore")
     def point_fn(x, y):
         # the u-range ends where either support does
         upper = np.maximum(np.minimum(z * (su - x), lu - y), 0.0)
@@ -267,21 +249,16 @@ def _quadrature_builder(joint: ProductJoint | LinearJoint, alpha: float, z: floa
 def _closed_form(joint: JointDistribution, alpha: float, z: float):
     """(method, grid_fn) of the closed form installed for the family, or None."""
     if isinstance(joint, ProductJoint):
-        nu, lam = joint.service, joint.lead
-        if isinstance(lam, PointMassZero):
-            return "closed_form_tiq", _det_lead_builder(nu, 0.0, alpha, z)
-        if isinstance(nu, Exponential):
-            return "closed_form_product", _exp_service_builder(_exp_parts(nu), lam, alpha, z)
-        if isinstance(nu, Deterministic):
-            return "closed_form_product", _det_service_builder(nu, lam, alpha, z)
-        if isinstance(lam, Deterministic):
-            return "closed_form_product", _det_lead_builder(nu, lam.value, alpha, z)
-        if isinstance(nu, HyperExponential):
-            return "closed_form_product", _exp_service_builder(_exp_parts(nu), lam, alpha, z)
-        if isinstance(lam, (Exponential, HyperExponential)):
-            return "closed_form_product", _exp_lead_builder(nu, _exp_parts(lam), alpha, z)
-    if isinstance(joint, LinearJoint) and isinstance(joint.service, (Exponential, HyperExponential)):
-        return "closed_form_linear", _linear_builder(joint.service, joint.c, alpha, z)
+        service, lead = joint.service.exp_form(), joint.lead.exp_form()
+        method = "closed_form_tiq" if lead == (0.0, ()) else "closed_form_product"
+        if service is not None:
+            return method, _service_side(service, joint.lead, alpha, z)
+        if lead is not None:
+            return method, _lead_side(joint.service, lead, alpha, z)
+    if isinstance(joint, LinearJoint):
+        form = joint.service.exp_form()
+        if form is not None and form[0] == 0.0 and form[1]:
+            return "closed_form_linear", _linear_builder(form[1], joint.c, alpha, z)
     if isinstance(joint, EmpiricalJoint):
         return "closed_form_empirical", _empirical_builder(joint, alpha, z)
     return None
@@ -300,8 +277,7 @@ def lift(joint: JointDistribution, alpha: float, z: float) -> InvariantMeasure:
     if not (z >= 0.0 and math.isfinite(z)):
         raise ConfigError(f"total mass must be nonnegative and finite, got {z}")
 
-    found = _closed_form(joint, alpha, z)
-    method, grid_fn = found or ("quadrature", _quadrature_builder(joint, alpha, z))
+    method, grid_fn = _closed_form(joint, alpha, z) or ("quadrature", _quadrature_builder(joint, alpha, z))
     if z == 0.0:
         grid_fn = lambda xs, ys: np.zeros((np.size(xs), np.size(ys)))
     total = alpha * z * joint.mean_service()

@@ -131,14 +131,18 @@ class QuadrantFunction:
     def eval(self, x: float, y: float) -> float:
         if math.isnan(x) or x < 0.0:
             raise ConfigError(f"residual threshold must be >= 0, got {x}")
-        return float(self.grid_fn(np.array([x]), np.array([y]))[0, 0])
+        return float(self.eval_grid(np.array([x]), np.array([y]))[0, 0])
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The table of grid_fn; a non-finite cell is a ConfigError."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         out = np.asarray(self.grid_fn(xs, ys), dtype=float)
         if out.shape != (xs.size, ys.size):
             raise ConfigError("grid_fn returned a wrong-shaped table")
+        bad = out.size - np.count_nonzero(np.isfinite(out))
+        if bad:
+            raise ConfigError(f"{bad} of the {out.size} quadrant masses leave the float range")
         return out
 
 

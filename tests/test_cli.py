@@ -451,6 +451,31 @@ def test_lift_out_of_float_range_is_a_config_error(tmp_path, capsys, cmd, body):
     assert not out.exists()
 
 
+# lifts at z near the float maximum whose default-grid tables once held NaN
+# (the two-point fallback) or inf (a mixture's transform at y = -inf) cells
+# beside a finite total mass, and exited 0
+NON_FINITE_LIFTS = [
+    ({"kind": "product", "service": UNIFORM, "lead": UNIFORM}, 1e308),
+    ({"kind": "product", "service": UNIFORM, "lead": UNIFORM}, 1.7e308),
+    ({"kind": "linear", "service": UNIFORM, "c": 1.0}, 1e308),
+    ({"kind": "linear", "service": UNIFORM, "c": 1.0}, 1.7e308),
+    ({"kind": "product", "service": {**HYPER, "rates": [0.5, 2.0]}, "lead": _exp(1.0)}, 1e308),
+]
+
+
+@pytest.mark.parametrize(
+    "joint, z", NON_FINITE_LIFTS, ids=["unif-unif-1e308", "unif-unif-1.7e308", "linear-1e308", "linear-1.7e308", "hyper-exp"]
+)
+def test_lift_with_non_finite_cells_is_a_config_error(tmp_path, capsys, joint, z):
+    cfg = write_config(tmp_path, {"schema_version": 1, "lift": {"joint": joint, "alpha": 1.0, "z": z}})
+    out = tmp_path / "out"
+    assert main(["lift", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "quadrant masses leave the float range" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_finite_law_parameter_is_a_config_error(tmp_path, capsys):
     # JSON's NaN reads as a float; a NaN lead would print nan masses
     joint = {"kind": "empirical", "points": [[1.0, float("nan")], [1.0, 2.0]]}

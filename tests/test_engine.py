@@ -119,6 +119,23 @@ def test_simultaneous_event_order():
     assert out.workload_check == 0.0
 
 
+def test_replay_drops_the_rounding_left_when_the_system_empties():
+    # services 25 orders of magnitude apart leave the compensated target sum
+    # about 9e-19 off once every job has gone; the replay resets it to 0
+    # at the departure that empties the system
+    services = (1.4884980429188523e-08, 2.4722922862625027e-16, 3.6470322857504294e-17, 44790729192.3346, 108066137064822.81)
+    cfg = ScenarioConfig(
+        interarrival=Exponential(1e-30),  # no arrival before the horizon
+        joint=MM1,
+        horizon=1e18,
+        initial_jobs=tuple((v, 0.0) for v in services),
+    )
+    p = run(cfg).path
+    assert p.kinds == ("init", *["departure"] * 5, "end")
+    assert list(p.z) == [5, 4, 3, 2, 1, 0, 0]
+    assert p.w_post[-2] == p.w_pre[-1] == p.w_post[-1] == 0.0
+
+
 def test_empty_scenario():
     cfg = ScenarioConfig(
         interarrival=Deterministic(100.0),

@@ -12,6 +12,8 @@ F_z(x, y) = alpha * int_0^inf theta([x+u/z, inf) x [y+u, inf)) du:
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,16 +102,35 @@ RATE_OUT_OF_RANGE = [
     (ProductJoint(EXP1, UNIF), 1e-308, "uniform transform"),
     (ProductJoint(UNIF, HyperExponential((0.5, 0.5), (0.5, 2.0))), 5e-324, "lead rate"),
     (ProductJoint(Exponential(5e-324), EXP1), 1.5, "total mass"),
+    (ProductJoint(HyperExponential((0.5, 0.5), (1.0, 3.0)), PointMassZero()), 5e-324, "service rate"),
 ]
 
 
 @pytest.mark.parametrize(
-    "joint, z, name", RATE_OUT_OF_RANGE, ids=["service-rate", "uniform-square", "lead-rate", "total-mass"]
+    "joint, z, name",
+    RATE_OUT_OF_RANGE,
+    ids=["service-rate", "uniform-square", "lead-rate", "total-mass", "zero-lead-service-rate"],
 )
 def test_rate_out_of_float_range_is_a_config_error(joint, z, name):
     g = default_grid()
     with pytest.raises(ConfigError, match=f"{name}.*float range"):
         lift(joint, 1.0, z).quadrant.eval_grid(g.x_values, g.y_values)
+
+
+@pytest.mark.parametrize("lead", [HyperExponential((0.5, 0.5), (1.0, 3.0)), PointMassZero()], ids=["hyper", "zero"])
+def test_lead_side_split_past_the_float_range_is_its_limit(lead):
+    # x + (a - y)^+ / z overflows to +inf at z = 5e-324, the split's limit,
+    # which once warned (and raised under the suite's warning filter)
+    g = default_grid()
+    m = lift(ProductJoint(UNIF, lead), 1.0, 5e-324)
+    table = m.quadrant.eval_grid(g.x_values, g.y_values)
+    assert np.all(table >= 0.0) and table[0, 0] == m.total_mass == 5e-324
+
+
+def test_eval_reports_a_non_finite_cell():
+    # the two-point fallback's u-range z (su - x) leaves the float range here
+    with pytest.raises(ConfigError, match="1 of the 1 quadrant masses leave the float range"):
+        lift(ProductJoint(UNIF, UNIF), 1.0, 1.7e308).eval(0.0, -math.inf)
 
 
 @pytest.mark.parametrize("service", [EXP1, UNIF], ids=["exp", "unif"])
@@ -321,19 +342,94 @@ def test_linear_closed_form_matches_oracle(service, cz):
     assert np.max(np.abs(table - quad.quadrant.eval_grid(_COARSE_XS, _COARSE_YS))) <= 1e-9
 
 
-@pytest.mark.parametrize("service", [UNIF, Uniform(0.5, 1.5), Deterministic(1.0)], ids=str)
-def test_linear_builder_matches_fallback_on_bounded_service(service):
-    # the tail-integral form needs no exponential parts: on the laws that
-    # still take the exact two-point fallback it agrees to rounding
-    g = default_grid()
-    for c in (0.5, 0.8, 2.0):
-        joint = LinearJoint(service, c)
-        for z in (1e-6, 0.4, c, 4.0):
-            m = lift(joint, 1.3, z)
-            assert m.method == "quadrature"
-            table = manifold._linear_builder(service, c, 1.3, z)(g.x_values, g.y_values)
-            err = np.max(np.abs(table - m.quadrant.eval_grid(g.x_values, g.y_values)))
-            assert err <= 1e-12, (joint, z, err)
+def _dexpm1(t: Decimal) -> Decimal:
+    """e^t - 1 to the context's precision; its series for small |t|."""
+    if abs(t) >= Decimal("0.1"):
+        return t.exp() - 1
+    term = total = t
+    k = 1
+    while abs(term) > abs(total) * Decimal(10) ** -45:
+        k += 1
+        term = term * t / k
+        total += term
+    return total
+
+
+def _dec(q: Fraction) -> Decimal:
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _exp_type_reference(parts, alpha, v0, k1, k2, h) -> float:
+    """alpha * int g'(v) P(V >= v) dv to 40 digits, for V with P(V >= v) =
+    sum w e^{-m v} over the (w, m) parts and g rising from 0 at v0 with
+    slope k1, then k2 from v0 + h on (h None: never); exact fractions in."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        total = Decimal(0)
+        for w, m in parts:
+            m = Decimal(m)
+            start = Decimal(w) / m * (-m * _dec(v0)).exp()
+            if h is None:
+                total += start * _dec(k1)
+            else:
+                e = _dexpm1(-m * _dec(h))
+                total += start * (_dec(k2) * (e + 1) - _dec(k1) * e)
+        return float(Decimal(alpha) * total)
+
+
+def _atom_lead_reference(parts, d, alpha, z, x, y) -> float:
+    """alpha * E_V[min(z (V - x)^+, (d - y)^+)]: the lift of an exponential
+    or mixture service V with every lead at d."""
+    x, z = Fraction(x), Fraction(z)
+    window = None if y == -math.inf else max(Fraction(d) - Fraction(y), Fraction(0)) / z
+    return _exp_type_reference(parts, alpha, x, z, Fraction(0), window)
+
+
+def _linear_reference(parts, c, alpha, z, x, y) -> float:
+    """alpha * E_V[max(0, min(z (V - x), c V - y))]: the lift of lead = c V."""
+    x, c, z = Fraction(x), Fraction(c), Fraction(z)
+    if y == -math.inf:
+        return _exp_type_reference(parts, alpha, x, z, c, None)
+    y = Fraction(y)
+    # g is 0 up to v0 = max(x, y / c), then follows the line that is 0 there
+    # until the other line, if it is less steep, crosses it
+    residual_zero = x >= y / c
+    v0 = x if residual_zero else y / c
+    k1, k2 = (z, c) if residual_zero else (c, z)
+    h = (z * x - y) / (z - c) - v0 if k1 > k2 else None
+    return _exp_type_reference(parts, alpha, v0, k1, k2, h)
+
+
+def _parts(d):
+    return tuple(zip(d.weights, d.rates)) if isinstance(d, HyperExponential) else ((1.0, d.rate),)
+
+
+@pytest.mark.parametrize("z", [1e3, 1e6])
+@pytest.mark.parametrize(
+    "joint", [ProductJoint(HYPER, Deterministic(1.0)), ProductJoint(EXP1, PointMassZero())], ids=["hyper-det", "exp-zero"]
+)
+def test_atom_lead_lift_matches_decimal_reference(joint, z):
+    # the service side's transforms at rate m / z hold where the lead side's
+    # service tail-integral differences at levels 1/z apart lost 1e-12 to 1e-9
+    table = lift(joint, 1.3, z).quadrant.eval_grid(_COARSE_XS, _COARSE_YS)
+    d = joint.lead.mean()
+    ref = [[_atom_lead_reference(_parts(joint.service), d, 1.3, z, x, y) for y in _COARSE_YS] for x in _COARSE_XS]
+    np.testing.assert_allclose(table, ref, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("service", [Exponential(1.7), HYPER], ids=["exp", "hyper"])
+@pytest.mark.parametrize("c", [0.4, 1.0, 2.5])
+def test_linear_lift_matches_decimal_reference(service, c):
+    # the per-part form takes the overtaking gap h from y - c x; differences of
+    # tail integrals at levels about 1/z apart once lost up to 0.88 at z = 1e100
+    for z in (1e-12, 1e-6, c, 1.0, 1e6, 1e12, 1e100):
+        m = lift(LinearJoint(service, c), 1.3, z)
+        assert m.method == "closed_form_linear"
+        table = m.quadrant.eval_grid(_COARSE_XS, _COARSE_YS)
+        ref = [[_linear_reference(_parts(service), c, 1.3, z, x, y) for y in _COARSE_YS] for x in _COARSE_XS]
+        np.testing.assert_allclose(table, ref, rtol=1e-14, atol=0.0, err_msg=f"z = {z}")
+    at_large_z = lift(LinearJoint(EXP1, 1.0), 1.3, 1e100).eval(0.5, 0.0)
+    assert at_large_z == pytest.approx(1.3 * 1.5 * math.exp(-0.5), rel=1e-15)
 
 
 def test_empirical_closed_form_matches_oracle():

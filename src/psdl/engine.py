@@ -59,12 +59,18 @@ the loop the job ids of the departures, in departure order, are the
 first (departure count) entries of a stable argsort of it.  A snapshot
 reads the jobs in service from it as the entries above S.
 
-An event makes no Python call besides the heap's.  Traffic arrives
-through ``TrafficStream.refill`` in blocks of checked rows, which the
-loop appends to the job columns and reads by index; a row that failed
+An event makes no Python call besides the heap's and list appends.
+The loop appends each admitted target and each mark to a plain list,
+and moves those into the target column and the marks, both ``array``s,
+with ``fromlist`` at every refill, before every snapshot and after the
+loop; so the pending lists never hold more than about one traffic
+block.  Traffic arrives through ``TrafficStream.refill`` in blocks of
+checked rows, which the loop appends to the job columns and reads by
+index, refilling when an index runs past the block; a row that failed
 its check raises only when the loop reaches it.  Departures run in an
-inner loop against the next other event (the next arrival, snapshot or
-the horizon, whichever is first).
+inner loop against the next other event (the next arrival, or the
+next snapshot or the horizon, whichever is first; that stop time
+changes only at snapshots).
 """
 
 from __future__ import annotations
@@ -290,9 +296,12 @@ class TrafficStream:
             rows *= self._scales
             gaps, vs, leads = rows.T
             leads *= cfg.lead_scale  # in place, so the finiteness test sees the scaled lead
-            ok = np.isfinite(rows).all(axis=1) & (gaps >= 0.0) & (vs > 0.0)
             times = np.cumsum(np.concatenate(((self._clock,), gaps)))[1:]
-        n = size if ok.all() else int(ok.argmin())
+            n = size
+            # whole-block reductions; only a block that fails them finds its first bad row
+            if not (np.isfinite(rows).all() and gaps.min() >= 0.0 and vs.min() > 0.0):
+                ok = np.isfinite(rows).all(axis=1) & (gaps >= 0.0) & (vs > 0.0)
+                n = int(ok.argmin())
         if n < size:
             self._error = _row_error(*rows[n].tolist(), float(times[n]))
             if n == 0:
@@ -456,15 +465,25 @@ def run(config: ScenarioConfig) -> SimOutput:
     svc: list[float] = [v for v, _ in init]
     lead: list[float] = [l for _, l in init]
     off: list[float] = [0.0] * n_init
-    targets = array("d", svc)  # the target of each admitted job
+    # the target of each admitted job, and per departure k, per snapshot ~k;
+    # the loop appends to the pending lists beside them (list.append is the
+    # cheaper call), which ``flush`` moves in with fromlist
+    targets, new_targets = array("d", svc), []
+    marks, new_marks = array("q"), []
 
-    def pull() -> int:
-        """Append the next traffic rows to the columns; their new length."""
+    def flush() -> None:
+        targets.fromlist(new_targets)
+        new_targets.clear()
+        marks.fromlist(new_marks)
+        new_marks.clear()
+
+    def pull() -> None:
+        """Append the next traffic rows to the columns."""
+        flush()
         times, vs, leads = stream.refill()
         arr.extend(times)
         svc.extend(vs)
         lead.extend(leads)
-        return len(arr)
 
     heap = list(svc)  # the targets of the jobs in service
     heapify(heap)
@@ -473,33 +492,30 @@ def run(config: ScenarioConfig) -> SimOutput:
     snap_times = config.snapshot_times
     snap_idx = 0
     t_snap = snap_times[0] if snap_times else math.inf
+    t_stop = t_snap if t_snap < horizon else horizon  # the next snapshot or the end
     snapshots: list[tuple[float, float, PointMeasure]] = []
     dep_times: list[float] = []  # departure times in departure order
-    marks = array("q")  # per departure k, per snapshot ~k
     clock = s = 0.0
     k = n_init  # job id of the next traffic row
-    n_rows = pull()
-    t_arr = arr[k]  # past the horizon it never fires: t_ext stops there
+    pull()
+    t_arr = arr[k]  # past the horizon it never fires: t_stop comes first
 
     while True:
         # the next event that is not a departure: arrival, snapshot or end
-        t_ext = t_arr if t_arr <= t_snap else t_snap
-        if horizon < t_ext:
-            t_ext = horizon
+        t_ext = t_arr if t_arr <= t_stop else t_stop
 
-        # departures up to t_ext, ties going to the departure
+        # departures up to t_ext, ties going to the departure.  S never
+        # passes heap[0], so z * (top - s) >= 0 and t_dep >= clock.
         while z:
             top = heap[0]
             t_dep = clock + z * (top - s)
-            if t_dep < clock:
-                t_dep = clock
             if t_dep > t_ext:
                 break
             s = top  # exact landing on the target
             clock = t_dep
             heappop(heap)
             dep_times.append(clock)
-            marks.append(k)
+            new_marks.append(k)
             z -= 1
 
         if z and t_ext > clock:
@@ -515,22 +531,27 @@ def run(config: ScenarioConfig) -> SimOutput:
                 max_z = z + 1
             target = s + svc[k]
             heappush(heap, target)
-            targets.append(target)
+            new_targets.append(target)
             off.append(s)
             z += 1
             k += 1
-            if k == n_rows:
-                n_rows = pull()
-            t_arr = arr[k]
+            try:
+                t_arr = arr[k]
+            except IndexError:  # the end of the block
+                pull()
+                t_arr = arr[k]
             continue
 
         if t_snap != t_ext:
             break
-        marks.append(~k)
+        new_marks.append(~k)
+        flush()
         snapshots.append((clock, s, _snapshot_measure(targets, arr, lead, s, clock)))
         snap_idx += 1
         t_snap = snap_times[snap_idx] if snap_idx < len(snap_times) else math.inf
+        t_stop = t_snap if t_snap < horizon else horizon
 
+    flush()
     for col in (arr, svc, lead):
         del col[k:]  # rows drawn past the last admitted arrival
     departure_times = np.array(dep_times, dtype=float)
@@ -563,7 +584,8 @@ def _snapshot_measure(
     residual has just hit zero belongs to the departure at this same
     instant, not to the right-continuous state."""
     # a view of the column: it must not outlive this call, or the loop's
-    # next targets.append raises BufferError; indexing by ids copies
+    # next flush of its pending targets (targets.fromlist) raises
+    # BufferError; indexing by ids copies
     column = np.frombuffer(targets)
     ids = np.flatnonzero(column > s)
     res = column[ids] - s

@@ -25,7 +25,6 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from itertools import product, repeat
-from typing import Callable
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .distributions import (
 )
 from .engine import ScenarioConfig, SimOutput, run
 from .errors import ConfigError
-from .manifold import ht_params, lift, sojourn_limit_cdf
+from .manifold import ht_params, lift
 from .measures import (
     PointMeasure,
     QuadrantGrid,
@@ -191,10 +190,14 @@ class SojournSample:
     #     | insufficient_data | no_service_law
 
 
-def _ks_distance(samples: np.ndarray, cdf: Callable[[float], float]) -> float:
+def _ks_distance(samples: np.ndarray, nu: ScalarDistribution, z: float) -> float:
+    """KS distance of the samples from the sojourn limit law at mass z.
+    1 - survival(y / z) is ``sojourn_limit_cdf``, float for float: numpy
+    divides as Python does, and survival(x <= 0) == 1 gives the 0.0 of
+    its y <= 0 branch."""
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
-    f = np.array([cdf(x) for x in s])
+    f = 1.0 - np.array(list(map(nu.survival, (s / z).tolist())))
     steps = np.arange(n + 1) / n
     return float(max(np.max(steps[1:] - f), np.max(f - steps[:-1])))
 
@@ -222,7 +225,7 @@ def sojourn_snapshot_experiment(
     if soj.size < 20:
         # too few departures for a meaningful empirical CDF
         return SojournSample(r, t, int(soj.size), None, z, "insufficient_data")
-    ks = _ks_distance(soj, lambda y: sojourn_limit_cdf(nu, z, y))
+    ks = _ks_distance(soj, nu, z)
     return SojournSample(r, t, int(soj.size), ks, z, "ok")
 
 

@@ -11,7 +11,9 @@ recovery of job ids from a column of bare targets is checked against
 code that does not share it.  It keeps the running workload sum and the
 path log event by event, as the engine loop once did, and returns them
 beside its ``SimOutput``: the engine replays both from its record, and a
-test compares that replay with this log.
+test compares that replay with this log.  Before each departure time it
+asserts the premise that lets the engine compute that time unclipped: S
+never passes the smallest target in service.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ def run(config: ScenarioConfig) -> tuple[SimOutput, PathLog, float]:
         t_dep = math.inf
         if z:
             top = heap[0][0]
+            # the engine's premise for t_dep >= clock without a clip: S
+            # never passes the smallest target in service
+            assert top >= s, (top, s)
             t_dep = clock + z * (top - s)
-            if t_dep < clock:
-                t_dep = clock
 
         # simultaneous events: departure, then arrival, snapshot, end
         if t_dep <= t_arr and t_dep <= t_snap and t_dep <= horizon:

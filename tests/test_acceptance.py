@@ -49,7 +49,6 @@ from psdl import (
     run,
     run_sweep,
     simulate,
-    sojourn_limit_cdf,
     stationary_cdf,
     time_in_queue_profile,
     verify_dynamic_equation,
@@ -412,10 +411,7 @@ def _sojourn_control(rows, r: float) -> float:
     Exp(1) service), matched to each window's size and start mass."""
     rng = _control_rng(r)
     return statistics.median(
-        _ks_distance(
-            row.z_scaled * rng.exponential(1.0, row.sojourn_n),
-            lambda y, z=row.z_scaled: sojourn_limit_cdf(EXP1, z, y),
-        )
+        _ks_distance(row.z_scaled * rng.exponential(1.0, row.sojourn_n), EXP1, row.z_scaled)
         for row in rows
     )
 

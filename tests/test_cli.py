@@ -667,31 +667,34 @@ def _raises_number(old, new) -> bool:
     return isinstance(old, num) and isinstance(new, num) and math.isfinite(new) and new > old
 
 
-def _fuzz_exit(case) -> int:
+def _fuzz_exit(case) -> tuple[int, list[str]]:
+    """The exit code of one case and the files it left under its --out."""
     i, path, value = case
     cmd, body = copy.deepcopy(FUZZ_BASES[i])
     parent = body
     for key in path[:-1]:
         parent = parent[key]
     if _raises_number(parent[path[-1]], value):
-        return 0
+        return 0, []
     parent[path[-1]] = value
     with tempfile.TemporaryDirectory() as d:
-        cfg = Path(d) / "config.json"
+        cfg, out = Path(d) / "config.json", Path(d) / "out"
         cfg.write_text(json.dumps(body))
-        return main([cmd, "--config", str(cfg), "--out", str(Path(d) / "out")])
+        code = main([cmd, "--config", str(cfg), "--out", str(out)])
+        return code, sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
 
 
 def test_cli_contract_fuzz(capsys):
-    # every single-leaf case, each under the suite's RuntimeWarning filter
+    # every single-leaf case, each under the suite's RuntimeWarning filter;
+    # a case that fails (exit 2 or 3) leaves no partial artifact
     failed = []
     for case in FUZZ_CASES:
         try:
-            code = _fuzz_exit(case)
+            code, files = _fuzz_exit(case)
         except Exception as exc:  # noqa: BLE001 - a traceback breaks the contract
             failed.append((case, repr(exc)))
             continue
-        if code not in (0, 2, 3):
-            failed.append((case, code))
+        if code not in (0, 2, 3) or (code != 0 and files):
+            failed.append((case, code, files))
     capsys.readouterr()
     assert not failed, failed

@@ -15,17 +15,21 @@ from psdl import (
     ConfigError,
     Deterministic,
     Exponential,
+    HyperExponential,
     PointMeasure,
     ProductJoint,
     SweepConfig,
+    Uniform,
     build_scenario,
     collapse_error,
     lateness_fraction,
     run,
     run_sweep,
     scale_diffusion,
+    sojourn_limit_cdf,
     sojourn_snapshot_experiment,
 )
+from psdl.harness import _ks_distance
 from psdl.measures import default_grid, mass_moment_chi
 
 MM1 = ProductJoint(Exponential(1.0), Exponential(1.0))
@@ -144,6 +148,25 @@ def test_sojourn_experiment_statistic():
     if s.flag == "ok":
         assert 0.0 <= s.ks <= 1.0
         assert s.n >= 20
+
+
+def test_ks_distance_matches_per_sample_cdf():
+    # the KS against 1 - survival(y / z) is the KS against the per-sample
+    # sojourn_limit_cdf, float for float, including at a zero sojourn
+    def per_sample(samples, nu, z):
+        s = np.sort(samples)
+        f = np.array([sojourn_limit_cdf(nu, z, y) for y in s])
+        steps = np.arange(s.size + 1) / s.size
+        return float(max(np.max(steps[1:] - f), np.max(f - steps[:-1])))
+
+    rng = np.random.default_rng(5)
+    laws = (Exponential(1.0), HyperExponential((0.5, 0.5), (0.5, 2.0)), Uniform(0.0, 2.0), Deterministic(1.0))
+    for nu in laws:
+        for z in (1e-3, 0.37, 1.0, 2.5, 40.0):
+            samples = np.append(z * rng.exponential(1.5, 60), (0.0, z, 2.0 * z))
+            assert _ks_distance(samples, nu, z) == per_sample(samples, nu, z)
+            for y in samples:  # one sample: the KS is max(F(y), 1 - F(y))
+                assert _ks_distance(np.array([y]), nu, z) == per_sample(np.array([y]), nu, z)
 
 
 def test_run_sweep_shapes_and_rows():

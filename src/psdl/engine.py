@@ -296,12 +296,9 @@ class TrafficStream:
             rows *= self._scales
             gaps, vs, leads = rows.T
             leads *= cfg.lead_scale  # in place, so the finiteness test sees the scaled lead
+            ok = np.isfinite(rows).all(axis=1) & (gaps >= 0.0) & (vs > 0.0)
             times = np.cumsum(np.concatenate(((self._clock,), gaps)))[1:]
-            n = size
-            # whole-block reductions; only a block that fails them finds its first bad row
-            if not (np.isfinite(rows).all() and gaps.min() >= 0.0 and vs.min() > 0.0):
-                ok = np.isfinite(rows).all(axis=1) & (gaps >= 0.0) & (vs > 0.0)
-                n = int(ok.argmin())
+        n = size if ok.all() else int(ok.argmin())
         if n < size:
             self._error = _row_error(*rows[n].tolist(), float(times[n]))
             if n == 0:
@@ -505,7 +502,8 @@ def run(config: ScenarioConfig) -> SimOutput:
         t_ext = t_arr if t_arr <= t_stop else t_stop
 
         # departures up to t_ext, ties going to the departure.  S never
-        # passes heap[0], so z * (top - s) >= 0 and t_dep >= clock.
+        # passes heap[0] (the drift below clamps it there), so
+        # z * (top - s) >= 0 and t_dep >= clock.
         while z:
             top = heap[0]
             t_dep = clock + z * (top - s)
@@ -519,8 +517,9 @@ def run(config: ScenarioConfig) -> SimOutput:
             z -= 1
 
         if z and t_ext > clock:
-            # drift may not overshoot the nearest target; equality leaves a
-            # zero-residual job that departs in the following zero-dt event
+            # drift may not overshoot the nearest target, as rounding can
+            # carry it to; equality leaves a zero-residual job that departs
+            # in the following zero-dt event
             s += (t_ext - clock) / z
             if s > top:
                 s = top

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import product, repeat
 
 import numpy as np
@@ -39,7 +40,7 @@ from .distributions import (
 )
 from .engine import ScenarioConfig, SimOutput, run
 from .errors import ConfigError
-from .manifold import ht_params, lift
+from .manifold import ht_params, lift, sojourn_limit_cdf
 from .measures import (
     PointMeasure,
     QuadrantGrid,
@@ -191,13 +192,10 @@ class SojournSample:
 
 
 def _ks_distance(samples: np.ndarray, nu: ScalarDistribution, z: float) -> float:
-    """KS distance of the samples from the sojourn limit law at mass z.
-    1 - survival(y / z) is ``sojourn_limit_cdf``, float for float: numpy
-    divides as Python does, and survival(x <= 0) == 1 gives the 0.0 of
-    its y <= 0 branch."""
+    """KS distance of the samples from the sojourn limit law at mass z."""
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
-    f = 1.0 - np.array(list(map(nu.survival, (s / z).tolist())))
+    f = np.array(list(map(partial(sojourn_limit_cdf, nu, z), s.tolist())))
     steps = np.arange(n + 1) / n
     return float(max(np.max(steps[1:] - f), np.max(f - steps[:-1])))
 

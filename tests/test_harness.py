@@ -151,8 +151,8 @@ def test_sojourn_experiment_statistic():
 
 
 def test_ks_distance_matches_per_sample_cdf():
-    # the KS against 1 - survival(y / z) is the KS against the per-sample
-    # sojourn_limit_cdf, float for float, including at a zero sojourn
+    # the KS is the one against sojourn_limit_cdf called on each sorted
+    # sample, float for float, including at a zero sojourn
     def per_sample(samples, nu, z):
         s = np.sort(samples)
         f = np.array([sojourn_limit_cdf(nu, z, y) for y in s])

@@ -203,6 +203,16 @@ _TIE_CASES = [
         seed=6,
         initial_jobs=((1.0, 0.5),),
     ),
+    # two drifts toward the smaller target v, the second ending at 2 v, when
+    # it would leave undisturbed: the rounded steps carry S past v, and the
+    # clamp lands S on it, so it leaves at 2 v and not before
+    ScenarioConfig(
+        interarrival=Deterministic(100.0),
+        joint=ProductJoint(Exponential(1.0), Exponential(1.0)),
+        horizon=10.0,
+        snapshot_times=(1.1084719932797815, 2 * 1.7837896981588581),
+        initial_jobs=((1.7837896981588581, 0.5), (10.0, 1.0)),
+    ),
 ]
 
 
@@ -218,13 +228,17 @@ def _with_examples(cases):
 
 def test_tie_cases_tie():
     # each tie case holds what it is there for
-    equal, tiny, dup, snaps = (run(cfg) for cfg in _TIE_CASES)
+    equal, tiny, dup, snaps, drift = (run(cfg) for cfg in _TIE_CASES)
     for out in (equal, dup):
         targets = [j.target for j in out.jobs]
         assert len(set(targets)) < len(targets)
         assert 0.0 in np.diff(out.departure_times)
     assert any(j.target == j.service_offset for j in tiny.jobs if j.departure_time is not None)
     assert [t for t, _, _ in snaps.snapshots] == [0.0, snaps.config.horizon]
+    (t_a, s_a, _), (t_b, s_b, _) = drift.snapshots
+    v = drift.jobs[0].target
+    assert s_a + (t_b - t_a) / 2 > v  # the unclamped drift overshoots
+    assert s_b == v and list(drift.departure_times) == [t_b]
 
 
 @settings(max_examples=60, deadline=None)

@@ -86,7 +86,7 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
-_BLOCK_ROWS = 1024  # rows per write call: about 0.4 MB of temporaries for two float columns
+_BLOCK_CELLS = 16_384  # cells per write call: at about 185 B of kernel temporaries each, 3 MB at any width
 _QUOTED = ',"\r\n'  # csv.writer quotes a cell holding any of these
 _REQUEST_KEYS = ("scenario", "sweep", "lift", "profile", "rbm")
 
@@ -356,7 +356,7 @@ def parse_rbm(payload: dict) -> RBMRequest:
 
 
 def _write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length columns under a header row, _BLOCK_ROWS rows per
+    """Write equal-length columns under a header row, _BLOCK_CELLS cells per
     write call, in csv.writer's bytes, each cell as format_value prints it.
 
     A table of float arrays and integer arrays within +-2**53 (where %d
@@ -372,17 +372,18 @@ def _write_csv(path, header: list[str], columns) -> None:
     n = len(columns[0]) if columns else 0
     if len(header) != len(columns) or len(columns) < 2 or any(len(c) != n for c in columns):
         raise ValueError(f"{path}: need two or more equal-length columns, one per header name")
-    kinds = [c.dtype.kind if isinstance(c, np.ndarray) else "O" for c in columns]
+    kinds = [getattr(c, "dtype", np.dtype(object)).kind for c in columns]
+    rows = max(1, _BLOCK_CELLS // len(columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_text(header)) + "\r\n")
         if all(k == "f" or (k in "iu" and _within_2_53(c)) for c, k in zip(columns, kinds)):
             from .floattext import write_table  # imported on first use: fileio's import skips it
 
             fh.flush()
-            write_table(fh.buffer, columns, _BLOCK_ROWS, format_value)
+            write_table(fh.buffer, columns, rows, format_value)
             return
-        for lo in range(0, n, _BLOCK_ROWS):
-            cells = [_text(c[lo : lo + _BLOCK_ROWS]) for c in columns]
+        for lo in range(0, n, rows):
+            cells = [_text(c[lo : lo + rows]) for c in columns]
             fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
 
 
@@ -464,5 +465,21 @@ def write_profile_csv(values, label: str, path) -> None:
     _write_csv(path, ["y", label], list(np.array(values, dtype=float).reshape(-1, 2).T))
 
 
+class _TimeGrid:
+    """A numeric column k * dt, k < n, built a slice at a time: each slice
+    holds the floats that np.arange(n, dtype=float) * dt holds there."""
+
+    dtype = np.dtype(float)
+
+    def __init__(self, n: int, dt: float):
+        self.n, self.dt = n, dt
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        return np.arange(*s.indices(self.n)[:2], dtype=float) * self.dt
+
+
 def write_rbm_path_csv(rbm: RBMPath, path) -> None:
-    _write_csv(path, ["t", "x"], [rbm.times, rbm.values])
+    _write_csv(path, ["t", "x"], [_TimeGrid(rbm.values.size, rbm.dt), rbm.values])

@@ -55,8 +55,14 @@ class RBMSpec:
 
 @dataclass(frozen=True)
 class RBMPath:
-    times: np.ndarray
+    """values[k] is the path at time k * dt; ``times`` is built on each read."""
+
+    dt: float
     values: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.values.size, dtype=float) * self.dt
 
     def time_average(self) -> float:
         return float(self.values.mean())
@@ -105,9 +111,7 @@ def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
         average = values.mean()
     if not math.isfinite(average):
         raise SimulationError(f"the path or its time average leaves the float range: mean {average}")
-    times = np.arange(n + 1, dtype=float)
-    times *= dt
-    return RBMPath(times=times, values=values)
+    return RBMPath(dt=dt, values=values)
 
 
 def stationary_cdf(spec: RBMSpec, x: float) -> float:

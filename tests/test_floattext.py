@@ -103,7 +103,7 @@ INTEGERS = [0, -1, 2**53 - 1, -(2**53 - 1), 10**16, 12345, 7, -40, 10**15, 3, 99
 @pytest.mark.parametrize("block", [1, 2, 7])
 def test_fallback_cells_mid_block(block):
     columns = [np.array(MIXED), np.array(MIXED[::-1]), np.array(INTEGERS)]
-    with tempfile.TemporaryDirectory() as d, mock.patch.object(fileio, "_BLOCK_ROWS", block):
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(fileio, "_BLOCK_CELLS", 3 * block):
         new, old = Path(d) / "new.csv", Path(d) / "old.csv"
         fileio._write_csv(new, ["a", "b", "n"], columns)
         csv_oracle.write_csv(old, ["a", "b", "n"], zip(*columns))

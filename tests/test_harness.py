@@ -219,6 +219,22 @@ def test_aggregate_counts():
     assert len(agg["per_r_t"]) == len(sweep.r_values) * len(sweep.snapshot_times)
 
 
+def test_report_fields_match_their_definitions():
+    # each field recomputed from the rows and overlays it summarises
+    sweep = tiny_sweep()
+    report = run_sweep(sweep)
+    for r, per_r in zip(sweep.r_values, report.aggregates["per_r"]):
+        r_rows = [row for row in report.rows if row.r == r]
+        ce = [row.collapse_error for row in r_rows if row.n_jobs > 0]
+        assert per_r["q25_collapse_error"] == np.quantile(ce, 0.25)
+        assert per_r["q75_collapse_error"] == np.quantile(ce, 0.75)
+        assert per_r["mean_z_scaled"] == np.mean([row.z_scaled for row in r_rows])
+        for row in r_rows:
+            if row.replication == 0:  # its overlay rows are the x = 0 row of the grid
+                ov = [(emp, lim) for r_, t, _, emp, lim in report.overlays if (r_, t) == (r, row.t)]
+                assert row.lead_profile_error == max(abs(emp - lim) for emp, lim in ov)
+
+
 def test_run_sweep_caps_workers(monkeypatch):
     # a huge thread count asks for at most one worker per task and per CPU;
     # the recorder stands in for the pool, so no process starts

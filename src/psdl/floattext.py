@@ -42,7 +42,7 @@ bare point stripped, and d.ddd e+XX otherwise.
   turns the bytes the cell does not print into NULs.  The cells of a
   block of rows are formatted together, in row order, so a row is its
   cells' frames side by side.  A block's frames are copied to bytes, whose
-  translate deletes their NULs (on 16,384 cells in 0.7 of bytearray's time).
+  translate deletes their NULs faster than bytearray.translate does.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from .engine import (
     SimOutput,
     busy_rate_check,
     run,
-    verify_dynamic_equation,
 )
 from .errors import ConfigError, SimulationError
 from .fileio import joint_from_spec, scalar_from_spec
@@ -36,7 +35,6 @@ from .harness import (
     SweepConfig,
     SweepRow,
     build_scenario,
-    collapse_error,
     lateness_fraction,
     run_sweep,
     sojourn_snapshot_experiment,
@@ -56,7 +54,6 @@ from .measures import (
     QuadrantGrid,
     default_grid,
     mass_moment_chi,
-    quadrant_distance,
     scale_diffusion,
 )
 from .rbm import RBMPath, RBMSpec, deadline_quantile, simulate, stationary_cdf

@@ -87,7 +87,7 @@ import numpy as np
 
 from .distributions import JointDistribution, ScalarDistribution
 from .errors import ConfigError, SimulationError
-from .measures import PointMeasure, QuadrantGrid, quadrant_distance
+from .measures import PointMeasure
 
 __all__ = [
     "ScenarioConfig",
@@ -97,7 +97,6 @@ __all__ = [
     "TrafficStream",
     "run",
     "busy_rate_check",
-    "verify_dynamic_equation",
 ]
 
 
@@ -350,11 +349,6 @@ class SimOutput:
             for i, (u, v, l, s0, d) in enumerate(zip(arr, svc, lead, off, dep.tolist()))
         )
 
-    def departures(self) -> list[JobRecord]:
-        done = [j for j in self.jobs if j.departure_time is not None]
-        done.sort(key=lambda j: (j.departure_time, j.job_id))
-        return done
-
     @property
     def path(self) -> PathLog:
         """The state after each event, replayed from the run's record."""
@@ -604,35 +598,3 @@ def busy_rate_check(out: SimOutput) -> float:
     busy = p.z[:-1] >= 1
     return float(err[busy].max()) if busy.any() else 0.0
 
-
-def verify_dynamic_equation(
-    out: SimOutput, t: float, h: float, grid: QuadrantGrid
-) -> float:
-    """Residual of the state transport identity between two snapshots.
-
-    The state at t + h must equal the state at t translated by the
-    accrued per-job service and by h in the lead coordinate (dropping
-    jobs whose residual is exhausted), plus the arrivals of (t, t + h]
-    similarly aged.  Returns the max quadrant-mass discrepancy on the
-    grid; both t and t + h must be recorded snapshot times.
-    """
-    if h <= 0.0:
-        raise ConfigError(f"window must be positive, got h={h}")
-    t0, s0, snap0 = out.snapshot_at(t)
-    t1, s1, snap1 = out.snapshot_at(t + h)
-    ds, dtm = s1 - s0, t1 - t0
-
-    res = snap0.residuals - ds
-    keep = res > 0.0
-
-    arr, svc, lead, off = (np.asarray(c, dtype=float) for c in out.job_columns[:4])
-    new = (t0 < arr) & (arr <= t1)
-    arr, svc, lead, off = arr[new], svc[new], lead[new], off[new]
-    rem = (off + svc) - s1  # each arrival's target less S at t1
-    left = rem > 0.0
-
-    res_all = np.concatenate([res[keep], rem[left]])
-    lead_all = np.concatenate([snap0.leads[keep] - dtm, ((arr + lead) - t1)[left]])
-    transported = PointMeasure(res_all, lead_all, np.ones(res_all.size))
-
-    return quadrant_distance(transported, snap1, grid)

@@ -105,7 +105,6 @@ def format_value(v) -> str:
 
 @dataclass(frozen=True)
 class ConfigFile:
-    schema_version: int
     output_dir: str | None
     kind: str  # which request block is present
     payload: dict
@@ -125,7 +124,7 @@ def load_config(path) -> ConfigFile:
         raise ConfigError(
             f"config must contain exactly one of {_REQUEST_KEYS}, found {present or 'none'}"
         )
-    return ConfigFile(1, root.get("output_dir"), present[0], root[present[0]])
+    return ConfigFile(root.get("output_dir"), present[0], root[present[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +410,7 @@ def write_departures_csv(out: SimOutput, path) -> None:
     # a job still in service has departure NaN
     arr, svc, lead, _, dep = (np.asarray(c, dtype=float) for c in out.job_columns)
     ids = np.flatnonzero(~np.isnan(dep))
-    ids = ids[np.lexsort((ids, dep[ids]))]  # departures() order: by time, then job id
+    ids = ids[np.lexsort((ids, dep[ids]))]  # departure order: by time, then job id
     header = ["id", "arrival", "sojourn", "service_req", "lateness"]
     columns = [arr, dep - arr, svc, np.maximum(0.0, dep - (arr + lead))]
     _write_csv(path, header, [ids, *(c[ids] for c in columns)])

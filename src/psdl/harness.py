@@ -56,7 +56,6 @@ __all__ = [
     "SojournSample",
     "CollapseReport",
     "build_scenario",
-    "collapse_error",
     "lateness_fraction",
     "sojourn_snapshot_experiment",
     "run_sweep",
@@ -145,30 +144,6 @@ def build_scenario(sweep: SweepConfig, r: float, replication: int) -> ScenarioCo
         lead_scale=r,
         r=r,
     )
-
-
-def collapse_error(
-    snapshot: PointMeasure,
-    r: float,
-    joint: JointDistribution,
-    alpha: float,
-    grid: QuadrantGrid,
-) -> float:
-    """Distance between the diffusion-scaled snapshot and the invariant
-    member carrying the same mass, over the grid quadrants."""
-    scaled = scale_diffusion(snapshot, r)
-    emp, th = _score_tables(scaled, scaled.total_mass, joint, alpha, grid)
-    return float(np.abs(emp - th).max())
-
-
-def _score_tables(
-    scaled: PointMeasure, z: float, joint: JointDistribution, alpha: float, grid: QuadrantGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid tables of a scaled snapshot and of the invariant member of
-    mass z: their largest gap is the collapse error, and their x = 0 rows
-    give the lead profiles."""
-    inv = lift(joint, alpha, z)
-    return grid_quadrant_masses(scaled, grid), grid_quadrant_masses(inv.quadrant, grid)
 
 
 def lateness_fraction(scaled_snapshot: PointMeasure) -> float | None:
@@ -281,7 +256,8 @@ def _run_cell(sweep: SweepConfig, r_idx: int, replication: int) -> tuple[list[Sw
         scaled = scale_diffusion(snap, r) if snap.count else snap
         z = snap.count / r
         w = mass_moment_chi(scaled)
-        emp, th = _score_tables(scaled, z, sweep.joint, sweep.alpha, sweep.grid)
+        emp = grid_quadrant_masses(scaled, sweep.grid)
+        th = grid_quadrant_masses(lift(sweep.joint, sweep.alpha, z).quadrant, sweep.grid)
         diff = np.abs(emp - th)
         if nu is not None:
             sj = sojourn_snapshot_experiment(out, r, t, sweep.sojourn_window, nu)

@@ -40,7 +40,6 @@ __all__ = [
     "scale_diffusion",
     "mass_moment_chi",
     "grid_quadrant_masses",
-    "quadrant_distance",
 ]
 
 
@@ -187,17 +186,3 @@ def grid_quadrant_masses(
     np.add.accumulate(prefix, axis=0, out=prefix)
     return prefix.take(np.searchsorted(neg_leads[order], -ys, "right"), axis=0).T
 
-
-def quadrant_distance(
-    a: PointMeasure | QuadrantFunction,
-    b: PointMeasure | QuadrantFunction,
-    grid: QuadrantGrid,
-) -> float:
-    """Max absolute mass discrepancy over the grid's closed quadrants.
-
-    A pseudometric on states: zero distance means agreement on every
-    grid quadrant, not equality of the underlying measures.
-    """
-    ma = grid_quadrant_masses(a, grid)
-    mb = grid_quadrant_masses(b, grid)
-    return float(np.abs(ma - mb).max())

@@ -15,6 +15,7 @@ from dataclasses import astuple, fields
 
 from psdl.fileio import format_value
 from psdl.harness import SweepRow
+from state_checks import departures
 
 
 def write_csv(path, header, rows) -> None:
@@ -31,7 +32,7 @@ def write_departures_csv(out, path) -> None:
         ["id", "arrival", "sojourn", "service_req", "lateness"],
         (
             (j.job_id, j.arrival_time, j.sojourn, j.service_req, j.lateness)
-            for j in out.departures()
+            for j in departures(out)
         ),
     )
 

@@ -26,6 +26,7 @@ import pytest
 import quadrature_oracle
 from conftest import record_gate
 from naive_oracle import step_simulate
+from state_checks import collapse_error, departures, verify_dynamic_equation
 
 from psdl import (
     Deterministic,
@@ -40,7 +41,6 @@ from psdl import (
     SweepConfig,
     Uniform,
     busy_rate_check,
-    collapse_error,
     deadline_quantile,
     default_grid,
     lead_profile_product,
@@ -51,7 +51,6 @@ from psdl import (
     simulate,
     stationary_cdf,
     time_in_queue_profile,
-    verify_dynamic_equation,
 )
 from psdl.harness import _ks_distance
 
@@ -130,7 +129,7 @@ def test_criterion_01_engine_exactness():
             initial_jobs=((2.0, 1.0), (3.0, 4.0)),
         )
     )
-    dep = sorted(j.departure_time for j in out.departures())
+    dep = sorted(j.departure_time for j in departures(out))
     # residual-1 job plus a size-1 arrival at t=0.5: departures at 1.5 and 2
     out2 = run(
         ScenarioConfig(
@@ -142,7 +141,7 @@ def test_criterion_01_engine_exactness():
             first_interarrival=Deterministic(0.5),
         )
     )
-    dep2 = sorted(j.departure_time for j in out2.departures())
+    dep2 = sorted(j.departure_time for j in departures(out2))
     trace_err = max(
         abs(a - b) for a, b in zip(dep + dep2, (4.0, 5.0, 1.5, 2.0))
     )
@@ -232,7 +231,7 @@ def test_criterion_03_naive_oracle():
         out = run(cfg)
         if not (1 <= len(out.jobs) <= 20):
             continue
-        deps = {j.job_id: j.departure_time for j in out.departures()}
+        deps = {j.job_id: j.departure_time for j in departures(out)}
         # keep scenarios whose departures are resolvable at the step size:
         # nothing finishing within 0.01 of the horizon, either side of it
         _, _, snap = out.snapshot_at(horizon)

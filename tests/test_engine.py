@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+import state_checks
+from state_checks import departures, verify_dynamic_equation
 
 from psdl import (
     ConfigError,
@@ -26,9 +28,7 @@ from psdl import (
     busy_rate_check,
     mass_moment_chi,
     run,
-    verify_dynamic_equation,
 )
-from psdl import engine
 from psdl.measures import default_grid
 
 MM1 = ProductJoint(Exponential(1.0), Exponential(1.0))
@@ -60,7 +60,7 @@ def staggered_pair():
 
 def test_hand_trace_two_initial_jobs():
     out = run(two_initial_jobs())
-    deps = out.departures()
+    deps = departures(out)
     assert [j.job_id for j in deps] == [0, 1]
     assert deps[0].departure_time == pytest.approx(4.0, abs=1e-9)
     assert deps[1].departure_time == pytest.approx(5.0, abs=1e-9)
@@ -85,11 +85,11 @@ def test_hand_trace_snapshot_marks():
 
 def test_hand_trace_staggered_pair():
     out = run(staggered_pair())
-    deps = {j.job_id: j.departure_time for j in out.departures()}
+    deps = {j.job_id: j.departure_time for j in departures(out)}
     assert deps[0] == pytest.approx(1.5, abs=1e-9)
     assert deps[1] == pytest.approx(2.0, abs=1e-9)
     # sojourn identity: the shared stretch makes both sojourns exceed service
-    for j in out.departures():
+    for j in departures(out):
         assert j.sojourn >= j.service_req - 1e-12
 
 
@@ -145,7 +145,7 @@ def test_empty_scenario():
         seed=3,
     )
     out = run(cfg)
-    assert out.departures() == []
+    assert departures(out) == []
     for _, s, m in out.snapshots:
         assert m.count == 0 and s == 0.0
     assert busy_rate_check(out) == 0.0
@@ -161,7 +161,7 @@ def test_busy_rate_check_random_scenario():
     )
     out = run(cfg)
     assert busy_rate_check(out) <= 1e-9 * cfg.horizon
-    assert len(out.departures()) > 50
+    assert len(departures(out)) > 50
 
 
 def test_determinism_and_seed_sensitivity():
@@ -169,8 +169,8 @@ def test_determinism_and_seed_sensitivity():
         interarrival=Exponential(1.0), joint=MM1, horizon=50.0, seed=5
     )
     a, b = run(cfg), run(cfg)
-    assert [j.departure_time for j in a.departures()] == [
-        j.departure_time for j in b.departures()
+    assert [j.departure_time for j in departures(a)] == [
+        j.departure_time for j in departures(b)
     ]
     c = run(ScenarioConfig(interarrival=Exponential(1.0), joint=MM1, horizon=50.0, seed=6))
     assert [j.arrival_time for j in c.jobs] != [j.arrival_time for j in a.jobs]
@@ -244,7 +244,7 @@ def test_dynamic_equation_transport_matches_job_loop(seed, monkeypatch):
     )
     out = run(cfg)
     # quadrant_distance handed back unscored: the call returns the transported state
-    monkeypatch.setattr(engine, "quadrant_distance", lambda transported, snap, grid: transported)
+    monkeypatch.setattr(state_checks, "quadrant_distance", lambda transported, snap, grid: transported)
     pairs = [(0.0, 5.0), (5.0, 7.5), (0.0, 30.0), (12.5, 17.5), (5.0, 25.0)]
     for t, h in pairs:
         res, lead = _transported_by_loop(out, t, h)

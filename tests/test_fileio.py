@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import csv_oracle
+from state_checks import departures
 from psdl import (
     ConfigError,
     Deterministic,
@@ -282,7 +283,7 @@ def test_departures_with_no_departure(tmp_path):
     )
     out = run(cfg)
     assert _departures_match_oracle(out, tmp_path) == b"id,arrival,sojourn,service_req,lateness\r\n"
-    assert out.departures() == []
+    assert departures(out) == []
 
 
 def test_departures_after_jobs_were_read(tmp_path):

@@ -21,7 +21,6 @@ from psdl import (
     SweepConfig,
     Uniform,
     build_scenario,
-    collapse_error,
     lateness_fraction,
     run,
     run_sweep,
@@ -31,6 +30,7 @@ from psdl import (
 )
 from psdl.harness import _ks_distance
 from psdl.measures import default_grid, mass_moment_chi
+from state_checks import collapse_error
 
 MM1 = ProductJoint(Exponential(1.0), Exponential(1.0))
 EMPTY = PointMeasure(np.zeros(0), np.zeros(0), np.zeros(0))
@@ -219,20 +219,59 @@ def test_aggregate_counts():
     assert len(agg["per_r_t"]) == len(sweep.r_values) * len(sweep.snapshot_times)
 
 
+def mixed_sweep():
+    """A sweep with 3 empty snapshots and 3 KS windows among its 12 rows."""
+    return tiny_sweep(r_values=(3.0, 10.0), sojourn_window=40.0)
+
+
+def _median(vals):
+    return float(np.median(vals)) if vals else None
+
+
+def test_row_collapse_error_is_the_helpers():
+    # the helper takes the invariant member's mass as count / r, as the sweep does
+    sweep = mixed_sweep()
+    for row in run_sweep(sweep).rows:
+        out = run(build_scenario(sweep, row.r, row.replication))
+        _, _, snap = out.snapshot_at(row.r * row.r * row.t)
+        assert row.collapse_error == collapse_error(snap, row.r, sweep.joint, sweep.alpha, sweep.grid)
+
+
 def test_report_fields_match_their_definitions():
-    # each field recomputed from the rows and overlays it summarises
-    sweep = tiny_sweep()
+    # each field recomputed from the rows and overlays it summarises, on a
+    # sweep with both empty snapshots and KS rows, so neither filter is vacuous
+    sweep = mixed_sweep()
     report = run_sweep(sweep)
+    assert any(row.n_jobs == 0 for row in report.rows)
+    assert any(row.sojourn_ks is not None for row in report.rows)
+    per_r_t = iter(report.aggregates["per_r_t"])
     for r, per_r in zip(sweep.r_values, report.aggregates["per_r"]):
         r_rows = [row for row in report.rows if row.r == r]
-        ce = [row.collapse_error for row in r_rows if row.n_jobs > 0]
+        nonempty = [row for row in r_rows if row.n_jobs > 0]
+        ce = [row.collapse_error for row in nonempty]
+        assert per_r["n_nonempty"] == len(nonempty)
+        assert per_r["median_collapse_error"] == np.median(ce)
         assert per_r["q25_collapse_error"] == np.quantile(ce, 0.25)
         assert per_r["q75_collapse_error"] == np.quantile(ce, 0.75)
+        assert per_r["median_lead_profile_error"] == np.median([row.lead_profile_error for row in nonempty])
+        ks = [row.sojourn_ks for row in r_rows if row.sojourn_ks is not None]
+        late = [row.lateness_fraction for row in r_rows if row.lateness_fraction is not None]
+        assert (per_r["median_sojourn_ks"], per_r["median_lateness_fraction"]) == (_median(ks), _median(late))
         assert per_r["mean_z_scaled"] == np.mean([row.z_scaled for row in r_rows])
+        for t in sweep.snapshot_times:
+            cell = next(per_r_t)
+            t_rows = [row for row in r_rows if row.t == t]
+            t_nonempty = [row for row in t_rows if row.n_jobs > 0]
+            t_ks = [row for row in t_rows if row.sojourn_ks is not None]
+            assert (cell["r"], cell["t"], cell["n_nonempty"]) == (r, t, len(t_nonempty))
+            assert cell["median_collapse_error"] == _median([row.collapse_error for row in t_nonempty])
+            assert cell["median_sojourn_ks"] == _median([row.sojourn_ks for row in t_ks])
+            assert cell["median_sojourn_n"] == _median([row.sojourn_n for row in t_ks])
         for row in r_rows:
             if row.replication == 0:  # its overlay rows are the x = 0 row of the grid
                 ov = [(emp, lim) for r_, t, _, emp, lim in report.overlays if (r_, t) == (r, row.t)]
                 assert row.lead_profile_error == max(abs(emp - lim) for emp, lim in ov)
+    assert next(per_r_t, None) is None
 
 
 def test_run_sweep_caps_workers(monkeypatch):

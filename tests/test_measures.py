@@ -19,11 +19,11 @@ from psdl import (
     QuadrantGrid,
     default_grid,
     mass_moment_chi,
-    quadrant_distance,
     scale_diffusion,
 )
 from psdl.fileio import write_snapshots_csv
 from psdl.measures import grid_quadrant_masses
+from state_checks import quadrant_distance
 
 
 def small_measure():

@@ -2,6 +2,7 @@
 
 import pytest
 from naive_oracle import step_simulate
+from state_checks import departures
 
 from psdl import Exponential, ProductJoint, ScenarioConfig, run
 from psdl.errors import ConfigError
@@ -20,7 +21,7 @@ def test_departures_agree_with_engine():
     cfg = small_scenario(2)
     out = run(cfg)
     ref = step_simulate(cfg, dt=1e-4)
-    exact = {j.job_id: j.departure_time for j in out.departures()}
+    exact = {j.job_id: j.departure_time for j in departures(out)}
     assert exact, "scenario should produce departures"
     assert set(ref) == set(exact)
     for job_id, t in exact.items():

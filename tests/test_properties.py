@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from naive_oracle import step_simulate
+from state_checks import departures, verify_dynamic_equation
 
 from psdl import (
     Deterministic,
@@ -28,7 +29,6 @@ from psdl import (
     SimulationError,
     Uniform,
     run,
-    verify_dynamic_equation,
 )
 from psdl import engine
 from psdl.engine import _BLOCK_ROWS, _MAX_BLOCK_ROWS, TrafficStream
@@ -288,8 +288,8 @@ def test_time_scaling_scales_departures_exactly(cfg, k):
     b = run(scaled)
     assert b.departure_times.tobytes() == (c * a.departure_times).tobytes()
     assert b.departure_sojourns.tobytes() == (c * a.departure_sojourns).tobytes()
-    assert [(j.job_id, j.departure_time) for j in b.departures()] == [
-        (j.job_id, c * j.departure_time) for j in a.departures()
+    assert [(j.job_id, j.departure_time) for j in departures(b)] == [
+        (j.job_id, c * j.departure_time) for j in departures(a)
     ]
 
 
@@ -579,7 +579,7 @@ def test_run_raises_exactly_when_stepping_the_stream_would(monkeypatch):
 def test_engine_matches_naive_oracle(cfg):
     out = run(cfg)
     assume(1 <= len(out.jobs) <= 20)
-    deps = {j.job_id: j.departure_time for j in out.departures()}
+    deps = {j.job_id: j.departure_time for j in departures(out)}
     # as in gate 3: only departures the step size can resolve, nothing
     # finishing within 0.01 of the horizon on either side
     _, _, snap = out.snapshot_at(cfg.horizon)

@@ -11,11 +11,11 @@ Scalar survival functions use the closed convention
     survival(x) = P(X >= x),
 
 so distributions with atoms (deterministic, the point mass at zero)
-include the atom at the threshold.  The excess-lifetime transform of a
-scalar law with mean m > 0 and survival S is the density S(x)/m on
-[0, oo).  Each family carries its survival as ``excess_survival_array``,
-next to the integrated tail and the shifted exponential transform; its
-``exp_form``, an atom or exponentials past a shift, drives the lifts.
+include the atom at the threshold.  The excess-lifetime law of a law
+with mean m > 0 and survival S has density S(x)/m on [0, oo).  The
+exponential-type laws (exponential, mixture, deterministic, zero) state
+only an ``exp_form``, an atom at a or sum(w e^{-m u}) past 0, and one base
+class derives every closed form from it; the uniform writes its own.
 
 ``check_assumptions`` bundles the admissibility conditions a joint law
 must satisfy before it can drive a heavy-traffic experiment with
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -121,10 +122,10 @@ class ScalarDistribution(ABC):
         """P(X = x); zero for the continuous families."""
         return 0.0
 
+    @abstractmethod
     def breakpoints(self) -> tuple[float, ...]:
         """Points where the survival function has a kink or a jump; a
         bounded law's support ends at its last one."""
-        return ()
 
     def tail_integral_array(self, w: np.ndarray) -> np.ndarray:
         """int_w^inf P(X >= u) du on an array of real w; w may contain -inf
@@ -136,26 +137,84 @@ class ScalarDistribution(ABC):
         return np.where(w < 0.0, m - w, pos)
 
 
+class _ExpFormLaw(ScalarDistribution):
+    """A law whose ``exp_form`` is never None, every closed form read off it.
+    Premise: a = 0 whenever there are parts (an atom at a, or exponentials past 0)."""
+
+    @abstractmethod
+    def exp_form(self) -> tuple[float, tuple[tuple[float, float], ...]]: ...
+
+    @cached_property
+    def _form(self):
+        return self.exp_form()
+
+    def mean(self) -> float:
+        a, parts = self._form
+        return a + sum(w / m for w, m in parts)
+
+    def moment(self, k: float) -> float:
+        a, parts = self._form
+        if not parts:
+            return a**k
+        g = math.gamma(k + 1.0)
+        return sum(w * g / m**k for w, m in parts)
+
+    def survival(self, x: float) -> float:
+        # a plain loop: this runs once per sample on the sojourn KS path
+        a, parts = self._form
+        if x <= a:
+            return 1.0
+        tail = 0.0
+        for w, m in parts:
+            tail += w * math.exp(-m * x)
+        return tail
+
+    def survival_array(self, x: np.ndarray) -> np.ndarray:
+        a, parts = self._form
+        x = np.asarray(x, dtype=float)
+        xx = np.maximum(x, a)
+        # exactly 1 at x <= a, as a mixture's weights sum to 1 only within 1e-9
+        return np.where(x <= a, 1.0, sum(w * np.exp(-m * xx) for w, m in parts))
+
+    def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
+        a, parts = self._form
+        x = np.asarray(x, dtype=float)
+        if not parts:
+            if a == 0.0:
+                raise ConfigError("excess lifetime undefined for the point mass at zero")
+            return np.clip(1.0 - x / a, 0.0, 1.0)
+        # part i's tail integral (w/m) e^{-m x} over the mean: a lone part's
+        # factor is exactly 1, so an exponential's excess law is itself
+        mean, xx = self.mean(), np.maximum(x, 0.0)
+        return sum(w / m / mean * np.exp(-m * xx) for w, m in parts)
+
+    def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
+        a, parts = self._form
+        ys = np.asarray(ys, dtype=float)
+        if not parts:
+            return _exp_window(np.maximum(a - ys, 0.0), s)  # +inf at y = -inf
+        yn, yp = np.minimum(ys, 0.0), np.maximum(ys, 0.0)
+        below, e = _exp_window(-yn, s), np.exp(s * yn)  # e is 0 at y = -inf
+        return sum(
+            w * np.where(ys >= 0.0, np.exp(-m * yp) / (s + m), below + e / (s + m)) for w, m in parts
+        )
+
+    def mass_at(self, x: float) -> float:
+        a, parts = self._form
+        return 1.0 if x == a and not parts else 0.0
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return (self._form[0],)
+
+
 @dataclass(frozen=True)
-class Exponential(ScalarDistribution):
+class Exponential(_ExpFormLaw):
     rate: float
     kind: ClassVar[str] = "exponential"
 
     def __post_init__(self):
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
             raise ConfigError(f"exponential rate must be positive, got {self.rate}")
-
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-    def moment(self, k: float) -> float:
-        return math.gamma(k + 1.0) / self.rate**k
-
-    def survival(self, x: float) -> float:
-        return 1.0 if x <= 0.0 else math.exp(-self.rate * x)
-
-    def survival_array(self, x: np.ndarray) -> np.ndarray:
-        return self.excess_survival_array(x)
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rate))
@@ -167,23 +226,9 @@ class Exponential(ScalarDistribution):
     def exp_form(self):
         return 0.0, ((1.0, self.rate),)
 
-    def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(-self.rate * np.maximum(np.asarray(x, dtype=float), 0.0))
-
-    def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        m = self.rate
-        yn = np.minimum(ys, 0.0)
-        yp = np.maximum(ys, 0.0)
-        e = np.exp(s * yn)  # 0 at y = -inf
-        return np.where(ys >= 0.0, np.exp(-m * yp) / (s + m), _exp_window(-yn, s) + e / (s + m))
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (0.0,)
-
 
 @dataclass(frozen=True)
-class Deterministic(ScalarDistribution):
+class Deterministic(_ExpFormLaw):
     value: float
     kind: ClassVar[str] = "deterministic"
 
@@ -191,36 +236,11 @@ class Deterministic(ScalarDistribution):
         if not (self.value > 0.0 and math.isfinite(self.value)):
             raise ConfigError(f"deterministic value must be positive, got {self.value}")
 
-    def mean(self) -> float:
-        return self.value
-
-    def moment(self, k: float) -> float:
-        return self.value**k
-
-    def survival(self, x: float) -> float:
-        return 1.0 if x <= self.value else 0.0
-
-    def survival_array(self, x: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(x) <= self.value, 1.0, 0.0)
-
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
 
     def exp_form(self):
         return self.value, ()
-
-    def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(1.0 - np.asarray(x, dtype=float) / self.value, 0.0, 1.0)
-
-    def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
-        up = np.maximum(self.value - np.asarray(ys, dtype=float), 0.0)  # +inf at y = -inf
-        return _exp_window(up, s)
-
-    def mass_at(self, x: float) -> float:
-        return 1.0 if x == self.value else 0.0
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (self.value,)
 
 
 @dataclass(frozen=True)
@@ -291,7 +311,7 @@ class Uniform(ScalarDistribution):
 
 
 @dataclass(frozen=True)
-class HyperExponential(ScalarDistribution):
+class HyperExponential(_ExpFormLaw):
     """Mixture of exponentials: with probability weights[i], rate rates[i]."""
 
     weights: tuple[float, ...]
@@ -308,80 +328,25 @@ class HyperExponential(ScalarDistribution):
         if not (abs(sum(self.weights) - 1.0) <= 1e-9):
             raise ConfigError("hyperexponential weights must sum to 1")
 
-    def mean(self) -> float:
-        return sum(w / r for w, r in zip(self.weights, self.rates))
-
-    def moment(self, k: float) -> float:
-        g = math.gamma(k + 1.0)
-        return sum(w * g / r**k for w, r in zip(self.weights, self.rates))
-
-    def survival(self, x: float) -> float:
-        if x <= 0.0:
-            return 1.0
-        return sum(w * math.exp(-r * x) for w, r in zip(self.weights, self.rates))
-
-    def survival_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        tail = sum(w * np.exp(-r * np.maximum(x, 0.0)) for w, r in zip(self.weights, self.rates))
-        return np.where(x <= 0.0, 1.0, tail)  # exactly 1, as the weights sum to 1 only within 1e-9
-
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rates[_pick(self.weights, rng)]))
 
     def exp_form(self):
         return 0.0, tuple(zip(self.weights, self.rates))
 
-    def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
-        xx = np.maximum(np.asarray(x, dtype=float), 0.0)
-        tail = sum(w * np.exp(-r * xx) / r for w, r in zip(self.weights, self.rates))
-        return tail / self.mean()
-
-    def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
-        return sum(
-            w * Exponential(r).shifted_exp_integral_array(ys, s)
-            for w, r in zip(self.weights, self.rates)
-        )
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (0.0,)
-
 
 @dataclass(frozen=True)
-class PointMassZero(ScalarDistribution):
+class PointMassZero(_ExpFormLaw):
     """Unit mass at zero.  Valid as a lead-time law (all leads zero);
     inadmissible as a service law."""
 
     kind: ClassVar[str] = "pointmass_zero"
-
-    def mean(self) -> float:
-        return 0.0
-
-    def moment(self, k: float) -> float:
-        return 1.0 if k == 0.0 else 0.0
-
-    def survival(self, x: float) -> float:
-        return 1.0 if x <= 0.0 else 0.0
-
-    def survival_array(self, x: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(x) <= 0.0, 1.0, 0.0)
 
     def sample(self, rng: np.random.Generator) -> float:
         return 0.0
 
     def exp_form(self):
         return 0.0, ()
-
-    def excess_survival_array(self, x: np.ndarray) -> np.ndarray:
-        raise ConfigError("excess lifetime undefined for the point mass at zero")
-
-    def shifted_exp_integral_array(self, ys: np.ndarray, s: float) -> np.ndarray:
-        return _exp_window(np.maximum(-np.asarray(ys, dtype=float), 0.0), s)  # +inf at y = -inf
-
-    def mass_at(self, x: float) -> float:
-        return 1.0 if x == 0.0 else 0.0
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (0.0,)
 
 
 def _pick(weights: tuple[float, ...], rng: np.random.Generator) -> int:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psdl import (
     ConfigError,
@@ -130,6 +131,32 @@ SCALAR_LAWS = (
 )
 
 
+def _tail_ref(d, w: float) -> float:
+    """int_w^inf P(X >= u) du, integrated pointwise up to where every tail is below 1e-12."""
+    if w == -np.inf:
+        return math.inf
+    return integrate(
+        d.survival, min(w, 80.0), 80.0, tol=1e-13, breakpoints=d.breakpoints(), initial_step=0.5
+    )
+
+
+def _transform_ref(d, y: float, s: float) -> float:
+    """H(y) = int_0^inf e^{-s u} P(X >= y + u) du, integrated pointwise; at
+    small rates every survival is below 1e-12 well before u = 80."""
+    if y == -np.inf:
+        return 1.0 / s
+    if y == np.inf:
+        return 0.0
+    return integrate(
+        lambda u: math.exp(-s * u) * d.survival(y + u),
+        0.0,
+        min(60.0 / s, 80.0),
+        tol=1e-14,
+        breakpoints=[b - y for b in d.breakpoints()],
+        initial_step=0.5,
+    )
+
+
 def test_array_helpers_match_scalars():
     xs = np.array([0.0, 0.3, 1.0, 2.5, np.inf])
     ws = np.array([-np.inf, -1.0, 0.0, 0.7, np.inf])
@@ -142,52 +169,63 @@ def test_array_helpers_match_scalars():
                 d.excess_survival_array(xs)
         else:
             # int_x^inf P(X >= u) du / mean, integrated pointwise like the tail below
-            ref = [
-                0.0
-                if x == np.inf
-                else integrate(
-                    d.survival, x, 80.0, tol=1e-13, breakpoints=d.breakpoints(), initial_step=0.5
-                )
-                / d.mean()
-                for x in xs
-            ]
+            ref = [_tail_ref(d, x) / d.mean() for x in xs]
             np.testing.assert_allclose(d.excess_survival_array(xs), ref, rtol=0.0, atol=1e-12)
-        # int_w^inf P(X >= u) du, integrated pointwise up to where every tail is below 1e-12
-        ref = [
-            math.inf
-            if w == -np.inf
-            else integrate(
-                d.survival,
-                min(w, 80.0),
-                80.0,
-                tol=1e-13,
-                breakpoints=d.breakpoints(),
-                initial_step=0.5,
-            )
-            for w in ws
-        ]
+        ref = [_tail_ref(d, w) for w in ws]
         np.testing.assert_allclose(d.tail_integral_array(ws), ref, rtol=0.0, atol=1e-12)
-        # H(y) = int_0^inf e^{-s u} P(X >= y + u) du, integrated pointwise; at
-        # small rates every survival is below 1e-12 well before u = 80
         for s in (0.8, 1e-3, 1e-6, 1e-10, 1e-200):
-            ref = [
-                1.0 / s
-                if y == -np.inf
-                else 0.0
-                if y == np.inf
-                else integrate(
-                    lambda u: math.exp(-s * u) * d.survival(y + u),
-                    0.0,
-                    min(60.0 / s, 80.0),
-                    tol=1e-14,
-                    breakpoints=[b - y for b in d.breakpoints()],
-                    initial_step=0.5,
-                )
-                for y in ys
-            ]
+            ref = [_transform_ref(d, y, s) for y in ys]
             np.testing.assert_allclose(
                 d.shifted_exp_integral_array(ys, s), ref, rtol=0.0, atol=1e-12, err_msg=f"{d} s={s}"
             )
+
+
+@pytest.mark.parametrize("r", (0.37, 0.9, 3.3))
+def test_equal_exp_forms_give_the_same_bytes(r):
+    # a one-part mixture states the exponential's form, so every closed
+    # form read off it must match the exponential's to the bit
+    one, exp = HyperExponential((1.0,), (r,)), Exponential(r)
+    assert one.exp_form() == exp.exp_form()
+    xs = np.concatenate([[-np.inf, -1.0, np.inf], np.linspace(0.0, 12.0, 97)])
+    assert [one.survival(x) for x in xs] == [exp.survival(x) for x in xs]
+    forms = [
+        lambda d: d.survival_array(xs),
+        lambda d: d.excess_survival_array(np.maximum(xs, 0.0)),
+        lambda d: d.tail_integral_array(xs),
+        *(lambda d, s=s: d.shifted_exp_integral_array(xs, s) for s in (0.8, 1e-3, 1e-10)),
+    ]
+    for form in forms:
+        assert form(one).tobytes() == form(exp).tobytes()
+
+
+_MIXTURES = st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.5, 4.0)), min_size=1, max_size=3).map(
+    lambda parts: HyperExponential(
+        tuple(w / sum(w for w, _ in parts) for w, _ in parts), tuple(m for _, m in parts)
+    )
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.one_of(_MIXTURES, st.builds(Deterministic, st.floats(0.1, 4.0))),
+    st.lists(st.floats(-5.0, 10.0), max_size=4),
+)
+def test_exp_type_closed_forms_match_survival(d, extra):
+    a, parts = d.exp_form()
+    xs = np.array([-np.inf, -1.0, -0.0, 0.0, a, np.nextafter(a, np.inf), np.inf, *extra])
+    got, ref = d.survival_array(xs), np.array([d.survival(x) for x in xs])
+    # numpy's vector exp and libm's may part in the last bit, so past 0 a
+    # mixture agrees to rounding; elsewhere, and for an atom everywhere, to the bit
+    exact = (xs <= 0.0) | np.isinf(xs) | (not parts)
+    assert got[exact].tobytes() == ref[exact].tobytes()
+    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+    ws = np.array([-np.inf, -1.0, 0.0, a, np.inf, *extra])
+    ref = [_tail_ref(d, w) for w in ws]
+    np.testing.assert_allclose(d.tail_integral_array(ws), ref, rtol=0.0, atol=1e-12)
+    ys = np.array([-np.inf, -1.5, 0.0, a, np.inf, *extra])
+    for s in (0.8, 1e-3):
+        ref = [_transform_ref(d, y, s) for y in ys]
+        np.testing.assert_allclose(d.shifted_exp_integral_array(ys, s), ref, rtol=0.0, atol=1e-12)
 
 
 def test_breakpoints_list_the_kink_at_zero():

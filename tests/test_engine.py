@@ -10,8 +10,6 @@ The two fixed scenarios are fully traceable by hand:
   1/2 the first departs at t=1.5, the newcomer (residual 0.5 left) at 2.
 """
 
-import math
-
 import numpy as np
 import pytest
 import state_checks
@@ -22,7 +20,6 @@ from psdl import (
     Deterministic,
     Exponential,
     ProductJoint,
-    QuadrantGrid,
     ScenarioConfig,
     Uniform,
     busy_rate_check,

@@ -5,8 +5,8 @@ directory; nothing is interactive and nothing depends on wall-clock
 entropy, so a fixed config and seed reproduce output bytes exactly.
 
 Exit codes: 0 success, 2 bad configuration or usage, 3 runtime failure
-inside the simulator or a numerical routine, or an allocation the
-request needs and the machine cannot make.
+inside the simulator or a numerical routine, an output file that cannot
+be written, or an allocation the machine cannot make.
 """
 
 from __future__ import annotations
@@ -206,6 +206,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError as exc:
         print(f"runtime error: out of memory: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # a full disk or a directory it may not write in
+        print(f"runtime error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 3
 
 

@@ -31,6 +31,7 @@ Any other table is formatted cell by cell through format_value.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -373,7 +374,7 @@ def _write_csv(path, header: list[str], columns) -> None:
         raise ValueError(f"{path}: need two or more equal-length columns, one per header name")
     kinds = [getattr(c, "dtype", np.dtype(object)).kind for c in columns]
     rows = max(1, _BLOCK_CELLS // len(columns))
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         fh.write(",".join(_text(header)) + "\r\n")
         if all(k == "f" or (k in "iu" and _within_2_53(c)) for c, k in zip(columns, kinds)):
             from .floattext import write_table  # imported on first use: fileio's import skips it
@@ -400,8 +401,22 @@ def _text(values) -> list[str]:
     return cells
 
 
+@contextlib.contextmanager
+def _create(path, newline=None):
+    """open(path, "w"); a failed write removes the file and names path."""
+    fh = open(path, "w", newline=newline)
+    try:
+        with fh:
+            yield fh
+    except BaseException as exc:
+        Path(path).unlink()
+        if isinstance(exc, OSError):
+            exc.filename = str(path)
+        raise
+
+
 def write_json(data: dict, path) -> None:
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -4,8 +4,9 @@ Euler scheme with reflection at the origin,
 
     X_{k+1} = max(X_k + drift * dt + sqrt(variance * dt) * N_k, 0),
 
-evaluated blockwise with the Lindley closed form (a running sum plus a
-running minimum), so long horizons stay cheap without changing the
+evaluated in place with the Lindley closed form (a running sum plus a
+running minimum): each block is drawn, summed and reflected in its own
+slice of the path, so long horizons stay cheap without changing the
 recursion.  For negative drift the stationary law is exponential with
 rate 2 |drift| / variance, which gives closed-form CDF and quantiles;
 the quantile doubles as a deadline rule: the level the stationary queue
@@ -23,7 +24,8 @@ from .errors import ConfigError, SimulationError
 
 __all__ = ["RBMSpec", "RBMPath", "simulate", "stationary_cdf", "deadline_quantile"]
 
-_BLOCK = 1_000_000
+_BLOCK = 1_000_000  # S restarts from the last value every _BLOCK steps
+_PIECE = 65_536  # steps per piece of the running minimum's buffer
 _MAX_FLOATS = 2.0**60  # fewer float64s stay below numpy's 2**63-byte array limit
 
 
@@ -69,8 +71,8 @@ class RBMPath:
 
 
 def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
-    """Euler path on the grid {0, dt, ..., n dt} covering [0, horizon].  A
-    step, path value or time average past the float range raises."""
+    """Euler path on {0, dt, ..., n dt} covering [0, horizon], in the path and
+    one _PIECE-step buffer; a step, value or average past the float range raises."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ConfigError(f"horizon must be positive, got {horizon}")
     if not (0.0 < dt <= horizon):
@@ -90,23 +92,23 @@ def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
     n = int(math.ceil(steps - 1e-12))
     rng = np.random.default_rng(seed)
     values = np.empty(n + 1)
-    values[0] = spec.x0
-    x = spec.x0
-    pos = 1
+    values[0] = x = spec.x0
+    low = np.empty(min(_PIECE, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        while pos <= n:
-            # Lindley, in place in s and in the block of values: X_k = S_k + max(x, -min_{j<=k} S_j)
-            m = min(_BLOCK, n - pos + 1)
-            s = rng.standard_normal(m)
+        for pos in range(1, n + 1, _BLOCK):
+            # Lindley, in the block's own slice of values: X_k = S_k + max(x, -min_{j<=k} S_j)
+            s = values[pos : pos + _BLOCK]
+            rng.standard_normal(out=s)  # the stream of standard_normal(s.size)
             s *= scale
             s += mu
             np.cumsum(s, out=s)
-            block = np.minimum.accumulate(s, out=values[pos : pos + m])
-            np.maximum(x, np.negative(block, out=block), out=block)
-            block += s
-            x = block[-1]
-            pos += m
-        del s
+            floor = np.inf  # min of S over the pieces before this one; min never rounds
+            for lo in range(0, s.size, _PIECE):
+                piece = s[lo : lo + _PIECE]
+                run = np.minimum.accumulate(piece, out=low[: piece.size])
+                floor = np.minimum(run, floor, out=run)[-1]
+                piece += np.maximum(x, np.negative(run, out=run), out=run)
+            x = s[-1]
         # finite only if every value is, and their sum stays in range
         average = values.mean()
     if not math.isfinite(average):

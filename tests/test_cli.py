@@ -1,8 +1,11 @@
 """End-to-end command tests: configs in, files out, exit codes."""
 
 import copy
+import errno
+import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -540,6 +543,45 @@ def test_exit_code_allocation_failure(tmp_path, capsys, cmd, body):
     assert "Traceback" not in err
 
 
+class _FullDisk(io.RawIOBase):
+    """A device every write to which fails as a full disk does."""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# rbm's first file is created and then cannot be written; simulate's first
+# file cannot be created
+WRITE_FAILURES = [
+    ("rbm", {"rbm": RBM}, "rbm_path.csv", errno.ENOSPC),
+    ("simulate", {"scenario": SCENARIO}, "departures.csv", errno.EACCES),
+]
+
+
+@pytest.mark.parametrize("cmd, body, name, code", WRITE_FAILURES, ids=["rbm-full", "simulate-denied"])
+def test_write_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch, cmd, body, name, code):
+    import psdl.fileio as fileio_mod
+
+    def failing_open(path, mode="r", **kw):
+        if Path(path).name != name:
+            return open(path, mode, **kw)
+        if code == errno.EACCES:
+            raise PermissionError(code, os.strerror(code), str(path))
+        open(path, "w").close()
+        return io.TextIOWrapper(io.BufferedWriter(_FullDisk()), **kw)
+
+    monkeypatch.setattr(fileio_mod, "open", failing_open, raising=False)
+    cfg = write_config(tmp_path, {"schema_version": 1, **body})
+    out = tmp_path / "out"
+    assert main([cmd, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"runtime error: cannot write {out / name}: {os.strerror(code)}\n"
+    assert list(out.iterdir()) == []
+
+
 # horizon / dt overflows a float, or counts more steps than an array can
 # hold: a config error raised before anything is allocated
 STEP_COUNT_OVERFLOW = [(1e300, 1e-10), (1e19, 1.0), (1e30, 1e-3)]
@@ -560,10 +602,12 @@ RBM_OUT_OF_RANGE = [
     ({"drift": -1.0, "variance": 1e308, "horizon": 10.0, "dt": 5.0}, 2, "config error"),
     # every path value is finite, but their sum is not
     ({"drift": 1e303, "variance": 1.0, "horizon": 1000.0, "dt": 1.0}, 3, "runtime error"),
+    # the path values themselves overflow partway
+    ({"drift": 1e306, "variance": 1.0, "horizon": 1000.0, "dt": 1.0}, 3, "runtime error"),
 ]
 
 
-@pytest.mark.parametrize("body, code, prefix", RBM_OUT_OF_RANGE, ids=["step", "average"])
+@pytest.mark.parametrize("body, code, prefix", RBM_OUT_OF_RANGE, ids=["step", "average", "path"])
 def test_rbm_out_of_float_range(tmp_path, capsys, body, code, prefix):
     cfg = write_config(tmp_path, {"schema_version": 1, "rbm": body})
     out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Reflected random walk: blockwise recursion, stationary law, quantiles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,14 +74,15 @@ def test_seed_reproducibility():
 
 
 def test_in_place_blocks_equal_the_block_expression(monkeypatch):
-    # the in-place recursion must give the bits of the plain block expression
+    # the in-place recursion must give the bits of the plain block expression,
+    # with running-minimum pieces shorter than a block, not dividing it, and
+    # longer than one
     import psdl.rbm as rbm_mod
 
     monkeypatch.setattr(rbm_mod, "_BLOCK", 37)
     spec = RBMSpec(drift=-0.5, variance=1.3, x0=0.2)
     horizon, dt, seed = 0.5, 1e-3, 7
-    path = rbm_mod.simulate(spec, horizon, dt, seed)
-    n = len(path.values) - 1
+    n = 500
     rng = np.random.default_rng(seed)
     scale, mu = np.sqrt(spec.variance * dt), spec.drift * dt
     blocks, x = [np.array([spec.x0])], spec.x0
@@ -88,5 +91,20 @@ def test_in_place_blocks_equal_the_block_expression(monkeypatch):
         blocks.append(s + np.maximum(x, -np.minimum.accumulate(s)))
         x = blocks[-1][-1]
     assert len(blocks) > 10
-    np.testing.assert_array_equal(path.values, np.concatenate(blocks))
+    for piece in (5, 64):
+        monkeypatch.setattr(rbm_mod, "_PIECE", piece)
+        path = rbm_mod.simulate(spec, horizon, dt, seed)
+        np.testing.assert_array_equal(path.values, np.concatenate(blocks), err_msg=f"_PIECE = {piece}")
     np.testing.assert_array_equal(path.times, np.arange(n + 1) * dt)
+
+
+def test_simulate_takes_the_path_and_one_piece():
+    # the normals are drawn into the path: no block-sized array beside it
+    tracemalloc.start()
+    try:
+        path = simulate(RBMSpec(-0.5, 2.0), 1000.0, 1e-3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.values.size == 1_000_001
+    assert peak <= path.values.nbytes + 1.5e6, f"peak {peak / 1e6:.2f} MB"

@@ -10,6 +10,9 @@ one process per tree:
 * the five ``cli_pipeline`` commands (simulate, rbm, profiles, lift and
   the two-worker sweep) at seeds 0-15, with the configs that
   ``perfbench/workloads.py``'s ``CliWorkload`` writes at its full size;
+* the last seed's rbm config at horizon ``LONG_RBM_HORIZON``, 1.5e6
+  steps: past the 1e6-step block after which ``psdl.rbm`` restarts its
+  running sum, where the full-size rbm path is exactly one block long;
 * the README's scenario, and its sweep at ``--threads`` 1 and 2.
 
 Both trees read the same config files, written once from HEAD's perfbench
@@ -37,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from compare import _git, export  # noqa: E402
 
 SEEDS = range(16)
+LONG_RBM_HORIZON = 1500.0
 
 # runs in each tree: every (output name, argv) job through psdl.cli.main,
 # printing the exit status of each as one JSON object
@@ -68,6 +72,11 @@ def write_jobs(head: Path, cfg_root: Path) -> list[tuple[str, list[str]]]:
             if cmd == "sweep":  # as CliWorkload runs it
                 argv += ["--threads", str(w.size["sweep_threads"])]
             jobs.append((f"seed{seed}/{cmd}", argv))
+    body = json.loads(Path(w.configs["rbm"]).read_text())  # the last seed's
+    body["rbm"]["horizon"] = LONG_RBM_HORIZON
+    long_rbm = cfg_root / "rbm_long.json"
+    long_rbm.write_text(json.dumps(body))
+    jobs.append(("long/rbm", ["rbm", "--config", str(long_rbm)]))
     for i, text in enumerate(re.findall(r"```json\n(.*?)```", (head / "README.md").read_text(), re.S)):
         path = cfg_root / f"readme{i}.json"
         path.write_text(text)

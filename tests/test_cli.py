@@ -544,7 +544,7 @@ def test_exit_code_allocation_failure(tmp_path, capsys, cmd, body):
 
 
 class _FullDisk(io.RawIOBase):
-    """A device every write to which fails as a full disk does."""
+    """A raw stream whose every write fails with ENOSPC, as on a full disk."""
 
     def writable(self):
         return True

@@ -82,7 +82,7 @@ def test_in_place_blocks_equal_the_block_expression(monkeypatch):
     monkeypatch.setattr(rbm_mod, "_BLOCK", 37)
     spec = RBMSpec(drift=-0.5, variance=1.3, x0=0.2)
     horizon, dt, seed = 0.5, 1e-3, 7
-    n = 500
+    n = 500  # horizon / dt
     rng = np.random.default_rng(seed)
     scale, mu = np.sqrt(spec.variance * dt), spec.drift * dt
     blocks, x = [np.array([spec.x0])], spec.x0
@@ -100,6 +100,7 @@ def test_in_place_blocks_equal_the_block_expression(monkeypatch):
 
 def test_simulate_takes_the_path_and_one_piece():
     # the normals are drawn into the path: no block-sized array beside it
+    simulate(RBMSpec(-0.5, 2.0), 1.0, 1e-3, 1)  # imports made on first use stay out of the trace
     tracemalloc.start()
     try:
         path = simulate(RBMSpec(-0.5, 2.0), 1000.0, 1e-3, 1)

@@ -145,7 +145,7 @@ def cmd_rbm(args) -> int:
             req, summary["stationary_mean"]
         )
     path = simulate(req, req.horizon, req.dt, req.seed)
-    summary["time_average"] = path.time_average()
+    summary["time_average"] = path.time_average
     d = _out_dir(args, cfg)
     fileio.write_rbm_path_csv(path, d / "rbm_path.csv")
     fileio.write_json(summary, d / "rbm_summary.json")

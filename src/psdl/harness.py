@@ -91,12 +91,14 @@ class SweepConfig:
         rv = tuple(float(r) for r in self.r_values)
         if not rv or any(not (r > self.gamma and math.isfinite(r)) for r in rv):
             raise ConfigError("every r must exceed gamma (else the prelimit is overloaded)")
+        if len(set(rv)) < len(rv):  # a repeated r would run and count its cells twice
+            raise ConfigError(f"r values must be distinct, got {list(rv)}")
         object.__setattr__(self, "r_values", rv)
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ConfigError(f"T must be positive, got {self.T}")
         ts = tuple(float(t) for t in self.snapshot_times)
-        if not ts or any(not (0.0 < t <= self.T) for t in ts) or list(ts) != sorted(ts):
-            raise ConfigError("snapshot times must be sorted and lie in (0, T]")
+        if not ts or any(not (0.0 < t <= self.T) for t in ts) or any(a >= b for a, b in zip(ts, ts[1:])):
+            raise ConfigError("snapshot times must be strictly increasing and lie in (0, T]")
         object.__setattr__(self, "snapshot_times", ts)
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")

@@ -5,9 +5,10 @@ Euler scheme with reflection at the origin,
     X_{k+1} = max(X_k + drift * dt + sqrt(variance * dt) * N_k, 0),
 
 evaluated in place with the Lindley closed form (a running sum plus a
-running minimum): each block is drawn, summed and reflected in its own
-slice of the path, so long horizons stay cheap without changing the
-recursion.  For negative drift the stationary law is exponential with
+running minimum), one _PIECE-step piece at a time: each piece is drawn,
+summed and reflected in its own slice of the path, with the running sum
+S restarted at the piece and the last value x the only state carried
+into the next.  For negative drift the stationary law is exponential with
 rate 2 |drift| / variance, which gives closed-form CDF and quantiles;
 the quantile doubles as a deadline rule: the level the stationary queue
 stays below with the requested probability.
@@ -24,8 +25,7 @@ from .errors import ConfigError, SimulationError
 
 __all__ = ["RBMSpec", "RBMPath", "simulate", "stationary_cdf", "deadline_quantile"]
 
-_BLOCK = 1_000_000  # S restarts from the last value every _BLOCK steps
-_PIECE = 65_536  # steps per piece of the running minimum's buffer
+_PIECE = 65_536  # steps per piece; the running sum S restarts at each
 _MAX_FLOATS = 2.0**60  # fewer float64s stay below numpy's 2**63-byte array limit
 
 
@@ -57,22 +57,18 @@ class RBMSpec:
 
 @dataclass(frozen=True)
 class RBMPath:
-    """values[k] is the path at time k * dt; ``times`` is built on each read."""
+    """values[k] is the path at time k * dt; time_average is values.mean()."""
 
     dt: float
     values: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size, dtype=float) * self.dt
-
-    def time_average(self) -> float:
-        return float(self.values.mean())
+    time_average: float
 
 
 def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
     """Euler path on {0, dt, ..., n dt} covering [0, horizon], in the path and
-    one _PIECE-step buffer; a step, value or average past the float range raises."""
+    one _PIECE-step buffer: per piece X_k = S_k + max(x, -min_{j<=k} S_j), with
+    S restarted at the piece and x, the only carry, the value before it.  A
+    step, value or average past the float range raises."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ConfigError(f"horizon must be positive, got {horizon}")
     if not (0.0 < dt <= horizon):
@@ -95,25 +91,20 @@ def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
     values[0] = x = spec.x0
     low = np.empty(min(_PIECE, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for pos in range(1, n + 1, _BLOCK):
-            # Lindley, in the block's own slice of values: X_k = S_k + max(x, -min_{j<=k} S_j)
-            s = values[pos : pos + _BLOCK]
-            rng.standard_normal(out=s)  # the stream of standard_normal(s.size)
+        for pos in range(1, n + 1, _PIECE):
+            s = values[pos : pos + _PIECE]
+            rng.standard_normal(out=s)  # the stream of standard_normal(n)
             s *= scale
             s += mu
             np.cumsum(s, out=s)
-            floor = np.inf  # min of S over the pieces before this one; min never rounds
-            for lo in range(0, s.size, _PIECE):
-                piece = s[lo : lo + _PIECE]
-                run = np.minimum.accumulate(piece, out=low[: piece.size])
-                floor = np.minimum(run, floor, out=run)[-1]
-                piece += np.maximum(x, np.negative(run, out=run), out=run)
+            run = np.minimum.accumulate(s, out=low[: s.size])
+            s += np.maximum(x, np.negative(run, out=run), out=run)
             x = s[-1]
         # finite only if every value is, and their sum stays in range
-        average = values.mean()
+        average = float(values.mean())
     if not math.isfinite(average):
         raise SimulationError(f"the path or its time average leaves the float range: mean {average}")
-    return RBMPath(dt=dt, values=values)
+    return RBMPath(dt=dt, values=values, time_average=average)
 
 
 def stationary_cdf(spec: RBMSpec, x: float) -> float:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 from dataclasses import astuple, fields
 
+import numpy as np
+
 from psdl.fileio import format_value
 from psdl.harness import SweepRow
 from state_checks import departures
@@ -94,5 +96,10 @@ def write_profile_csv(values, label, path) -> None:
     write_csv(path, ["y", label], values)
 
 
+def rbm_times(rbm) -> np.ndarray:
+    """The whole time column k * dt of an RBM path."""
+    return np.arange(rbm.values.size, dtype=float) * rbm.dt
+
+
 def write_rbm_path_csv(rbm, path) -> None:
-    write_csv(path, ["t", "x"], zip(rbm.times, rbm.values))
+    write_csv(path, ["t", "x"], zip(rbm_times(rbm), rbm.values))

@@ -503,7 +503,7 @@ def test_criterion_10_snapshot_principle(mm1_report, mm1_r80_report):
 
 def test_criterion_11_rbm_stationary_law():
     spec = RBMSpec(drift=-1.0, variance=2.0)
-    avgs = [simulate(spec, 1e4, 1e-3, seed).time_average() for seed in range(20)]
+    avgs = [simulate(spec, 1e4, 1e-3, seed).time_average for seed in range(20)]
     mean = float(np.mean(avgs))
     mean_ok = abs(mean - 1.0) <= 0.05
     qs = np.linspace(0.01, 0.99, 25)

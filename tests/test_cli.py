@@ -330,6 +330,24 @@ def test_nan_y_value_is_a_config_error(tmp_path, capsys, kind, y_values):
     assert not (tmp_path / "out" / "profile.csv").exists()
 
 
+def test_sweep_rejects_a_repeated_r(tmp_path, capsys):
+    # each r would run twice with the same seeds and count its rows twice
+    cfg = write_config(tmp_path, {"schema_version": 1, "sweep": {**SWEEP, "r_values": [5.0, 3.0, 5.0]}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "r values must be distinct" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_a_repeated_snapshot_time(tmp_path, capsys):
+    # a repeated t would give two identical per-(r, t) entries
+    cfg = write_config(tmp_path, {"schema_version": 1, "sweep": {**SWEEP, "snapshot_times": [0.5, 1.0, 1.0]}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "strictly increasing" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_inadmissible_sweep_names_each_failed_check(tmp_path, capsys):
     # Exp(1) service has mean 1, not 1/alpha = 0.5
     cfg = write_config(tmp_path, {"schema_version": 1, "sweep": {**SWEEP, "alpha": 2.0}})

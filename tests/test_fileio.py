@@ -209,21 +209,21 @@ def test_numeric_tables_reach_the_float_kernel(writer_inputs, tmp_path, monkeypa
 
 @pytest.mark.parametrize("cells", [2, 14, 74, 8192])
 def test_rbm_time_column_is_built_per_block(tmp_path, monkeypatch, cells):
-    # the writer builds t = k * dt a block at a time, the oracle reads the
-    # whole path.times; 1, 7, 37 and 4096 rows per block of 1001 rows, and
+    # the writer builds t = k * dt a block at a time, the oracle the whole
+    # column at once; 1, 7, 37 and 4096 rows per block of 1001 rows, and
     # 37 rows do not divide 1001
     monkeypatch.setattr(fileio, "_BLOCK_CELLS", cells)
     path = simulate(RBMSpec(drift=-0.5, variance=2.0, x0=0.3), 1.0, 1e-3, 9)
     assert len(path.values) == 1001
     fileio.write_rbm_path_csv(path, tmp_path / "new.csv")
-    csv_oracle.write_csv(tmp_path / "old.csv", ["t", "x"], zip(path.times, path.values))
+    csv_oracle.write_rbm_path_csv(path, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_rbm_path_write_holds_no_whole_time_column():
     # tracemalloc peaks of writing a 1e6-step path (numpy 2.4, Python 3.11):
     # 3.1 MB with the time column built per block, 11.0 MB with the 8 MB
-    # path.times built for the write
+    # whole time column built for the write
     path = simulate(RBMSpec(drift=-0.5, variance=2.0), 1000.0, 1e-3, 0)
     assert path.values.size == 1_000_001
 
@@ -236,7 +236,7 @@ def test_rbm_path_write_holds_no_whole_time_column():
             tracemalloc.stop()
 
     per_block = peak_mb(lambda: fileio.write_rbm_path_csv(path, os.devnull))
-    whole = peak_mb(lambda: fileio._write_csv(os.devnull, ["t", "x"], [path.times, path.values]))
+    whole = peak_mb(lambda: fileio._write_csv(os.devnull, ["t", "x"], [csv_oracle.rbm_times(path), path.values]))
     assert per_block < 6.0 < whole
 
 

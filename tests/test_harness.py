@@ -57,6 +57,7 @@ def test_sweep_validation():
         tiny_sweep(r_values=(0.4,))  # r <= gamma overloads the prelimit
     with pytest.raises(ConfigError):
         tiny_sweep(snapshot_times=(0.0, 0.5))
+    assert tiny_sweep(r_values=(5.0, 3.0)).r_values == (5.0, 3.0)  # distinct r in any order
     with pytest.raises(ConfigError):
         tiny_sweep(replications=0)
     with pytest.raises(ConfigError):

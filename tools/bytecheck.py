@@ -11,17 +11,20 @@ one process per tree:
   the two-worker sweep) at seeds 0-15, with the configs that
   ``perfbench/workloads.py``'s ``CliWorkload`` writes at its full size;
 * the last seed's rbm config at horizon ``LONG_RBM_HORIZON``, 1.5e6
-  steps: past the 1e6-step block after which ``psdl.rbm`` restarts its
-  running sum, where the full-size rbm path is exactly one block long;
+  steps: a path half again as long as the full-size one, so that a change
+  to how the rbm path is pieced or summed shows past the full-size 1e6
+  steps too;
 * the README's scenario, and its sweep at ``--threads`` 1 and 2.
 
 Both trees read the same config files, written once from HEAD's perfbench
 and README.  Every file the commands write is compared by sha256.  The
 files that differ, or that only one side wrote, are listed, as is any
 command that did not exit 0 on both sides, and the exit status is then 1
-(0 when every command succeeded and all bytes agree).  Standard library
-only, besides the psdl and numpy that HEAD's perfbench imports to write
-its configs.
+(0 when every command succeeded and all bytes agree).  Each file that
+differs is sized: how many of its lines differ, and the largest relative
+move |a - b| / max(|a|, |b|) over the numeric cells of those lines, paired
+in order.  Standard library and numpy only, besides the psdl that HEAD's
+perfbench imports to write its configs.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from compare import _git, export  # noqa: E402
@@ -107,6 +112,40 @@ def digests(root: Path) -> dict[str, str]:
     }
 
 
+# JSON and CSV punctuation, read as blanks so that a split leaves the cells
+_SEPARATORS = bytes.maketrans(b',:[]{}"', b"       ")
+
+
+def _floats(cells: np.ndarray) -> np.ndarray:
+    """The cells as floats; a cell that is not a number reads NaN."""
+    try:
+        return cells.astype(float)
+    except ValueError:
+        out = np.full(cells.size, np.nan)
+        for i, cell in enumerate(cells.tolist()):
+            try:
+                out[i] = float(cell)
+            except ValueError:
+                pass
+        return out
+
+
+def size_difference(base: Path, head: Path) -> str:
+    """How many lines of two files differ, and the largest relative move
+    over the numeric cells of those lines."""
+    a, b = base.read_bytes().splitlines(), head.read_bytes().splitlines()
+    diff = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    lines = len(diff) + abs(len(a) - len(b))
+    old, new = (np.array(b" ".join([side[i] for i in diff]).translate(_SEPARATORS).split()) for side in (a, b))
+    if len(a) != len(b) or old.shape != new.shape:
+        return f"{lines} lines differ, their cells do not pair"
+    moved = old != new
+    x, y = _floats(old[moved]), _floats(new[moved])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+    return f"{lines} lines differ, largest relative move {np.nanmax(rel, initial=0.0):.3g}"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="revision to compare against")
@@ -123,13 +162,14 @@ def main(argv=None) -> int:
         for side, tree in trees.items():
             codes[side] = run_tree(tree, jobs_file, tmp / "out" / side)
             files[side] = digests(tmp / "out" / side)
-    differ = [f"exit status of {name}: {codes['base'][name]} -> {codes['head'][name]}"
-              for name in codes["base"] if (codes["base"][name], codes["head"][name]) != (0, 0)]
-    for name in sorted(files["base"].keys() | files["head"].keys()):
-        base, head = files["base"].get(name), files["head"].get(name)
-        if base != head:
-            where = "only in head" if base is None else "only in base" if head is None else "differs"
-            differ.append(f"{name}: {where}")
+        differ = [f"exit status of {name}: {codes['base'][name]} -> {codes['head'][name]}"
+                  for name in codes["base"] if (codes["base"][name], codes["head"][name]) != (0, 0)]
+        for name in sorted(files["base"].keys() | files["head"].keys()):
+            base, head = files["base"].get(name), files["head"].get(name)
+            if base is None or head is None:
+                differ.append(f"{name}: only in {'head' if base is None else 'base'}")
+            elif base != head:
+                differ.append(f"{name}: {size_difference(tmp / 'out' / 'base' / name, tmp / 'out' / 'head' / name)}")
     print(f"bytecheck: {len(files['head'])} files of {len(codes['head'])} commands, "
           f"{sha['base'][:7]} -> {sha['head'][:7]}")
     for line in differ:

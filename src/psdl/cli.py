@@ -207,8 +207,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"runtime error: out of memory: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # a full disk or a directory it may not write in
-        print(f"runtime error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # a full disk or a directory it may not write in; a failed fork names no file
+        where = f"cannot write {exc.filename}: " if exc.filename else ""
+        print(f"runtime error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 3
 
 

@@ -40,8 +40,9 @@ snapshot between W and the exact sum of its residuals.  Between events
 the targets and Z are fixed, so the logged W falls by Z times the
 advance of S: the busy-rate check tests how S advances.
 
-Jobs are kept as per-job columns indexed by job id (arrival time,
-service, lead, S on entry, departure time).  The columns are
+Jobs are kept as per-job float64 columns indexed by job id (arrival
+time, service, lead, S on entry, departure time), at 8 bytes a value
+where a Python float in a list costs 32.  The columns are
 ``SimOutput``'s one record of the jobs; ``SimOutput.jobs`` is a
 ``JobRecord`` view of them, built on first read and cached beside them.
 
@@ -60,13 +61,16 @@ first (departure count) entries of a stable argsort of it.  A snapshot
 reads the jobs in service from it as the entries above S.
 
 An event makes no Python call besides the heap's and list appends.
-The loop appends each admitted target and each mark to a plain list,
-and moves those into the target column and the marks, both ``array``s,
-with ``fromlist`` at every refill, before every snapshot and after the
-loop; so the pending lists never hold more than about one traffic
-block.  Traffic arrives through ``TrafficStream.refill`` in blocks of
-checked rows, which the loop appends to the job columns and reads by
-index, refilling when an index runs past the block; a row that failed
+The loop appends each admitted job's target and S on entry, each
+departure time and each mark to a plain list, and packs those into
+their ``array`` columns at every refill, before every snapshot and
+after the loop; so the pending lists never hold more than about one
+traffic block.  Traffic arrives through ``TrafficStream.refill`` in
+blocks of checked rows.  A block's arrival times and services come as
+lists, which the loop reads by its index in the block, refilling when
+the index runs past the end; all three of its columns also come as
+float64 bytes, which go into the job columns whole, so the leads of
+all-exponential traffic never become Python floats.  A row that failed
 its check raises only when the loop reaches it.  Departures run in an
 inner loop against the next other event (the next arrival, or the
 next snapshot or the horizon, whichever is first; that stop time
@@ -82,6 +86,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import fsum, isfinite
+from struct import pack
 
 import numpy as np
 
@@ -192,6 +197,14 @@ _BLOCK_ROWS = 256  # rows of a scalar block, and of the first vectorised one
 _MAX_BLOCK_ROWS = 4096  # vectorised blocks double up to this
 
 
+def _packed(values: list, typecode: str = "d") -> bytes:
+    """values as the bytes of an ``array(typecode)``.  ``array.fromlist``
+    converts each item through a format-string parser; packing a list of
+    256 floats this way took 2.3 us against its 6.8 us (Python 3.11, a
+    shared 2-vCPU x86 host)."""
+    return pack(f"{len(values)}{typecode}", *values)
+
+
 def _row_error(gap: float, v: float, l: float, t: float) -> SimulationError:
     """The error reading the failed row (gap, service, scaled lead)
     raises; t is the arrival time the gap gives."""
@@ -257,9 +270,11 @@ class TrafficStream:
         self._block: tuple[list[float], list[float], list[float]] = ([], [], [])
         self._pos = 0  # next row of _block that ``next`` returns
 
-    def refill(self) -> tuple[list[float], list[float], list[float]]:
-        """The next rows, at least one, as (arrival times, services,
-        scaled leads); raises the error of a failed row in their place."""
+    def refill(self) -> tuple[list[float], list[float], tuple[bytes, bytes, bytes]]:
+        """The next rows, at least one: their arrival times and services
+        as lists, and their arrival time, service and scaled lead columns
+        as the bytes of float64 arrays; raises the error of a failed row
+        in their place."""
         if self._error is not None:
             raise self._error
         cfg, rng = self._config, self._rng
@@ -287,7 +302,7 @@ class TrafficStream:
                 if t > horizon:  # ``run`` reads no row after this one
                     break
             self._clock = clock
-            return times, vs, leads
+            return times, vs, (_packed(times), _packed(vs), _packed(leads))
         size = self._rows
         self._rows = min(2 * size, _MAX_BLOCK_ROWS)
         rows = rng.standard_exponential(3 * size).reshape(-1, 3)
@@ -303,14 +318,17 @@ class TrafficStream:
             if n == 0:
                 raise self._error
         self._clock = float(times[n - 1])
-        return times[:n].tolist(), vs[:n].tolist(), leads[:n].tolist()
+        times, vs, leads = times[:n], vs[:n], leads[:n]
+        return times.tolist(), vs.tolist(), (times.tobytes(), vs.tobytes(), leads.tobytes())
 
     def next(self) -> tuple[float, float, float]:
         """The next row: (arrival time, service, scaled lead)."""
         times, vs, leads = self._block
         i = self._pos
         if i == len(times):
-            times, vs, leads = self._block = self.refill()
+            times, vs, columns = self.refill()
+            leads = np.frombuffer(columns[2]).tolist()
+            self._block = times, vs, leads
             i = 0
         self._pos = i + 1
         return times[i], vs[i], leads[i]
@@ -319,12 +337,10 @@ class TrafficStream:
 @dataclass(frozen=True)
 class SimOutput:
     config: ScenarioConfig
-    # per-job columns [arrival, service, lead, S on entry, departure (NaN
-    # while in service)], indexed by job id: the one record of the jobs,
-    # which ``jobs`` views.  The first four are lists, the departures an
-    # array.  Listed ahead of the other arrays: fields are freed in order,
-    # and freeing the jobs first left about 1 MB less resident after an
-    # r = 80 ``psdl simulate`` followed by ``psdl rbm``.
+    # per-job float64 columns [arrival, service, lead, S on entry,
+    # departure (NaN while in service)], indexed by job id: the one record
+    # of the jobs, which ``jobs`` views.  The first four are ``array``s,
+    # the departures an ndarray.
     job_columns: list = field(repr=False, compare=False)
     snapshots: tuple[tuple[float, float, PointMeasure], ...]  # (t, S at t, state)
     # departure times in the order the jobs left (nondecreasing) and the
@@ -449,32 +465,34 @@ def run(config: ScenarioConfig) -> SimOutput:
     stream = TrafficStream(config, np.random.default_rng(config.seed))
     init = config.initial_jobs
     n_init = z = max_z = len(init)
-    # per-job columns indexed by job id; initial jobs enter at t = 0, S = 0.
-    # Traffic rows join arr/svc/lead a block at a time, so those run ahead
-    # of the admitted jobs until they are cut at the end.
-    arr: list[float] = [0.0] * n_init
-    svc: list[float] = [v for v, _ in init]
-    lead: list[float] = [l for _, l in init]
-    off: list[float] = [0.0] * n_init
-    # the target of each admitted job, and per departure k, per snapshot ~k;
-    # the loop appends to the pending lists beside them (list.append is the
-    # cheaper call), which ``flush`` moves in with fromlist
+    # per-job float64 columns indexed by job id; initial jobs enter at
+    # t = 0, S = 0.  Traffic rows join arr/svc/lead a block at a time, so
+    # those run ahead of the admitted jobs until they are cut at the end.
+    arr, off = array("d", bytes(8 * n_init)), array("d", bytes(8 * n_init))
+    svc, lead = array("d", [v for v, _ in init]), array("d", [l for _, l in init])
+    # departure times in departure order, the target of each admitted job,
+    # and per departure k, per snapshot ~k.  The loop appends to a pending
+    # list beside each of these and ``off`` (list.append is the cheaper
+    # call), which ``flush`` packs into its column.
+    dep_times, new_dep_times = array("d"), []
     targets, new_targets = array("d", svc), []
+    new_offs: list[float] = []
     marks, new_marks = array("q"), []
+    pending = ((dep_times, new_dep_times), (targets, new_targets), (off, new_offs), (marks, new_marks))
 
     def flush() -> None:
-        targets.fromlist(new_targets)
-        new_targets.clear()
-        marks.fromlist(new_marks)
-        new_marks.clear()
+        for col, new in pending:
+            col.frombytes(_packed(new, col.typecode))
+            new.clear()
 
-    def pull() -> None:
-        """Append the next traffic rows to the columns."""
+    def pull() -> tuple[list[float], list[float]]:
+        """Append the next traffic rows to the columns; returns their
+        arrival times and services."""
         flush()
-        times, vs, leads = stream.refill()
-        arr.extend(times)
-        svc.extend(vs)
-        lead.extend(leads)
+        times, vs, columns = stream.refill()
+        for col, rows in zip((arr, svc, lead), columns):
+            col.frombytes(rows)
+        return times, vs
 
     heap = list(svc)  # the targets of the jobs in service
     heapify(heap)
@@ -485,11 +503,11 @@ def run(config: ScenarioConfig) -> SimOutput:
     t_snap = snap_times[0] if snap_times else math.inf
     t_stop = t_snap if t_snap < horizon else horizon  # the next snapshot or the end
     snapshots: list[tuple[float, float, PointMeasure]] = []
-    dep_times: list[float] = []  # departure times in departure order
     clock = s = 0.0
     k = n_init  # job id of the next traffic row
-    pull()
-    t_arr = arr[k]  # past the horizon it never fires: t_stop comes first
+    times, vs = pull()
+    b = 0  # its row in the block
+    t_arr = times[0]  # past the horizon it never fires: t_stop comes first
 
     while True:
         # the next event that is not a departure: arrival, snapshot or end
@@ -506,7 +524,7 @@ def run(config: ScenarioConfig) -> SimOutput:
             s = top  # exact landing on the target
             clock = t_dep
             heappop(heap)
-            dep_times.append(clock)
+            new_dep_times.append(clock)
             new_marks.append(k)
             z -= 1
 
@@ -522,17 +540,19 @@ def run(config: ScenarioConfig) -> SimOutput:
         if t_arr == t_ext:
             if z == max_z:
                 max_z = z + 1
-            target = s + svc[k]
+            target = s + vs[b]
             heappush(heap, target)
             new_targets.append(target)
-            off.append(s)
+            new_offs.append(s)
             z += 1
             k += 1
+            b += 1
             try:
-                t_arr = arr[k]
+                t_arr = times[b]
             except IndexError:  # the end of the block
-                pull()
-                t_arr = arr[k]
+                times, vs = pull()
+                b = 0
+                t_arr = times[0]
             continue
 
         if t_snap != t_ext:
@@ -547,21 +567,20 @@ def run(config: ScenarioConfig) -> SimOutput:
     flush()
     for col in (arr, svc, lead):
         del col[k:]  # rows drawn past the last admitted arrival
-    departure_times = np.array(dep_times, dtype=float)
-    # free the float per departure before the arrays below are built: it
-    # cut the traced peak of an r = 160 M/M/1 sweep cell by 1.5 MB
-    dep_times.clear()
+    departure_times = np.frombuffer(dep_times)
     # job ids in departure order: the departed jobs' targets, sorted
     departed = np.argsort(np.frombuffer(targets), kind="stable")[: departure_times.size]
     dep = np.full(k, np.nan)
     dep[departed] = departure_times
+    sojourns = np.frombuffer(arr)[departed]  # arrival times, made sojourns in place
+    np.subtract(departure_times, sojourns, out=sojourns)
     counts = zip(("init", "arrival", "departure", "snapshot", "end"),
                  (1, k - n_init, departure_times.size, len(snapshots), 1))
     return SimOutput(
         config=config,
         snapshots=tuple(snapshots),
         departure_times=departure_times,
-        departure_sojourns=departure_times - np.array(arr, dtype=float)[departed],
+        departure_sojourns=sojourns,
         event_counts={kind: n for kind, n in counts if n},
         max_z=max_z,
         job_columns=[arr, svc, lead, off, dep],
@@ -570,19 +589,16 @@ def run(config: ScenarioConfig) -> SimOutput:
     )
 
 
-def _snapshot_measure(
-    targets: array, arr: list[float], lead: list[float], s: float, clock: float
-) -> PointMeasure:
+def _snapshot_measure(targets: array, arr: array, lead: array, s: float, clock: float) -> PointMeasure:
     """The jobs in service at a snapshot, in job id order.  A job whose
     residual has just hit zero belongs to the departure at this same
     instant, not to the right-continuous state."""
-    # a view of the column: it must not outlive this call, or the loop's
-    # next flush of its pending targets (targets.fromlist) raises
-    # BufferError; indexing by ids copies
+    # views of the columns: they must not outlive this call, or the loop's
+    # next frombytes into them raises BufferError; indexing by ids copies
     column = np.frombuffer(targets)
     ids = np.flatnonzero(column > s)
     res = column[ids] - s
-    leads = np.array([(arr[jid] + lead[jid]) - clock for jid in ids.tolist()], dtype=float)
+    leads = (np.frombuffer(arr)[ids] + np.frombuffer(lead)[ids]) - clock
     return PointMeasure(res, leads, np.ones(res.size))
 
 

@@ -39,7 +39,7 @@ from .distributions import (
     to_spec,
 )
 from .engine import ScenarioConfig, SimOutput, run
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .manifold import ht_params, lift, sojourn_limit_cdf
 from .measures import (
     PointMeasure,
@@ -370,11 +370,14 @@ def run_sweep(sweep: SweepConfig, threads: int = 1) -> CollapseReport:
     if workers > 1:
         # imported here: the pool machinery loads multiprocessing, which a
         # single-process caller never needs
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         chunk = max(1, len(r_idx) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, repeat(sweep), r_idx, reps, chunksize=chunk))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_run_cell, repeat(sweep), r_idx, reps, chunksize=chunk))
+        except (BrokenExecutor, OSError) as exc:  # a worker died, or one could not start
+            raise SimulationError(f"the sweep's worker pool failed: {exc}") from exc
     else:
         results = list(map(_run_cell, repeat(sweep), r_idx, reps))
 

@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import math
+import multiprocessing
 import os
 import tempfile
 from pathlib import Path
@@ -598,6 +599,59 @@ def test_write_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch, cmd, bo
     err = capsys.readouterr().err
     assert err == f"runtime error: cannot write {out / name}: {os.strerror(code)}\n"
     assert list(out.iterdir()) == []
+
+
+def _exit_in_worker(*args):
+    """Stands in for ``harness._run_cell``: the worker process dies."""
+    os._exit(1)
+
+
+def _no_processes(*args, **kwargs):
+    """Stands in for ``ProcessPoolExecutor`` or ``run_sweep``: no process
+    can be forked."""
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def _pool_sweep_exit(tmp_path, capsys, monkeypatch) -> tuple[int, str, Path]:
+    """A one-rung sweep of two cells at --threads 2: (exit code, stderr,
+    output directory)."""
+    import psdl.harness as harness_mod
+
+    monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    cfg = write_config(tmp_path, {"schema_version": 1, "sweep": {**SWEEP, "replications": 2}})
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"])
+    return code, capsys.readouterr().err, out
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched cell reaches workers by fork")
+def test_dead_sweep_worker_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    import psdl.harness as harness_mod
+
+    monkeypatch.setattr(harness_mod, "_run_cell", _exit_in_worker)
+    code, err, out = _pool_sweep_exit(tmp_path, capsys, monkeypatch)
+    assert code == 3
+    assert err.startswith("runtime error: the sweep's worker pool failed: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_pool_that_cannot_start_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_processes)
+    code, err, out = _pool_sweep_exit(tmp_path, capsys, monkeypatch)
+    assert code == 3
+    assert err == f"runtime error: the sweep's worker pool failed: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+    assert not out.exists()
+
+
+def test_os_error_without_a_filename_names_no_file(tmp_path, capsys, monkeypatch):
+    import psdl.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "run_sweep", _no_processes)
+    cfg = write_config(tmp_path, {"schema_version": 1, "sweep": SWEEP})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"runtime error: {os.strerror(errno.EAGAIN)}\n"
 
 
 # horizon / dt overflows a float, or counts more steps than an array can

@@ -10,6 +10,8 @@ The two fixed scenarios are fully traceable by hand:
   1/2 the first departs at t=1.5, the newcomer (residual 0.5 left) at 2.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import state_checks
@@ -21,7 +23,9 @@ from psdl import (
     Exponential,
     ProductJoint,
     ScenarioConfig,
+    SweepConfig,
     Uniform,
+    build_scenario,
     busy_rate_check,
     mass_moment_chi,
     run,
@@ -288,3 +292,34 @@ def test_workload_snapshot_agrees_with_path():
         assert idx, "snapshot instants must be path events"
         assert abs(mass_moment_chi(m) - p.w_post[idx[-1]]) <= 1e-9
         assert m.count == int(p.z[idx[-1]])
+
+
+def test_memory_per_admitted_job():
+    # the five job columns hold float64s: this r = 160 M/M/1 sweep cell of
+    # about 26k jobs (T = 1, so that the traced run takes under a second)
+    # peaked at 94 bytes per admitted job, where columns of 32-byte Python
+    # floats took 191
+    sweep = SweepConfig(
+        joint=MM1,
+        alpha=1.0,
+        gamma=0.5,
+        r_values=(160.0,),
+        T=1.0,
+        snapshot_times=(0.25, 0.5, 0.75, 1.0),
+        replications=1,
+        seed_base=20260815,
+    )
+    cfg = build_scenario(sweep, 160.0, 0)
+    run(cfg)  # imports made on first use stay out of the trace
+    tracemalloc.start()
+    try:
+        out = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = out.event_counts["arrival"]  # the cell has no initial jobs
+    assert n > 20_000
+    assert peak <= 120 * n, f"{peak / n:.0f} bytes per job"
+    for col in out.job_columns:
+        view = memoryview(col)
+        assert (view.format, view.ndim, len(view)) == ("d", 1, n)

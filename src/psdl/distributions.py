@@ -122,11 +122,6 @@ class ScalarDistribution(ABC):
         """P(X = x); zero for the continuous families."""
         return 0.0
 
-    @abstractmethod
-    def breakpoints(self) -> tuple[float, ...]:
-        """Points where the survival function has a kink or a jump; a
-        bounded law's support ends at its last one."""
-
     def tail_integral_array(self, w: np.ndarray) -> np.ndarray:
         """int_w^inf P(X >= u) du on an array of real w; w may contain -inf
         (giving +inf).  Equals mean * excess_survival_array(w) for w >= 0 and
@@ -202,9 +197,6 @@ class _ExpFormLaw(ScalarDistribution):
     def mass_at(self, x: float) -> float:
         a, parts = self._form
         return 1.0 if x == a and not parts else 0.0
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (self._form[0],)
 
 
 @dataclass(frozen=True)
@@ -306,9 +298,6 @@ class Uniform(ScalarDistribution):
             raise ConfigError(f"uniform transform rate {s} leaves the float range")
         return -np.expm1(-s * a) / s + np.exp(-s * a) * sloped
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return (self.lo, self.hi)
-
 
 @dataclass(frozen=True)
 class HyperExponential(_ExpFormLaw):
@@ -372,12 +361,6 @@ class JointDistribution(ABC):
     kind: ClassVar[str]
 
     @abstractmethod
-    def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Mass of the closed quadrants [x, oo) x [y, oo) on broadcastable
-        arrays; x must be >= 0, y may hold -inf (giving the service
-        marginal survival)."""
-
-    @abstractmethod
     def sample(self, rng: np.random.Generator) -> tuple[float, float]: ...
 
     def exponential_scales(self) -> tuple[float, float] | None:
@@ -430,10 +413,6 @@ class ProductJoint(_ScalarServiceJoint):
         if not (self.moment_exponent > 0.0 and math.isfinite(self.moment_exponent)):
             raise ConfigError("moment_exponent must be positive and finite")
 
-    def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # every lead survival is 1 at y = -inf
-        return self.service.survival_array(x) * self.lead.survival_array(y)
-
     def sample(self, rng: np.random.Generator) -> tuple[float, float]:
         # fixed draw order (service, then lead) keeps streams reproducible
         v = self.service.sample(rng)
@@ -459,10 +438,6 @@ class LinearJoint(_ScalarServiceJoint):
             raise ConfigError(f"linear coupling needs c > 0, got {self.c}")
         if not (self.moment_exponent > 0.0 and math.isfinite(self.moment_exponent)):
             raise ConfigError("moment_exponent must be positive and finite")
-
-    def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # {v >= x, c v >= y} collapses to a single service tail
-        return self.service.survival_array(np.maximum(x, np.asarray(y) / self.c))
 
     def sample(self, rng: np.random.Generator) -> tuple[float, float]:
         v = self.service.sample(rng)
@@ -496,13 +471,6 @@ class EmpiricalJoint(JointDistribution):
         object.__setattr__(self, "weights", w)
         if not (self.moment_exponent > 0.0 and math.isfinite(self.moment_exponent)):
             raise ConfigError("moment_exponent must be positive and finite")
-
-    def quadrant_survival_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # one pass per atom keeps the working set at the size of x
-        out = np.zeros(np.broadcast(x, y).shape)
-        for (s, l), w in zip(self.points, self.weights):
-            out += w * ((s >= x) & (l >= y))
-        return out
 
     def sample(self, rng: np.random.Generator) -> tuple[float, float]:
         return self.points[_pick(self.weights, rng)]

@@ -49,32 +49,32 @@ where a Python float in a list costs 32.  The columns are
 The heap holds bare targets: the loop never asks which job left.  Every
 job present receives the same service S, so jobs leave in the order of
 their targets, equal targets in job id order, as a heap of (target, job
-id) pairs would pop them.  That order is the order of the target column
-itself: S never decreases and equals each target as it is popped, and a
+id) pairs would pop them.  That order is the order of the targets by job
+id: S never decreases and equals each target as it is popped, and a
 job enters with a target at least the S it finds, so no target pushed is
 below one already popped, and one equal to it has a larger job id.
 Every departure due by the horizon runs before the stop, so the
-departed jobs are exactly those with target <= the final S.  The loop
-therefore keeps one more column, each admitted job's target, and after
-the loop the job ids of the departures, in departure order, are the
-first (departure count) entries of a stable argsort of it.  A snapshot
-reads the jobs in service from it as the entries above S.
+departed jobs are exactly those with target <= the final S.  A job's
+target is its S on entry plus its service, the same IEEE add the loop
+makes, so the loop keeps no target column: after the loop the job ids
+of the departures, in departure order, are the first (departure count)
+entries of a stable argsort of the sums of the two columns, and a
+snapshot reads the jobs in service from those sums as the ones above S.
 
 An event makes no Python call besides the heap's and list appends.
-The loop appends each admitted job's target and S on entry, each
-departure time and each mark to a plain list, and packs those into
-their ``array`` columns at every refill, before every snapshot and
-after the loop; so the pending lists never hold more than about one
-traffic block.  Traffic arrives through ``TrafficStream.refill`` in
-blocks of checked rows.  A block's arrival times and services come as
-lists, which the loop reads by its index in the block, refilling when
-the index runs past the end; all three of its columns also come as
-float64 bytes, which go into the job columns whole, so the leads of
-all-exponential traffic never become Python floats.  A row that failed
-its check raises only when the loop reaches it.  Departures run in an
-inner loop against the next other event (the next arrival, or the
-next snapshot or the horizon, whichever is first; that stop time
-changes only at snapshots).
+The loop appends each admitted job's S on entry, each departure time
+and each mark to a plain list, and packs those into their ``array``
+columns at every refill, before every snapshot and after the loop; so
+the pending lists never hold more than about one traffic block.
+Traffic arrives through ``TrafficStream.refill`` in blocks of checked
+rows.  A block's arrival times and services come as lists, which the
+loop reads by its index in the block, refilling when the index runs
+past the end; all three of its columns also come as float64 bytes,
+which go into the job columns whole, so the leads of all-exponential
+traffic never become Python floats.  A row that failed its check raises
+only when the loop reaches it.  Departures run in an inner loop against
+the next other event (the next arrival, or the next snapshot or the
+horizon, whichever is first; that stop time changes only at snapshots).
 """
 
 from __future__ import annotations
@@ -395,13 +395,7 @@ class SimOutput:
             stop = len(arr) if mark is None else mark if mark >= 0 else ~mark
             while j < stop:
                 s = off[j]
-                target = s + svc[j]
-                # _neumaier_add(tsum, tcomp, target), inlined; target > 0
-                t1 = tsum + target
-                if tsum >= target or tsum <= -target:
-                    c1 = tcomp + ((tsum - t1) + target)
-                else:
-                    c1 = tcomp + ((target - t1) + tsum)
+                t1, c1 = _neumaier_add(tsum, tcomp, s + svc[j])
                 log.extend((arr[j], "arrival", z + 1, (tsum + tcomp) - z * s, (t1 + c1) - (z + 1) * s, s))
                 tsum, tcomp = t1, c1
                 z += 1
@@ -411,15 +405,8 @@ class SimOutput:
             if mark >= 0:
                 t, s = next(departures)
                 z -= 1
-                if z:
-                    # _neumaier_add(tsum, tcomp, -s), inlined; s > 0
-                    t1 = tsum - s
-                    if tsum >= s or tsum <= -s:
-                        c1 = tcomp + ((tsum - t1) - s)
-                    else:
-                        c1 = tcomp + ((-s - t1) + tsum)
-                else:
-                    t1 = c1 = 0.0  # drop the rounding left by the finished busy period
+                # at z = 0 drop the rounding left by the finished busy period
+                t1, c1 = _neumaier_add(tsum, tcomp, -s) if z else (0.0, 0.0)
                 log.extend((t, "departure", z, (tsum + tcomp) - (z + 1) * s, (t1 + c1) - z * s, s))
                 tsum, tcomp = t1, c1
             else:
@@ -470,15 +457,14 @@ def run(config: ScenarioConfig) -> SimOutput:
     # those run ahead of the admitted jobs until they are cut at the end.
     arr, off = array("d", bytes(8 * n_init)), array("d", bytes(8 * n_init))
     svc, lead = array("d", [v for v, _ in init]), array("d", [l for _, l in init])
-    # departure times in departure order, the target of each admitted job,
-    # and per departure k, per snapshot ~k.  The loop appends to a pending
-    # list beside each of these and ``off`` (list.append is the cheaper
-    # call), which ``flush`` packs into its column.
+    # departure times in departure order, and per departure k, per
+    # snapshot ~k.  The loop appends to a pending list beside each of
+    # these and ``off`` (list.append is the cheaper call), which ``flush``
+    # packs into its column.
     dep_times, new_dep_times = array("d"), []
-    targets, new_targets = array("d", svc), []
     new_offs: list[float] = []
     marks, new_marks = array("q"), []
-    pending = ((dep_times, new_dep_times), (targets, new_targets), (off, new_offs), (marks, new_marks))
+    pending = ((dep_times, new_dep_times), (off, new_offs), (marks, new_marks))
 
     def flush() -> None:
         for col, new in pending:
@@ -540,9 +526,7 @@ def run(config: ScenarioConfig) -> SimOutput:
         if t_arr == t_ext:
             if z == max_z:
                 max_z = z + 1
-            target = s + vs[b]
-            heappush(heap, target)
-            new_targets.append(target)
+            heappush(heap, s + vs[b])
             new_offs.append(s)
             z += 1
             k += 1
@@ -559,7 +543,7 @@ def run(config: ScenarioConfig) -> SimOutput:
             break
         new_marks.append(~k)
         flush()
-        snapshots.append((clock, s, _snapshot_measure(targets, arr, lead, s, clock)))
+        snapshots.append((clock, s, _snapshot_measure(off, svc, arr, lead, s, clock)))
         snap_idx += 1
         t_snap = snap_times[snap_idx] if snap_idx < len(snap_times) else math.inf
         t_stop = t_snap if t_snap < horizon else horizon
@@ -569,7 +553,7 @@ def run(config: ScenarioConfig) -> SimOutput:
         del col[k:]  # rows drawn past the last admitted arrival
     departure_times = np.frombuffer(dep_times)
     # job ids in departure order: the departed jobs' targets, sorted
-    departed = np.argsort(np.frombuffer(targets), kind="stable")[: departure_times.size]
+    departed = np.argsort(np.add(off, svc), kind="stable")[: departure_times.size]
     dep = np.full(k, np.nan)
     dep[departed] = departure_times
     sojourns = np.frombuffer(arr)[departed]  # arrival times, made sojourns in place
@@ -589,15 +573,18 @@ def run(config: ScenarioConfig) -> SimOutput:
     )
 
 
-def _snapshot_measure(targets: array, arr: array, lead: array, s: float, clock: float) -> PointMeasure:
+def _snapshot_measure(
+    off: array, svc: array, arr: array, lead: array, s: float, clock: float
+) -> PointMeasure:
     """The jobs in service at a snapshot, in job id order.  A job whose
     residual has just hit zero belongs to the departure at this same
     instant, not to the right-continuous state."""
     # views of the columns: they must not outlive this call, or the loop's
-    # next frombytes into them raises BufferError; indexing by ids copies
-    column = np.frombuffer(targets)
-    ids = np.flatnonzero(column > s)
-    res = column[ids] - s
+    # next frombytes into them raises BufferError; indexing by ids copies.
+    # svc runs ahead of the admitted jobs by the rest of the traffic block
+    targets = np.add(np.frombuffer(off), np.frombuffer(svc, count=len(off)))
+    ids = np.flatnonzero(targets > s)
+    res = targets[ids] - s
     leads = (np.frombuffer(arr)[ids] + np.frombuffer(lead)[ids]) - clock
     return PointMeasure(res, leads, np.ones(res.size))
 

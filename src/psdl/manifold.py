@@ -25,13 +25,14 @@ the lead side, the same way round, when the lead has one.  The method is
 with lead = c * service has one term per part (the service law's tail
 integral along whichever of the lines x + u/z and (y + u)/c is higher),
 and each atom of an empirical point set contributes alpha * w_i *
-max(0, min(z (s_i - x), l_i - y)).  The rest, uniform-by-uniform products
-and linear joints with a bounded service, have piecewise-linear or step
-survival functions and integrate the defining formula with the two-point
-Gauss–Legendre rule: the grid points are taken in blocks of 256, each
-point's u-range ends where the service or lead support does (a bounded
-law's support ends at its last kink) and is cut at the service and lead
-kinks and the deadline crossing, and every panel between two cuts gets
+max(0, min(z (s_i - x), l_i - y)); a linear joint whose service is an
+atom at a is the one point (a, c a).  Only uniform laws reach the rest:
+uniform-by-uniform products and linear joints with a uniform service
+have piecewise-linear survival functions and integrate the defining
+formula with the two-point Gauss–Legendre rule.  The grid points are
+taken in blocks of 256, each point's u-range ends where the service or
+lead support does (at hi) and is cut at the service and lead kinks (lo
+and hi) and the deadline crossing, and every panel between two cuts gets
 the rule, which is exact on the polynomial the integrand is there.
 
 The lead-coordinate sections of these measures are the planning
@@ -182,11 +183,14 @@ def _blocked(point_fn):
     return grid_fn
 
 
-def _empirical_builder(joint: EmpiricalJoint, alpha: float, z: float):
+def _empirical_builder(points, weights, alpha: float, z: float):
     # atom i stays in [x + u/z, oo) x [y + u, oo) for u up to min(z (s_i - x), l_i - y)
-    s, l = np.array(joint.points).T
-    w = np.array(joint.weights)
+    s, l = np.array(points, dtype=float).T
+    w = np.array(weights, dtype=float)
 
+    # near z = 1e308 z (s_i - x) overflows: max(., 0) clamps -inf, and
+    # eval_grid reports the +inf cells
+    @np.errstate(over="ignore")
     def point_fn(x, y):
         reach = np.minimum(z * (s - x[:, None]), l - y[:, None])  # l - y = inf at y = -inf
         return alpha * (np.maximum(reach, 0.0) @ w)
@@ -204,17 +208,23 @@ _GAUSS2 = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
 
 def _quadrature_builder(joint: ProductJoint | LinearJoint, alpha: float, z: float):
-    # only bounded laws with piecewise-linear or step survivals get here, so
-    # each support ends at the law's last kink
-    service_breaks = np.array(joint.service.breakpoints(), dtype=float)
+    # only uniform laws get here (every other family has an exp_form, and so
+    # a closed form above): each survival is piecewise linear, with kinks at
+    # lo and hi, and each support ends at hi
+    service = joint.service
+    service_breaks = np.array((service.lo, service.hi), dtype=float)
     c = None
     if isinstance(joint, LinearJoint):
         lead_breaks = joint.c * service_breaks
+        # {v >= x, c v >= y} is a single service tail
+        quadrant = lambda x, y: service.survival_array(np.maximum(x, y / joint.c))
         # the deadline line c v = y crosses the residual line at one u
         c = joint.c if z != joint.c else None
     else:
-        lead_breaks = np.array(joint.lead.breakpoints(), dtype=float)
-    su, lu = service_breaks.max(), lead_breaks.max()
+        lead = joint.lead
+        lead_breaks = np.array((lead.lo, lead.hi), dtype=float)
+        quadrant = lambda x, y: service.survival_array(x) * lead.survival_array(y)
+    su, lu = service.hi, lead_breaks.max()
 
     # near z = 1e308 z (su - x) overflows; eval_grid reports the cells it spoils
     @np.errstate(over="ignore", invalid="ignore")
@@ -230,12 +240,11 @@ def _quadrature_builder(joint: ProductJoint | LinearJoint, alpha: float, z: floa
         keep = b > a
         owner = np.nonzero(keep)[0]
         mid, half = 0.5 * (a + b)[keep], 0.5 * (b - a)[keep]
-        # every family that reaches here has a piecewise-linear or step service
-        # and lead survival, so between cuts the integrand is a polynomial of
-        # degree <= 2 in u, which the two-point rule integrates exactly; its
-        # nodes are interior, so it never samples a survival at its jump
+        # between cuts the integrand is a polynomial of degree <= 2 in u,
+        # which the two-point rule integrates exactly; its nodes are
+        # interior, so it never samples a survival at its jump
         u = mid[:, None] + half[:, None] * _GAUSS2
-        vals = joint.quadrant_survival_array(x[owner, None] + u / z, y[owner, None] + u)
+        vals = quadrant(x[owner, None] + u / z, y[owner, None] + u)
         return alpha * np.bincount(owner, weights=half * vals.sum(axis=1), minlength=x.size)
 
     return _blocked(point_fn)
@@ -257,20 +266,23 @@ def _closed_form(joint: JointDistribution, alpha: float, z: float):
             return method, _lead_side(joint.service, lead, alpha, z)
     if isinstance(joint, LinearJoint):
         form = joint.service.exp_form()
-        if form is not None and form[0] == 0.0 and form[1]:
-            return "closed_form_linear", _linear_builder(form[1], joint.c, alpha, z)
+        if form is not None:
+            a, parts = form
+            if not parts:  # an atom at a: the one point (a, c a)
+                return "closed_form_empirical", _empirical_builder(((a, joint.c * a),), (1.0,), alpha, z)
+            return "closed_form_linear", _linear_builder(parts, joint.c, alpha, z)
     if isinstance(joint, EmpiricalJoint):
-        return "closed_form_empirical", _empirical_builder(joint, alpha, z)
+        return "closed_form_empirical", _empirical_builder(joint.points, joint.weights, alpha, z)
     return None
 
 
 def lift(joint: JointDistribution, alpha: float, z: float) -> InvariantMeasure:
     """Mass-z member of the invariant family for (joint, alpha).
 
-    Uses the closed form installed for the family when there is one and
-    the two-point Gauss rule on kink-cut panels, exact for the families
-    without one, otherwise; ``method`` on the result names the path
-    taken.  z = 0 gives the zero measure.
+    Uses the closed form installed for the family when there is one and,
+    for the uniform-only joints without one, the two-point Gauss rule on
+    kink-cut panels, which is exact there; ``method`` on the result names
+    the path taken.  z = 0 gives the zero measure.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ConfigError(f"arrival rate must be positive and finite, got {alpha}")

@@ -7,8 +7,8 @@ from ``TrafficStream.next`` and adds every target through
 record and ``SimOutput``, so a test can require the two to agree bit for
 bit on every output field.  Its heap holds (target, job id) pairs, and
 its snapshots read the jobs in service from that heap, so the engine's
-recovery of job ids from a column of bare targets is checked against
-code that does not share it.  It keeps the running workload sum and the
+recovery of job ids from bare targets (S on entry plus service) is
+checked against code that does not share it.  It keeps the running workload sum and the
 path log event by event, as the engine loop once did, and returns them
 beside its ``SimOutput``: the engine replays both from its record, and a
 test compares that replay with this log.  Before each departure time it

@@ -1,14 +1,18 @@
-"""Supports and kinks of the joint laws, for the tests' lift oracles.
+"""Supports, kinks and quadrant survivals of the joint laws, for the
+tests' lift oracles.
 
-The oracles end each u-integral where a support ends and cut it where a
-quadrant section has a kink or a jump.  This module reads both from the
-scalar laws' parameters or the empirical atoms, so an oracle does not
+The oracles integrate a joint law's quadrant survival, end each
+u-integral where a support ends and cut it where a quadrant section has
+a kink or a jump.  This module reads all three from the scalar laws'
+survivals and parameters or the empirical atoms, so an oracle does not
 share the library's description of the law it checks.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from psdl.distributions import (
     Deterministic,
@@ -18,6 +22,7 @@ from psdl.distributions import (
     JointDistribution,
     LinearJoint,
     PointMassZero,
+    ProductJoint,
     ScalarDistribution,
     Uniform,
 )
@@ -46,3 +51,20 @@ def supports(joint: JointDistribution):
         return su, joint.c * su, service_kinks, tuple(joint.c * k for k in service_kinks)
     lu, lead_kinks = scalar_support(joint.lead)
     return su, lu, service_kinks, lead_kinks
+
+
+def quadrant_survival_array(joint: JointDistribution, x, y) -> np.ndarray:
+    """theta([x, oo) x [y, oo)) on broadcastable arrays x >= 0 and y; y may
+    hold -inf, which leaves the service marginal survival."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if isinstance(joint, EmpiricalJoint):
+        out = np.zeros(np.broadcast(x, y).shape)
+        for (s, l), w in zip(joint.points, joint.weights):
+            out += w * ((s >= x) & (l >= y))
+        return out
+    if isinstance(joint, LinearJoint):
+        # {v >= x, c v >= y} is the one service tail at max(x, y / c)
+        return joint.service.survival_array(np.maximum(x, y / joint.c))
+    if isinstance(joint, ProductJoint):
+        return joint.service.survival_array(x) * joint.lead.survival_array(y)
+    raise TypeError(f"no quadrant survival described for {joint!r}")

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from joint_supports import supports
+from joint_supports import quadrant_survival_array, supports
 from psdl.distributions import JointDistribution, LinearJoint
 from psdl.errors import SimulationError
 from psdl.manifold import InvariantMeasure, _blocked
@@ -119,7 +119,7 @@ def _grid_fn(joint: JointDistribution, alpha: float, z: float, tol: float):
 
     def point_fn(x, y):
         def g(u, idx):
-            return joint.quadrant_survival_array(x[idx, None] + u / z, y[idx, None] + u)
+            return quadrant_survival_array(joint, x[idx, None] + u / z, y[idx, None] + u)
 
         upper = np.maximum(np.minimum(z * (su - x), lu - y), 0.0)
         unbounded = np.flatnonzero(np.isinf(upper))

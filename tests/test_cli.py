@@ -475,18 +475,22 @@ def test_lift_out_of_float_range_is_a_config_error(tmp_path, capsys, cmd, body):
 
 # lifts at z near the float maximum whose default-grid tables once held NaN
 # (the two-point fallback) or inf (a mixture's transform at y = -inf) cells
-# beside a finite total mass, and exited 0
+# beside a finite total mass, and exited 0; and an empirical lift whose
+# overflow once printed numpy's warning before the error line
 NON_FINITE_LIFTS = [
     ({"kind": "product", "service": UNIFORM, "lead": UNIFORM}, 1e308),
     ({"kind": "product", "service": UNIFORM, "lead": UNIFORM}, 1.7e308),
     ({"kind": "linear", "service": UNIFORM, "c": 1.0}, 1e308),
     ({"kind": "linear", "service": UNIFORM, "c": 1.0}, 1.7e308),
     ({"kind": "product", "service": {**HYPER, "rates": [0.5, 2.0]}, "lead": _exp(1.0)}, 1e308),
+    ({"kind": "empirical", "points": [[1.0, 0.5], [2.0, -1.0]]}, 1e308),
 ]
 
 
 @pytest.mark.parametrize(
-    "joint, z", NON_FINITE_LIFTS, ids=["unif-unif-1e308", "unif-unif-1.7e308", "linear-1e308", "linear-1.7e308", "hyper-exp"]
+    "joint, z",
+    NON_FINITE_LIFTS,
+    ids=["unif-unif-1e308", "unif-unif-1.7e308", "linear-1e308", "linear-1.7e308", "hyper-exp", "empirical-1e308"],
 )
 def test_lift_with_non_finite_cells_is_a_config_error(tmp_path, capsys, joint, z):
     cfg = write_config(tmp_path, {"schema_version": 1, "lift": {"joint": joint, "alpha": 1.0, "z": z}})

@@ -21,6 +21,7 @@ from psdl import (
     scalar_from_spec,
     to_spec,
 )
+from joint_supports import quadrant_survival_array, scalar_support
 from simpson_oracle import integrate, quadrant_survival
 
 
@@ -136,7 +137,7 @@ def _tail_ref(d, w: float) -> float:
     if w == -np.inf:
         return math.inf
     return integrate(
-        d.survival, min(w, 80.0), 80.0, tol=1e-13, breakpoints=d.breakpoints(), initial_step=0.5
+        d.survival, min(w, 80.0), 80.0, tol=1e-13, breakpoints=scalar_support(d)[1], initial_step=0.5
     )
 
 
@@ -152,7 +153,7 @@ def _transform_ref(d, y: float, s: float) -> float:
         0.0,
         min(60.0 / s, 80.0),
         tol=1e-14,
-        breakpoints=[b - y for b in d.breakpoints()],
+        breakpoints=[b - y for b in scalar_support(d)[1]],
         initial_step=0.5,
     )
 
@@ -229,14 +230,14 @@ def test_exp_type_closed_forms_match_survival(d, extra):
 
 
 def test_breakpoints_list_the_kink_at_zero():
-    # a survival that is not C^1 at 0 needs a cut there: the lift integrand
-    # of a lead law crosses 0 inside its u-range whenever y < 0
+    # a survival that is not C^1 at 0 needs a cut there in the oracles: the
+    # lift integrand of a lead law crosses 0 inside its u-range whenever y < 0
     h = 1e-6
     for d in (*SCALAR_LAWS, Uniform(0.0, 2.0), Uniform(0.5, 1.5), Deterministic(0.2)):
         left = (d.survival(-h) - d.survival(0.0)) / h
         right = (d.survival(0.0) - d.survival(h)) / h
         if abs(right - left) > 1e-3:
-            assert 0.0 in d.breakpoints(), d
+            assert 0.0 in scalar_support(d)[1], d
 
 
 def test_quadrant_survival_array_matches_scalar():
@@ -253,7 +254,7 @@ def test_quadrant_survival_array_matches_scalar():
     )
     for j in joints:
         ref = [quadrant_survival(j, float(a), float(b)) for a in x for b in y]
-        got = j.quadrant_survival_array(x[:, None], y[None, :]).ravel()
+        got = quadrant_survival_array(j, x[:, None], y[None, :]).ravel()
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15, err_msg=repr(j))
 
 
@@ -275,7 +276,7 @@ def test_scalar_spec_round_trip():
 
 def test_product_joint_quadrant():
     j = ProductJoint(Exponential(1.0), Exponential(2.0))
-    got = j.quadrant_survival_array(np.array([0.5, 0.5]), np.array([1.0, -math.inf]))
+    got = quadrant_survival_array(j, np.array([0.5, 0.5]), np.array([1.0, -math.inf]))
     # y = -inf removes the lead constraint
     np.testing.assert_allclose(got, [math.exp(-0.5) * math.exp(-2.0), math.exp(-0.5)], rtol=1e-12)
     assert j.mean_service() == 1.0
@@ -284,14 +285,14 @@ def test_product_joint_quadrant():
 def test_linear_joint_quadrant():
     j = LinearJoint(Exponential(1.0), 2.0)
     # deadline = c * service, so {v >= x, cv >= y} = {v >= max(x, y/c)}
-    got = j.quadrant_survival_array(np.array([1.0, 1.0, 0.0]), np.array([1.0, 4.0, -3.0]))
+    got = quadrant_survival_array(j, np.array([1.0, 1.0, 0.0]), np.array([1.0, 4.0, -3.0]))
     np.testing.assert_allclose(got[:2], [math.exp(-1.0), math.exp(-2.0)], rtol=1e-12)
     assert got[2] == 1.0
 
 
 def test_empirical_joint():
     j = EmpiricalJoint(((1.0, 0.5), (2.0, -1.0)), (0.25, 0.75))
-    got = j.quadrant_survival_array(np.array([1.5, 0.0]), np.array([-2.0, 0.0]))
+    got = quadrant_survival_array(j, np.array([1.5, 0.0]), np.array([-2.0, 0.0]))
     np.testing.assert_allclose(got, [0.75, 0.25], rtol=1e-12)
     assert j.mean_service() == pytest.approx(0.25 * 1.0 + 0.75 * 2.0)
     # an atom at service 0 is representable; admissibility checks flag it later
@@ -308,7 +309,7 @@ def test_joint_quadrant_monte_carlo():
     n = 100_000
     pts = np.array([j.sample(rng) for _ in range(n)])
     for x, y in ((0.0, 0.0), (0.8, 0.9), (1.2, 1.0)):
-        p = float(j.quadrant_survival_array(x, y))
+        p = float(quadrant_survival_array(j, x, y))
         hits = np.mean((pts[:, 0] >= x) & (pts[:, 1] >= y))
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(hits - p) <= 3 * se + 1e-9

@@ -335,6 +335,8 @@ _ANY_JOINT = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
+# the smallest z: the two-point fallback once read this total mass as 0
+@example(LinearJoint(Deterministic(1.0), 0.5), 1.0, 5e-324)
 @given(_ANY_JOINT, st.floats(0.1, 10.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
 def test_lift_mass_law_over_random_joints(joint, alpha, z):
     # F(0, -inf) is the total mass alpha z E[V], and no cell of the default
@@ -510,10 +512,10 @@ def test_quadrature_only_on_bounded_service(service):
 
 
 def test_fallback_laws_end_at_their_last_kink():
-    # the fallback's premise: every law of a joint that reaches it has no
-    # mass past its last breakpoint, which is where it ends the u-range
+    # the fallback's premise: every law of a joint that reaches it is a
+    # uniform, with no mass past hi, which is where it ends the u-range
     joints = [ProductJoint(s, l) for s in _FAMILIES for l in _FAMILIES]
-    joints += [LinearJoint(s, 0.8) for s in _FAMILIES]
+    joints += [LinearJoint(s, c) for s in _FAMILIES for c in (0.5, 0.8, 1.0, 2.0)]
     laws = set()
     for joint in joints:
         if lift(joint, 1.3, 1.0).method == "quadrature":
@@ -521,8 +523,35 @@ def test_fallback_laws_end_at_their_last_kink():
             laws.add(getattr(joint, "lead", joint.service))
     assert laws
     for d in laws:
-        past = np.nextafter(max(d.breakpoints()), np.inf)
+        assert isinstance(d, Uniform), d
+        past = np.nextafter(d.hi, np.inf)
         assert d.survival_array(np.array([past]))[0] == 0.0, d
+
+
+@pytest.mark.parametrize("service", [Deterministic(1.0), Deterministic(0.4), PointMassZero()], ids=["det1", "det0.4", "zero"])
+@pytest.mark.parametrize("c", [0.5, 0.8, 1.0, 2.0])
+def test_atom_service_linear_lift_matches_oracle_on_the_grid(service, c):
+    # a linear joint whose service is an atom at a is the one point (a, c a)
+    joint = LinearJoint(service, c)
+    g = default_grid()
+    for z in (1e-6, 0.05, 0.4, 0.8, 2.0, 4.0):
+        m = lift(joint, 1.3, z)
+        assert m.method == "closed_form_empirical"
+        table = m.quadrant.eval_grid(g.x_values, g.y_values)
+        quad = quadrature_oracle.lift(joint, 1.3, z, tol=1e-10)
+        err = np.max(np.abs(table - quad.quadrant.eval_grid(g.x_values, g.y_values)))
+        assert err <= 1e-12, (joint, z, err)
+
+
+@pytest.mark.parametrize("joint", [LinearJoint(Deterministic(1.0), 0.5), LinearJoint(PointMassZero(), 2.0)], ids=["det", "zero"])
+@pytest.mark.parametrize("z", [1e308, 1.7e308])
+def test_atom_service_linear_lift_at_the_float_maximum(joint, z):
+    # z (a - x) overflows to -inf for x past a + 1.8, which max(., 0) clamps;
+    # it once warned (and raised under the suite's warning filter)
+    m, g = lift(joint, 1.0, z), default_grid()
+    table = m.quadrant.eval_grid(g.x_values, g.y_values)
+    assert np.all(table >= 0.0) and table[0, 0] == m.total_mass
+    assert np.all(table[g.x_values > joint.service.mean()] == 0.0)  # past the atom
 
 
 def test_quadrature_fallback_matches_oracle_on_the_grid():

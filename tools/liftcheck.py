@@ -17,15 +17,21 @@ its ``survival_array``, ``tail_integral_array`` and
 time-in-queue profile (at y >= 0), linear-deadline profile at each c in
 ``CS`` and sojourn CDF.
 
+``ZS`` runs from the bottom of the float range (5e-324) to near its top
+(1e308), where a lift's rates and u-ranges leave it.  The runner runs
+under ``-W error::RuntimeWarning``, so a numpy warning that a table
+raised is recorded in place of the table, by its message, as a
+ConfigError is.
+
 Each table is compared bytewise between the trees.  After a header line,
 one line per joint or law whose bytes moved or whose method changed gives
 its method on each side (a joint's), the tables that moved and the largest
-|base - head| over their cells.  A ConfigError is recorded in place of
-the table, by its message.  The last line counts the joints and laws
-whose bytes moved and the joints whose method changed.  This reports
-only: the exit status is 0 unless a tree's run fails, as a change that
-moves stated pairs is expected to move them.  Standard library and numpy
-only, besides each tree's own psdl.
+|base - head| over their cells, and the recorded errors of each side where
+they differ.  The last line counts the joints and laws whose bytes moved
+and the joints whose method changed.  This reports only: the exit status
+is 0 unless a tree's run fails, as a change that moves stated pairs is
+expected to move them.  Standard library and numpy only, besides each
+tree's own psdl.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from psdl.measures import default_grid
 LAWS = [Exponential(1.0), HyperExponential((0.5, 0.5), (0.5, 2.0)), Deterministic(1.0),
         Uniform(0.0, 2.0), Uniform(0.5, 1.5), PointMassZero()]
 CS = (0.5, 1.0, 2.0)
-ZS = (1e-6, 1e-3, 0.05, 1.0, 6.0, 1e3)
+ZS = (5e-324, 1e-6, 1e-3, 0.05, 1.0, 6.0, 1e3, 1e308)
 SS = (1e-6, 0.05, 1.0, 20.0)
 joints = [ProductJoint(s, l) for s in LAWS for l in LAWS]
 joints += [LinearJoint(s, c) for s in LAWS for c in CS]
@@ -69,7 +75,7 @@ def tabulate(group, name, label, make):
     entry["labels"].append(label)
     try:
         tables[f"{name}|{label}"] = np.asarray(make(), dtype=float)
-    except ConfigError as exc:
+    except (ConfigError, RuntimeWarning) as exc:
         entry["errors"][label] = str(exc)
 
 def lift_table(joint, z):
@@ -101,7 +107,8 @@ def run_tree(tree: Path, out: Path) -> tuple[dict, dict]:
     """(report, tables) of RUNNER in tree, with tree's psdl."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", RUNNER, str(out)], cwd=tree, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", RUNNER, str(out)],
+        cwd=tree, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         sys.exit(f"liftcheck: the run in {tree} failed:\n{proc.stderr[-2000:]}")

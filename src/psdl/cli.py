@@ -12,6 +12,8 @@ be written, or an allocation the machine cannot make.
 from __future__ import annotations
 
 import argparse
+import errno
+import shutil
 import sys
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from .rbm import deadline_quantile, simulate, stationary_cdf
 
 
 def _out_dir(args, cfg: fileio.ConfigFile) -> Path:
-    d = Path(args.out) if args.out else Path(cfg.output_dir or ".")
+    d = Path(args.out or cfg.output_dir or ".")
     try:
         d.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file where the directory or one of its parents should be
@@ -145,11 +147,23 @@ def cmd_rbm(args) -> int:
             req, summary["stationary_mean"]
         )
     path = simulate(req, req.horizon, req.dt, req.seed)
-    summary["time_average"] = path.time_average
-    d = _out_dir(args, cfg)
-    fileio.write_rbm_path_csv(path, d / "rbm_path.csv")
+    d = Path(args.out or cfg.output_dir or ".")
+    made = [p for p in (d, *d.parents) if not p.exists()]  # the missing ones come first
+    # a path the disk cannot take, at 5 bytes a row ("0,0\r\n") and the
+    # header, would be drawn and written until the disk is full
+    need, free = 5 * (path.steps + 2), shutil.disk_usage((d, *d.parents)[len(made)]).free
+    if need > free:
+        raise OSError(errno.ENOSPC, f"it needs at least {need} bytes, {free} are free", str(d / "rbm_path.csv"))
+    _out_dir(args, cfg)
+    try:
+        fileio.write_rbm_path_csv(path, d / "rbm_path.csv")
+    except SimulationError:  # a value or the average past the float range; the partial file is gone
+        for p in made:
+            p.rmdir()
+        raise
+    summary["time_average"] = path.time_average  # cached by the write's draw
     fileio.write_json(summary, d / "rbm_summary.json")
-    print(f"rbm: {path.values.size - 1} steps, time average {summary['time_average']:.6g} -> {d}")
+    print(f"rbm: {path.steps} steps, time average {summary['time_average']:.6g} -> {d}")
     return 0
 
 

@@ -34,9 +34,12 @@ at its target (jobs leave in target order, below), and keeps
     W = (sum of targets) - Z * S,
 
 the target sum a compensated (Neumaier) running sum reset to exactly 0
-whenever the system empties.  The path log holds (t, kind, Z, W before,
-W after, S) per event; the workload check is the largest gap at a
-snapshot between W and the exact sum of its residuals.  Between events
+whenever the system empties.  The replay logs (t, kind, Z, W before,
+W after, S) per event in a flat list and moves it, every 4096 events or
+so, into a typed column per field (``array('d')``, Z in ``array('q')``),
+which the path's arrays view: the Python floats never build up.  The
+workload check is the largest gap at a snapshot between W and the exact
+sum of its residuals.  Between events
 the targets and Z are fixed, so the logged W falls by Z times the
 advance of S: the busy-rate check tests how S advances.
 
@@ -387,8 +390,10 @@ class SimOutput:
         for v in svc[:n_init]:
             tsum, tcomp = _neumaier_add(tsum, tcomp, v)
         w = tsum + tcomp
-        # flat event log, six fields per event: t, kind, Z after, W before, W after, S
-        log = [0.0, "init", n_init, w, w, 0.0]
+        # six fields per event (t, kind, Z after, W before, W after, S) in a
+        # flat list, moved into a column per field every 4096 events or so,
+        # so that the Python floats never build up
+        log, kinds, columns = [0.0, "init", n_init, w, w, 0.0], [], tuple(map(array, "dqddd"))
         check = 0.0
         z = j = n_init  # jobs present; the next arrival's job id
         for mark in chain(self.event_marks, (None,)):
@@ -401,8 +406,9 @@ class SimOutput:
                 z += 1
                 j += 1
             if mark is None:
-                break
-            if mark >= 0:
+                w = (tsum + tcomp) - z * self.s_end
+                log.extend((self.config.horizon, "end", z, w, w, self.s_end))
+            elif mark >= 0:
                 t, s = next(departures)
                 z -= 1
                 # at z = 0 drop the rounding left by the finished busy period
@@ -414,10 +420,13 @@ class SimOutput:
                 w = (tsum + tcomp) - z * s
                 check = max(check, abs(w - fsum(state.residuals.tolist())))
                 log.extend((t, "snapshot", z, w, w, s))
-        w = (tsum + tcomp) - z * self.s_end
-        log.extend((self.config.horizon, "end", z, w, w, self.s_end))
-        columns = (np.array(log[i::6]) for i in (2, 3, 4, 5))  # Z, W before, W after, S
-        return PathLog(np.array(log[0::6]), tuple(log[1::6]), *columns), check
+            if mark is None or len(log) >= 6 * 4096:
+                kinds.extend(log[1::6])
+                for col, i in zip(columns, (0, 2, 3, 4, 5)):
+                    col.frombytes(_packed(log[i::6], col.typecode))
+                log.clear()
+        t, *rest = (np.frombuffer(col, col.typecode) for col in columns)
+        return PathLog(t, tuple(kinds), *rest), check
 
     def sojourns_departing(self, t_lo: float, t_hi: float) -> np.ndarray:
         """Sojourns of the jobs departing in [t_lo, t_hi], in departure order."""

@@ -87,7 +87,7 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
-_BLOCK_CELLS = 16_384  # cells per write call: at about 185 B of kernel temporaries each, 3 MB at any width
+_BLOCK_CELLS = 16_384  # cells per write call: 1.3 MB of kernel workspace at any width
 _QUOTED = ',"\r\n'  # csv.writer quotes a cell holding any of these
 _REQUEST_KEYS = ("scenario", "sweep", "lift", "profile", "rbm")
 
@@ -479,21 +479,33 @@ def write_profile_csv(values, label: str, path) -> None:
     _write_csv(path, ["y", label], list(np.array(values, dtype=float).reshape(-1, 2).T))
 
 
-class _TimeGrid:
-    """A numeric column k * dt, k < n, built a slice at a time: each slice
-    holds the floats that np.arange(n, dtype=float) * dt holds there."""
+class _Pieces:
+    """The arrays ``pieces`` yields, end to end: a numeric column of n floats
+    read in consecutive slices from the start, as write_table reads one."""
 
     dtype = np.dtype(float)
 
-    def __init__(self, n: int, dt: float):
-        self.n, self.dt = n, dt
+    def __init__(self, n: int, pieces):
+        self.n, self.pieces = n, pieces
+        self.head = next(pieces)  # drawn, not yet read
 
     def __len__(self) -> int:
         return self.n
 
     def __getitem__(self, s: slice) -> np.ndarray:
-        return np.arange(*s.indices(self.n)[:2], dtype=float) * self.dt
+        parts, size = [], len(range(*s.indices(self.n)))
+        while size > self.head.size:
+            parts.append(self.head)
+            size -= self.head.size
+            self.head = next(self.pieces)
+        parts.append(self.head[:size])
+        self.head = self.head[size:]
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def write_rbm_path_csv(rbm: RBMPath, path) -> None:
-    _write_csv(path, ["t", "x"], [_TimeGrid(rbm.values.size, rbm.dt), rbm.values])
+    """The path as it is drawn, beside t = k * dt made a write block at a
+    time; a value or time average past the float range removes the file."""
+    n, rows = rbm.steps + 1, _BLOCK_CELLS // 2
+    times = (np.arange(lo, min(lo + rows, n), dtype=float) * rbm.dt for lo in range(0, n, rows))
+    _write_csv(path, ["t", "x"], [_Pieces(n, times), _Pieces(n, rbm.pieces())])

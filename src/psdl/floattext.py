@@ -41,8 +41,15 @@ bare point stripped, and d.ddd e+XX otherwise.
   number of digits left once trailing zeros are stripped and the sign,
   turns the bytes the cell does not print into NULs.  The cells of a
   block of rows are formatted together, in row order, so a row is its
-  cells' frames side by side.  A block's frames are copied to bytes, whose
-  translate deletes their NULs faster than bytearray.translate does.
+  cells' frames side by side.  The frames are copied to bytes, whose
+  translate deletes their NULs faster than bytearray.translate does,
+  _CHUNK bytes at a time.
+* Memory.  write_table makes the frames and the 8-byte arrays _format
+  computes in (_workspace, 80 bytes a cell) once per table.  An 8-byte
+  array of a 16,384-cell block is 128 KiB, glibc's default mmap
+  threshold, and a block's frames 768 KiB, so arrays made per block, or
+  a copy of the whole frames, were mapped, faulted in and unmapped at
+  every block, unless an earlier large free had raised the threshold.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ _FRAME = 6  # uint64 words per cell
 _E_MAX = 99  # |E| formatted here; other exponents go to the fallback
 _TIE = 1e-12  # rounding fractions this close to 1/2 go to the fallback
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into halves of at most 27 bits
+_CHUNK = 65_536  # bytes of frames copied and translated at a time
 
 
 @functools.cache
@@ -136,65 +144,89 @@ def write_table(fh, columns, block_rows: int, fallback) -> None:
     words = np.frombuffer(frames, np.uint64).reshape(rows, k, _FRAME)
     ends = [b","] * (k - 1) + [b"\r\n"]  # each column's separator, after its exponent in word 5
     separators = np.frombuffer(b"".join(bytes(4) + end.ljust(4, b"\0") for end in ends), np.uint64)
+    ws = _workspace(rows * k)
     for lo in range(0, n, block_rows):
         m = min(n - lo, block_rows)
         for j, c in enumerate(columns):
             cells[:m, j] = c[lo : lo + m]
-        _format(cells[:m], words[:m], separators, fallback)
-        fh.write(memoryview(frames)[: m * k * 8 * _FRAME].tobytes().translate(None, b"\0"))
+        _format(cells[:m], words[:m], separators, fallback, ws)
+        block = memoryview(frames)[: m * k * 8 * _FRAME]
+        fh.write(b"".join(block[a : a + _CHUNK].tobytes().translate(None, b"\0") for a in range(0, len(block), _CHUNK)))
 
 
-def _format(cells, words, separators, fallback) -> None:
+def _workspace(size: int) -> SimpleNamespace:
+    """_format's 8-byte arrays for up to ``size`` cells: six float rows
+    and four int64 rows."""
+    return SimpleNamespace(f=np.empty((_FRAME, size)), i=np.empty((4, size), np.int64))
+
+
+def _format(cells, words, separators, fallback, ws) -> None:
     """Fill the frames ``words[i, j]`` of the float64 cells ``cells[i, j]``
     with their text, NUL bytes in the places it leaves empty, and column
-    j's separator from ``separators[j]``."""
-    x, words = cells.ravel(), words.reshape(-1, _FRAME)
+    j's separator from ``separators[j]``, in the _workspace ``ws``."""
+    x, words, n = cells.ravel(), words.reshape(-1, _FRAME), cells.size
     t = _tables()
-    a = np.abs(x)
+    a, row, big, q, group = ws.f[0, :n], *ws.i[:, :n]
+    np.abs(x, out=a)
     native = (a >= 1e-99) & (a < 1e99)
     zero = a == 0
     np.copyto(a, 1.0, where=~native)
-    row = np.floor(np.log10(a)).astype(np.intp)  # E, or one off near a power of ten
+    np.copyto(row, np.floor(np.log10(a, out=ws.f[1, :n]), out=ws.f[1, :n]), casting="unsafe")  # E, or one off
     row += _E_MAX + 1
-    big, frac = _scaled(a, row, t)
-    falls = (big < 10**16) | (np.abs(frac - 0.5) < _TIE)
+    frac = _scaled(a, row, t, ws.f[:, :n], big, q)
+    falls = (big < 10**16) | (np.abs(np.subtract(frac, 0.5, out=a), out=a) < _TIE)
     big += frac > 0.5
     falls |= (big >= 10**17) | ~(native | zero)
     big[falls | zero] = 0  # E one off, or a carry to 10**17, would overrun t.lead
 
-    groups = []  # N's 4-digit groups, lowest first; big keeps its first digit
-    for _ in range(4):
-        q = big // 10_000
-        groups.append(big - q * 10_000)
-        big = q
-    words[:, 0] = t.lead[big]
-    for j, g in enumerate(reversed(groups)):
-        words[:, 1 + j] = t.digits[g]
-    words[:, 5] = (t.exponent[row].reshape(cells.shape) | separators).ravel()
-    zeros = t.zeros[groups[0]]
-    rows = np.flatnonzero(groups[0] == 0)  # trailing zeros run on into the next group
-    for g in groups[1:]:
-        zeros[rows] += t.zeros[g[rows]]
-        rows = rows[g[rows] == 0]
-    words &= np.take(t.mask, t.code[row] - 2 * zeros + np.signbit(x), axis=0)
+    word = ws.f[0, :n].view(np.uint64)
+    for j in range(4, 0, -1):  # N's 4-digit groups, lowest first, into words 4 to 1; big keeps its first digit
+        np.floor_divide(big, 10_000, out=q)
+        np.subtract(big, np.multiply(q, 10_000, out=group), out=group)
+        big, q = q, big
+        words[:, j] = np.take(t.digits, group, out=word, mode="clip")
+        if j == 4:
+            zeros, rows = t.zeros[group], np.flatnonzero(group == 0)  # trailing zeros run on into the next group
+        else:
+            zeros[rows] += t.zeros[group[rows]]
+            rows = rows[group[rows] == 0]
+    words[:, 0] = np.take(t.lead, big, out=word, mode="clip")
+    exponent = np.take(t.exponent, row, out=word, mode="clip").reshape(cells.shape)
+    for j, end in enumerate(separators):  # a column at a time: numpy loops over the longer axis
+        exponent[:, j] |= end
+    words[:, 5] = word
+    code = np.take(t.code, row, out=q, mode="clip")
+    code -= zeros
+    code -= zeros
+    code += np.signbit(x)
+    words &= np.take(t.mask, code, axis=0, out=ws.f.ravel()[: n * _FRAME].view(np.uint64).reshape(n, _FRAME), mode="clip")
 
     if falls.any():  # the fallback's text, NUL-padded, in the bytes before the separator
         text = b"".join(fallback(v).encode().ljust(44, b"\0") for v in x[falls].tolist())
         words.view(np.uint8)[falls, :44] = np.frombuffer(text, np.uint8).reshape(-1, 44)
 
 
-def _scaled(a, row, t):
-    """floor(a * 10**(16 - E)) and the fraction above it, E being the
-    exponent of table row ``row``."""
-    p = a * t.hi[row]
-    c = a * _SPLIT
-    ah = c - (c - a)
-    al = a - ah
-    hh, hl = t.hh[row], t.hl[row]
-    e = ((ah * hh - p) + ah * hl + al * hh) + al * hl  # a * hi - p, exactly
-    e += a * t.lo[row]
-    whole = np.floor(e)
-    big = p.astype(np.int64)
-    big += whole.astype(np.int64)
-    e -= whole
-    return big, e
+def _scaled(a, row, t, f, big, whole):
+    """floor(a * 10**(16 - E)) into ``big`` and the fraction above it, E
+    being the exponent of table row ``row``; f's rows 1-5 and ``whole`` are
+    scratch."""
+    p, ah, al, g, e = f[1:]
+    # every table index here and in _format is in range by construction;
+    # mode="clip" has np.take write into out unbuffered
+    np.multiply(a, np.take(t.hi, row, out=g, mode="clip"), out=p)
+    np.multiply(a, _SPLIT, out=ah)  # c
+    np.subtract(ah, np.subtract(ah, a, out=al), out=ah)  # c - (c - a)
+    np.subtract(a, ah, out=al)
+    # a * hi - p, exactly, as ((ah hh - p) + ah hl + al hh) + al hl
+    np.subtract(np.multiply(ah, np.take(t.hh, row, out=g, mode="clip"), out=e), p, out=e)
+    np.copyto(big, p, casting="unsafe")
+    hl = np.take(t.hl, row, out=p, mode="clip")
+    g *= al  # al hh
+    e += np.multiply(ah, hl, out=ah)
+    e += g
+    e += np.multiply(al, hl, out=al)
+    e += np.multiply(a, np.take(t.lo, row, out=g, mode="clip"), out=g)
+    np.copyto(whole, np.floor(e, out=g), casting="unsafe")
+    big += whole
+    e -= g
+    return e

@@ -106,16 +106,17 @@ def _service_side(form, lam: ScalarDistribution, alpha: float, z: float):
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         rates = [_rate(m / z, f"service rate {m} / z") for _, m in parts]
         out = np.zeros((xs.size, ys.size))
-        if a > 0.0:
-            span = z * np.maximum(a - xs, 0.0)[:, None]
-            neg = np.isneginf(ys)
-            ysf = np.where(neg, 0.0, ys)
-            out = alpha * (lam.tail_integral_array(ysf)[None, :] - lam.tail_integral_array(ysf + span))
-            out[:, neg] = alpha * span
-            ys = ys + span
         past = np.maximum(xs - a, 0.0)[:, None]
-        # near z = 1e308 1 / rate overflows at y = -inf; eval_grid reports it
+        # near z = 1e308 the lead's tail integral at y + span and 1 / rate
+        # at y = -inf overflow; eval_grid reports a cell that is not finite
         with np.errstate(over="ignore"):
+            if a > 0.0:
+                span = z * np.maximum(a - xs, 0.0)[:, None]
+                neg = np.isneginf(ys)
+                ysf = np.where(neg, 0.0, ys)
+                out = alpha * (lam.tail_integral_array(ysf)[None, :] - lam.tail_integral_array(ysf + span))
+                out[:, neg] = alpha * span
+                ys = ys + span
             for (w, m), s in zip(parts, rates):
                 out += (alpha * w) * np.exp(-m * past) * lam.shifted_exp_integral_array(ys, s)
         return out

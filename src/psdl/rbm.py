@@ -4,20 +4,25 @@ Euler scheme with reflection at the origin,
 
     X_{k+1} = max(X_k + drift * dt + sqrt(variance * dt) * N_k, 0),
 
-evaluated in place with the Lindley closed form (a running sum plus a
-running minimum), one _PIECE-step piece at a time: each piece is drawn,
-summed and reflected in its own slice of the path, with the running sum
-S restarted at the piece and the last value x the only state carried
-into the next.  For negative drift the stationary law is exponential with
-rate 2 |drift| / variance, which gives closed-form CDF and quantiles;
-the quantile doubles as a deadline rule: the level the stationary queue
-stays below with the requested probability.
+evaluated with the Lindley closed form (a running sum plus a running
+minimum), one _PIECE-step piece at a time, with the running sum S
+restarted at each piece and the last value x the only state carried into
+the next.  ``simulate`` returns an ``RBMPath`` that draws its pieces from
+the seed on demand, so a reader taking them in turn, as the CSV writer
+does, holds one piece, not the path.  The time average is summed as the
+pieces arrive, in the order of numpy's pairwise sum, so it equals the
+path's ``mean()`` to the bit.  For negative drift the stationary law is
+exponential with rate 2 |drift| / variance, which gives closed-form CDF
+and quantiles; the quantile doubles as a deadline rule: the level the
+stationary queue stays below with the requested probability.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from .errors import ConfigError, SimulationError
 __all__ = ["RBMSpec", "RBMPath", "simulate", "stationary_cdf", "deadline_quantile"]
 
 _PIECE = 65_536  # steps per piece; the running sum S restarts at each
+_LEAF = 128  # numpy's pairwise sum adds up to this many values in one loop
 _MAX_FLOATS = 2.0**60  # fewer float64s stay below numpy's 2**63-byte array limit
 
 
@@ -57,18 +63,97 @@ class RBMSpec:
 
 @dataclass(frozen=True)
 class RBMPath:
-    """values[k] is the path at time k * dt; time_average is values.mean()."""
+    """X_k at time k dt, k <= steps: x0, then the Lindley pieces of the
+    increments mu + scale N_k, N_k the seed's standard normals.  pieces()
+    draws it; values and time_average (its mean()) each come from a draw."""
 
     dt: float
-    values: np.ndarray
-    time_average: float
+    steps: int
+    x0: float
+    mu: float
+    scale: float
+    seed: int
+
+    def pieces(self, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """[x0], then each piece, in new arrays or in the slices of the
+        path-sized array ``out``.  A piece past the float range raises
+        before it is yielded; the time average is checked, and cached as
+        time_average, before the last one is."""
+        size, n = _PIECE, self.steps + 1
+        rng, low, total = np.random.default_rng(self.seed), np.empty(min(size, self.steps)), _PairwiseSum(n, size)
+        s = np.empty(1) if out is None else out[:1]
+        s[0] = self.x0
+        total.add(s)
+        for pos in range(1, n, size):
+            yield s
+            end = min(pos + size, n)  # the stream of standard_normal(steps)
+            x, s = s[-1], rng.standard_normal(end - pos, out=None if out is None else out[pos:end])
+            with np.errstate(over="ignore", invalid="ignore"):
+                s *= self.scale
+                s += self.mu
+                np.cumsum(s, out=s)
+                run = np.minimum.accumulate(s, out=low[: s.size])
+                s += np.maximum(x, np.negative(run, out=run), out=run)
+                total.add(s)
+            if not np.isfinite(s).all():
+                raise SimulationError(f"the path leaves the float range past step {pos - 1}")
+        average = float(total.sum / n)
+        if not math.isfinite(average):
+            raise SimulationError(f"the path's time average leaves the float range: mean {average}")
+        self.__dict__["time_average"] = average
+        yield s
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = np.empty(self.steps + 1)
+        for _ in self.pieces(values):
+            pass
+        return values
+
+    @cached_property
+    def time_average(self) -> float:
+        for _ in self.pieces():
+            pass
+        return self.__dict__["time_average"]
+
+
+class _PairwiseSum:
+    """numpy's pairwise sum of n values added in order, value 0 alone and
+    then pieces of ``size`` values: ``sum``, once the last is added."""
+
+    def __init__(self, n: int, size: int):
+        self.tree, self.held, self.pos = _tree(0, n, size), np.empty(0), 0  # held: the last values added, a leaf's worth
+        self.node = next(self.tree)
+
+    def add(self, piece: np.ndarray) -> None:
+        (lo, hi), pos, self.pos = self.node, self.pos, self.pos + piece.size
+        while hi <= self.pos:  # a node this piece completes
+            part = piece[lo - pos : hi - pos] if lo >= pos else np.concatenate([self.held[lo - pos :], piece[: hi - pos]])
+            try:
+                lo, hi = self.node = self.tree.send(np.add.reduce(part, initial=0.0))
+            except StopIteration as done:
+                self.sum = done.value
+                break
+        self.held = np.concatenate([self.held, piece[-_LEAF:]])[-_LEAF:]
+
+
+def _tree(lo: int, hi: int, size: int):
+    """numpy's pairwise sum of values[lo:hi], which halves a range of over
+    _LEAF values at a multiple of 8, as a coroutine: it yields the (lo, hi)
+    of each node one reduce call sums, a leaf or a node inside one piece,
+    left to right, is sent that node's sum, and returns the total."""
+    if hi - lo <= _LEAF or (lo - 1) // size == (hi - 2) // size:  # value 0 is a piece of its own
+        return (yield lo, hi)
+    half = (hi - lo) // 2
+    mid = lo + half - half % 8
+    return (yield from _tree(lo, mid, size)) + (yield from _tree(mid, hi, size))
 
 
 def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
-    """Euler path on {0, dt, ..., n dt} covering [0, horizon], in the path and
-    one _PIECE-step buffer: per piece X_k = S_k + max(x, -min_{j<=k} S_j), with
-    S restarted at the piece and x, the only carry, the value before it.  A
-    step, value or average past the float range raises."""
+    """The Euler path on {0, dt, ..., n dt} covering [0, horizon], drawn on
+    demand: per piece X_k = S_k + max(x, -min_{j<=k} S_j).  A request or a
+    step past the float range raises here, a value or an average past it
+    when the draw reaches it."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ConfigError(f"horizon must be positive, got {horizon}")
     if not (0.0 < dt <= horizon):
@@ -86,25 +171,7 @@ def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:
             f"sqrt(variance * dt) = {scale}, drift * dt = {mu}"
         )
     n = int(math.ceil(steps - 1e-12))
-    rng = np.random.default_rng(seed)
-    values = np.empty(n + 1)
-    values[0] = x = spec.x0
-    low = np.empty(min(_PIECE, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for pos in range(1, n + 1, _PIECE):
-            s = values[pos : pos + _PIECE]
-            rng.standard_normal(out=s)  # the stream of standard_normal(n)
-            s *= scale
-            s += mu
-            np.cumsum(s, out=s)
-            run = np.minimum.accumulate(s, out=low[: s.size])
-            s += np.maximum(x, np.negative(run, out=run), out=run)
-            x = s[-1]
-        # finite only if every value is, and their sum stays in range
-        average = float(values.mean())
-    if not math.isfinite(average):
-        raise SimulationError(f"the path or its time average leaves the float range: mean {average}")
-    return RBMPath(dt=dt, values=values, time_average=average)
+    return RBMPath(dt=dt, steps=n, x0=spec.x0, mu=mu, scale=scale, seed=seed)
 
 
 def stationary_cdf(spec: RBMSpec, x: float) -> float:

@@ -8,6 +8,8 @@ import math
 import multiprocessing
 import os
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -502,6 +504,17 @@ def test_lift_with_non_finite_cells_is_a_config_error(tmp_path, capsys, joint, z
     assert not out.exists()
 
 
+def test_atom_service_lift_at_the_float_maximum_prints_nothing(tmp_path, capsys):
+    # the lead's tail integral past a service atom overflows near z = 1e308,
+    # which once printed numpy's warning on stderr beside a finite table
+    service = {"kind": "deterministic", "value": 1.0}
+    joint = {"kind": "product", "service": service, "lead": {**HYPER, "rates": [0.5, 2.0]}}
+    cfg = write_config(tmp_path, {"schema_version": 1, "lift": {"joint": joint, "alpha": 1.0, "z": 1e308}})
+    assert main(["lift", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "lift.csv").exists()
+
+
 def test_non_finite_law_parameter_is_a_config_error(tmp_path, capsys):
     # JSON's NaN reads as a float; a NaN lead would print nan masses
     joint = {"kind": "empirical", "points": [[1.0, float("nan")], [1.0, 2.0]]}
@@ -552,18 +565,48 @@ def test_exit_code_runtime_failure(tmp_path, monkeypatch):
 # each asks for an array of over 2^47 floats, past any 64-bit address space,
 # so the allocation fails at once instead of being granted lazily
 TOO_LARGE = [
-    ("rbm", {"rbm": {**RBM, "horizon": 1e15, "dt": 1.0}}),
     ("lift", {"lift": {**LIFT, "grid": {**LIFT["grid"], "x_step": 1e-15}}}),
 ]
 
 
-@pytest.mark.parametrize("cmd, body", TOO_LARGE, ids=["rbm", "lift"])
+@pytest.mark.parametrize("cmd, body", TOO_LARGE, ids=["lift"])
 def test_exit_code_allocation_failure(tmp_path, capsys, cmd, body):
     cfg = write_config(tmp_path, {"schema_version": 1, **body})
     assert main([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("runtime error: out of memory") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_rbm_path_past_the_free_disk_exits_at_once(tmp_path, capsys):
+    # 1e15 steps: rbm_path.csv, at 5 bytes a row at the least, would not fit
+    # on any disk, and the path is drawn as it is written, so no allocation
+    # fails; the command refuses it before making its directory
+    cfg = write_config(tmp_path, {"schema_version": 1, "rbm": {**RBM, "horizon": 1e15, "dt": 1.0}})
+    out = tmp_path / "new" / "out"
+    start = time.perf_counter()
+    assert main(["rbm", "--config", cfg, "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: cannot write {out / 'rbm_path.csv'}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "new").exists()
+
+
+def test_rbm_command_holds_one_piece(tmp_path):
+    # tracemalloc peaks of the 1e6-step command (numpy 2.4, Python 3.11):
+    # 4.2 MB drawing the path as it is written, 11.0 MB holding it whole
+    cfg = write_config(tmp_path, {"schema_version": 1, "rbm": {**RBM, "horizon": 1000.0, "dt": 1e-3}})
+    argv = ["rbm", "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # imports and tables made on first use stay out of the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "rbm_path.csv").read_bytes().count(b"\n") == 1_000_002
+    assert peak < 5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class _FullDisk(io.RawIOBase):

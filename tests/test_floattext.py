@@ -3,6 +3,7 @@
 import io
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -135,3 +136,25 @@ def test_seeded_outputs_need_no_fallback():
     assert len(out.path) > 1000
     assert _fallbacks(fileio.write_path_csv, out) == []
     assert _fallbacks(fileio.write_departures_csv, out) == []
+
+
+def test_format_computes_in_its_workspace():
+    # one 16,384-cell block of an RBM path beside its time column: the
+    # kernel's own temporaries once took about 3 MB a block, and each
+    # 128 KiB array of them was mapped and unmapped at every block
+    path = simulate(RBMSpec(-0.5, 2.0), 100.0, 1e-3, 1).values[:8192]
+    cells = np.stack([np.arange(8192) * 1e-3, path], axis=1)
+    words = np.zeros((8192, 2, floattext._FRAME), np.uint64)
+    separators = np.frombuffer(bytes(4) + b",\0\0\0" + bytes(4) + b"\r\n\0\0", np.uint64)
+    ws = floattext._workspace(cells.size)
+    floattext._format(cells, words, separators, format_value, ws)  # the tables are made on first use
+    tracemalloc.start()
+    try:
+        floattext._format(cells, words, separators, format_value, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e5, f"peak {peak / 1e3:.0f} kB"
+    rows = words.view(np.uint8).tobytes().translate(None, b"\0").split(b"\r\n")[:-1]
+    assert rows == [b"%.17g,%.17g" % tuple(row) for row in cells.tolist()]
+

@@ -134,13 +134,48 @@ def test_path_tracks_a_long_double_recursion():
 
 
 def test_simulate_takes_the_path_and_one_piece():
-    # the normals are drawn into the path: no block-sized array beside it
-    simulate(RBMSpec(-0.5, 2.0), 1.0, 1e-3, 1)  # imports made on first use stay out of the trace
+    # values is filled from one draw: the path, one piece and its running
+    # minimum, no second path-sized array beside it
+    simulate(RBMSpec(-0.5, 2.0), 1.0, 1e-3, 1).values  # imports made on first use stay out of the trace
     tracemalloc.start()
     try:
         path = simulate(RBMSpec(-0.5, 2.0), 1000.0, 1e-3, 1)
+        path.values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert path.values.size == 1_000_001
     assert peak <= path.values.nbytes + 1.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+# lengths about numpy's 8-value unroll, its 128-value leaves, its first
+# splits and the piece boundaries, and pieces shorter than a leaf
+MEAN_LENGTHS = (1, 2, 7, 8, 9, 128, 129, 130, 256, 257, 65_537, 65_538, 131_073, 1_000_001)
+
+
+@pytest.mark.parametrize("piece", [5, 37, 64, 65_536])
+def test_streamed_sum_is_numpys_pairwise_sum(piece):
+    # the sum the time average divides, taken node by node over numpy's
+    # pairwise tree as value 0 and then pieces arrive, must be np.mean's to
+    # the bit; a numpy that sums in another order fails here
+    from psdl.rbm import _PairwiseSum
+
+    rng = np.random.default_rng(piece)
+    for n in MEAN_LENGTHS if piece == 65_536 else MEAN_LENGTHS[:-1]:
+        v = rng.exponential(size=n)
+        total = _PairwiseSum(n, piece)
+        for lo, hi in [(0, 1), *((pos, pos + piece) for pos in range(1, n, piece))]:
+            total.add(v[lo:hi])
+        assert total.sum / n == v.mean(), f"{n} values in pieces of {piece}"
+
+
+@pytest.mark.parametrize("piece", [5, 37, 64])
+def test_time_average_with_pieces_shorter_than_a_leaf(monkeypatch, piece):
+    import psdl.rbm as rbm_mod
+
+    monkeypatch.setattr(rbm_mod, "_PIECE", piece)
+    for steps in (1, 6, 127, 128, 129, 1000):
+        path = rbm_mod.simulate(RBMSpec(-0.5, 2.0, 0.7), steps * 2.0**-10, 2.0**-10, 3)
+        assert path.steps == steps
+        assert path.time_average == path.values.mean()
+

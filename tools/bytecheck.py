@@ -14,6 +14,10 @@ one process per tree:
   steps: a path half again as long as the full-size one, so that a change
   to how the rbm path is pieced or summed shows past the full-size 1e6
   steps too;
+* the same config at x0 = ``EDGE_RBM_X0`` and horizon ``EDGE_RBM_HORIZON``,
+  65,538 values: its last piece is one step long and every write block
+  after the first starts inside a piece, and its first value is not 0, as
+  it is in every job above;
 * the README's scenario, and its sweep at ``--threads`` 1 and 2.
 
 Both trees read the same config files, written once from HEAD's perfbench
@@ -46,6 +50,7 @@ from compare import _git, export  # noqa: E402
 
 SEEDS = range(16)
 LONG_RBM_HORIZON = 1500.0
+EDGE_RBM_X0, EDGE_RBM_HORIZON = 0.7, 65.537  # 65,537 steps of dt = 0.001
 
 # runs in each tree: every (output name, argv) job through psdl.cli.main,
 # printing the exit status of each as one JSON object
@@ -82,6 +87,10 @@ def write_jobs(head: Path, cfg_root: Path) -> list[tuple[str, list[str]]]:
     long_rbm = cfg_root / "rbm_long.json"
     long_rbm.write_text(json.dumps(body))
     jobs.append(("long/rbm", ["rbm", "--config", str(long_rbm)]))
+    body["rbm"].update(x0=EDGE_RBM_X0, horizon=EDGE_RBM_HORIZON)
+    edge_rbm = cfg_root / "rbm_edge.json"
+    edge_rbm.write_text(json.dumps(body))
+    jobs.append(("edge/rbm", ["rbm", "--config", str(edge_rbm)]))
     for i, text in enumerate(re.findall(r"```json\n(.*?)```", (head / "README.md").read_text(), re.S)):
         path = cfg_root / f"readme{i}.json"
         path.write_text(text)

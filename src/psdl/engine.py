@@ -27,21 +27,22 @@ over jobs still in service, the state descriptor the limit theory
 speaks about.  The workload W, the sum of residuals, is only a
 self-check, and the loop does not pay for it: it records where the
 events fell (per departure the job id of the next arrival, per snapshot
-its complement) and S at the horizon.  On first read of ``path`` or
-``workload_check``, ``SimOutput`` replays that record, each departure
-at its target (jobs leave in target order, below), and keeps
+its complement) and S at the horizon.  ``SimOutput.path_blocks``
+replays that record, each departure at its target (jobs leave in target
+order, below), and keeps
 
     W = (sum of targets) - Z * S,
 
 the target sum a compensated (Neumaier) running sum reset to exactly 0
-whenever the system empties.  The replay logs (t, kind, Z, W before,
-W after, S) per event in a flat list and moves it, every 4096 events or
-so, into a typed column per field (``array('d')``, Z in ``array('q')``),
-which the path's arrays view: the Python floats never build up.  The
-workload check is the largest gap at a snapshot between W and the exact
-sum of its residuals.  Between events
-the targets and Z are fixed, so the logged W falls by Z times the
-advance of S: the busy-rate check tests how S advances.
+whenever the system empties.  It logs (t, kind, Z, W before, W after, S)
+per event in a flat list and yields it as a typed block (a ``PathLog``,
+Z int64) every _REPLAY_ROWS events: the Python floats never build up, and
+a reader taking the blocks in turn, as the CSV writer does, holds one
+block, not the path, which ``path`` puts end to end.  The workload check
+is the largest gap at a snapshot between W and the exact sum of its
+residuals.  Between events the targets and Z are fixed, so the logged W
+falls by Z times the advance of S: the busy-rate check tests how S
+advances, a block at a time.  A finished replay caches both checks.
 
 Jobs are kept as per-job float64 columns indexed by job id (arrival
 time, service, lead, S on entry, departure time), at 8 bytes a value
@@ -84,6 +85,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -198,6 +200,7 @@ class PathLog:
 
 _BLOCK_ROWS = 256  # rows of a scalar block, and of the first vectorised one
 _MAX_BLOCK_ROWS = 4096  # vectorised blocks double up to this
+_REPLAY_ROWS = 2048  # events per block of the path replay
 
 
 def _packed(values: list, typecode: str = "d") -> bytes:
@@ -368,43 +371,57 @@ class SimOutput:
             for i, (u, v, l, s0, d) in enumerate(zip(arr, svc, lead, off, dep.tolist()))
         )
 
-    @property
+    @cached_property
     def path(self) -> PathLog:
-        """The state after each event, replayed from the run's record."""
-        return self._replay[0]
+        """The state after each event: the replay's blocks end to end."""
+        blocks = list(self.path_blocks())
+        t, z, w_pre, w_post, s = (np.concatenate([getattr(b, k) for b in blocks]) for k in ("times", "z", "w_pre", "w_post", "s"))
+        return PathLog(t, tuple(chain.from_iterable(b.kinds for b in blocks)), z, w_pre, w_post, s)
 
     @property
     def workload_check(self) -> float:
         """Largest |running W - exact fsum of residuals| over the snapshots."""
-        return self._replay[1]
+        return self._checks[0]
 
     @cached_property
-    def _replay(self) -> tuple[PathLog, float]:
-        """One pass: the arrivals before each mark, the event it marks, the end."""
+    def _checks(self) -> tuple[float, float]:
+        """(workload check, busy-rate check), cached by a finished replay."""
+        for _ in self.path_blocks():
+            pass
+        return self.__dict__["_checks"]
+
+    def path_blocks(self) -> Iterator[PathLog]:
+        """One pass, in blocks of _REPLAY_ROWS events: the arrivals before
+        each mark, the event it marks, the end; caches ``_checks`` when done."""
         arr, svc, _, off, _ = self.job_columns
         n_init = len(self.config.initial_jobs)
         # (t, S) per departure: S lands on the departing target, and jobs leave in target order
         dep_s = np.sort(np.add(off, svc))[: self.departure_times.size]
-        departures, snapshots = zip(self.departure_times.tolist(), dep_s.tolist()), iter(self.snapshots)
+        departures, snapshots = zip(memoryview(self.departure_times), memoryview(dep_s)), iter(self.snapshots)
         tsum = tcomp = 0.0  # compensated sum of the targets in service
         for v in svc[:n_init]:
             tsum, tcomp = _neumaier_add(tsum, tcomp, v)
         w = tsum + tcomp
         # six fields per event (t, kind, Z after, W before, W after, S) in a
-        # flat list, moved into a column per field every 4096 events or so,
-        # so that the Python floats never build up
-        log, kinds, columns = [0.0, "init", n_init, w, w, 0.0], [], tuple(map(array, "dqddd"))
+        # flat list behind the last event of the block before, at first a
+        # stand-in with Z = 0 that the busy-rate check skips; cut into a
+        # typed block every _REPLAY_ROWS events
+        log, full, busy = [0.0, "", 0, 0.0, 0.0, 0.0, 0.0, "init", n_init, w, w, 0.0], 6 * _REPLAY_ROWS + 6, []
         check = 0.0
         z = j = n_init  # jobs present; the next arrival's job id
         for mark in chain(self.event_marks, (None,)):
             stop = len(arr) if mark is None else mark if mark >= 0 else ~mark
             while j < stop:
+                if len(log) == full:
+                    yield _cut(log, busy)
                 s = off[j]
                 t1, c1 = _neumaier_add(tsum, tcomp, s + svc[j])
                 log.extend((arr[j], "arrival", z + 1, (tsum + tcomp) - z * s, (t1 + c1) - (z + 1) * s, s))
                 tsum, tcomp = t1, c1
                 z += 1
                 j += 1
+            if len(log) == full:
+                yield _cut(log, busy)
             if mark is None:
                 w = (tsum + tcomp) - z * self.s_end
                 log.extend((self.config.horizon, "end", z, w, w, self.s_end))
@@ -420,13 +437,9 @@ class SimOutput:
                 w = (tsum + tcomp) - z * s
                 check = max(check, abs(w - fsum(state.residuals.tolist())))
                 log.extend((t, "snapshot", z, w, w, s))
-            if mark is None or len(log) >= 6 * 4096:
-                kinds.extend(log[1::6])
-                for col, i in zip(columns, (0, 2, 3, 4, 5)):
-                    col.frombytes(_packed(log[i::6], col.typecode))
-                log.clear()
-        t, *rest = (np.frombuffer(col, col.typecode) for col in columns)
-        return PathLog(t, tuple(kinds), *rest), check
+        block = _cut(log, busy)
+        self.__dict__["_checks"] = check, float(np.max(busy)) if busy else 0.0
+        yield block
 
     def sojourns_departing(self, t_lo: float, t_hi: float) -> np.ndarray:
         """Sojourns of the jobs departing in [t_lo, t_hi], in departure order."""
@@ -444,6 +457,21 @@ class SimOutput:
         if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise ConfigError(f"no snapshot recorded at t={t}; nearest is {times[i]}")
         return self.snapshots[i]
+
+
+def _cut(log: list, busy: list) -> PathLog:
+    """The events of the flat six-field replay log after its first, as a
+    typed block.  Appends to ``busy`` the largest |delta W + delta t| over
+    the busy intervals between the log's events, and leaves only the last
+    event in the log."""
+    t, z, w_pre, w_post, s = (np.frombuffer(_packed(log[i::6], c), c) for i, c in zip((0, 2, 3, 4, 5), "dqddd"))
+    err = np.abs(w_pre[1:] - w_post[:-1] + (t[1:] - t[:-1]))
+    on = z[:-1] >= 1
+    if on.any():
+        busy.append(err[on].max())
+    kinds = tuple(log[7::6])
+    del log[:-6]
+    return PathLog(t[1:], kinds, z[1:], w_pre[1:], w_post[1:], s[1:])
 
 
 def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -602,11 +630,7 @@ def busy_rate_check(out: SimOutput) -> float:
     """Max over busy inter-event intervals of |delta W + delta t|.
 
     With Z >= 1 on an interval the total service rate is 1, so the
-    workload must drain at exactly unit rate between events.
+    workload must drain at exactly unit rate between events.  The replay
+    takes it a block at a time and caches it, so it needs no ``path``.
     """
-    p = out.path
-    dt = p.times[1:] - p.times[:-1]
-    err = np.abs(p.w_pre[1:] - p.w_post[:-1] + dt)
-    busy = p.z[:-1] >= 1
-    return float(err[busy].max()) if busy.any() else 0.0
-
+    return out._checks[1]

@@ -17,10 +17,12 @@ request or a law is declared once.  A number is never a boolean or a
 numeric string.  An unknown key (a typo should fail loudly), a missing
 field or a value of the wrong type or form raises ConfigError.
 
-Writers hand each table as columns to _write_csv, which writes it a
-block of rows at a time.  Floats print as ``%.17g`` (format_value) and
-JSON is dumped with sorted keys: identical runs, identical bytes.  A table
-of numeric columns is formatted by numpy (psdl.floattext): per cell,
+Writers hand each table to _write_csv as columns, or as a stream of row
+blocks that is never held whole (the path replay, the departures a block
+of ids at a time, the RBM pieces), and it is written a block of rows at
+a time.  Floats print as ``%.17g`` (format_value) and JSON is dumped
+with sorted keys: identical runs, identical bytes.  A table of numeric
+columns is formatted by numpy (psdl.floattext): per cell,
 |x| * 10**(16 - E) with E = floor(log10 |x|) is formed as a double-double
 to within 2**-47, rounded to the 17-digit N that %.17g prints unless its
 fraction lies within 1e-12 of 1/2, and N's digits are laid out by %g's
@@ -35,6 +37,7 @@ import contextlib
 import functools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Annotated, get_args, get_origin, get_type_hints
@@ -87,7 +90,7 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
-_BLOCK_CELLS = 16_384  # cells per write call: 1.3 MB of kernel workspace at any width
+_BLOCK_CELLS = 8_192  # cells per write call: 0.66 MB of kernel workspace at any width
 _QUOTED = ',"\r\n'  # csv.writer quotes a cell holding any of these
 _REQUEST_KEYS = ("scenario", "sweep", "lift", "profile", "rbm")
 
@@ -356,35 +359,39 @@ def parse_rbm(payload: dict) -> RBMRequest:
 
 
 def _write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length columns under a header row, _BLOCK_CELLS cells per
-    write call, in csv.writer's bytes, each cell as format_value prints it.
+    """Write a table under a header row, _BLOCK_CELLS cells per write call,
+    in csv.writer's bytes, each cell as format_value prints it: equal-length
+    columns, or an iterator of row blocks of numeric columns (a stream).
 
     A table of float arrays and integer arrays within +-2**53 (where %d
-    and %.17g print the same text) goes to floattext.write_table.  It takes
-    each cell's 17 digits from a double-double product accurate to
-    2**-47, far inside the 1e-12 window around 1/2 that it leaves to
-    format_value, along with the cells whose decimal exponent log10 misread
-    and the values beyond its tables (see psdl.floattext).  Any other table
-    is formatted cell by cell through format_value and joined row by row.
+    and %.17g print the same text) goes to floattext.write_table, as does
+    a stream, whose integers are counts and ids.  The kernel takes each
+    cell's 17 digits from a double-double product accurate to 2**-47, far
+    inside the 1e-12 window around 1/2 that it leaves to format_value,
+    along with the cells whose decimal exponent log10 misread and the
+    values beyond its tables (see psdl.floattext).  Any other table is
+    formatted cell by cell through format_value and joined row by row.
     A cell csv.writer would quote (holding a comma, a double quote or a
     line break) raises ValueError, as does a table of fewer than two
     columns."""
-    n = len(columns[0]) if columns else 0
-    if len(header) != len(columns) or len(columns) < 2 or any(len(c) != n for c in columns):
+    stream = isinstance(columns, Iterator)
+    n = 0 if stream or not columns else len(columns[0])
+    if not stream and (len(header) != len(columns) or len(columns) < 2 or any(len(c) != n for c in columns)):
         raise ValueError(f"{path}: need two or more equal-length columns, one per header name")
-    kinds = [getattr(c, "dtype", np.dtype(object)).kind for c in columns]
-    rows = max(1, _BLOCK_CELLS // len(columns))
+    rows = max(1, _BLOCK_CELLS // len(header))
+    kinds = () if stream else [getattr(c, "dtype", np.dtype(object)).kind for c in columns]
+    numeric = stream or all(k == "f" or (k in "iu" and _within_2_53(c)) for c, k in zip(columns, kinds))
+    blocks = columns if stream else ([c[lo : lo + rows] for c in columns] for lo in range(0, n, rows))
     with _create(path, newline="") as fh:
         fh.write(",".join(_text(header)) + "\r\n")
-        if all(k == "f" or (k in "iu" and _within_2_53(c)) for c, k in zip(columns, kinds)):
+        if numeric:
             from .floattext import write_table  # imported on first use: fileio's import skips it
 
             fh.flush()
-            write_table(fh.buffer, columns, rows, format_value)
+            write_table(fh.buffer, blocks, rows, format_value)
             return
-        for lo in range(0, n, rows):
-            cells = [_text(c[lo : lo + rows]) for c in columns]
-            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+        for block in blocks:
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*map(_text, block))))
 
 
 def _within_2_53(column: np.ndarray) -> bool:
@@ -422,19 +429,20 @@ def write_json(data: dict, path) -> None:
 
 
 def write_departures_csv(out: SimOutput, path) -> None:
-    # a job still in service has departure NaN
+    # the departed jobs (a job still in service has departure NaN) in
+    # departure order, by time, then job id; their columns a block at a time
     arr, svc, lead, _, dep = (np.asarray(c, dtype=float) for c in out.job_columns)
     ids = np.flatnonzero(~np.isnan(dep))
-    ids = ids[np.lexsort((ids, dep[ids]))]  # departure order: by time, then job id
-    header = ["id", "arrival", "sojourn", "service_req", "lateness"]
-    columns = [arr, dep - arr, svc, np.maximum(0.0, dep - (arr + lead))]
-    _write_csv(path, header, [ids, *(c[ids] for c in columns)])
+    ids = ids[np.lexsort((ids, dep[ids]))]
+    blocks = (ids[lo : lo + _BLOCK_CELLS // 5] for lo in range(0, ids.size, _BLOCK_CELLS // 5))
+    columns = ([i, arr[i], dep[i] - arr[i], svc[i], np.maximum(0.0, dep[i] - (arr[i] + lead[i]))] for i in blocks)
+    _write_csv(path, ["id", "arrival", "sojourn", "service_req", "lateness"], columns)
 
 
 def write_path_csv(out: SimOutput, path) -> None:
-    # one row per event; z and w are the post-event (right-continuous) values
-    p = out.path
-    _write_csv(path, ["t", "z", "w", "s"], [p.times, p.z, p.w_post, p.s])
+    # one row per event, as the replay yields them; z and w are the
+    # post-event (right-continuous) values
+    _write_csv(path, ["t", "z", "w", "s"], ([p.times, p.z, p.w_post, p.s] for p in out.path_blocks()))
 
 
 def write_snapshots_csv(out: SimOutput, path) -> None:
@@ -479,33 +487,15 @@ def write_profile_csv(values, label: str, path) -> None:
     _write_csv(path, ["y", label], list(np.array(values, dtype=float).reshape(-1, 2).T))
 
 
-class _Pieces:
-    """The arrays ``pieces`` yields, end to end: a numeric column of n floats
-    read in consecutive slices from the start, as write_table reads one."""
-
-    dtype = np.dtype(float)
-
-    def __init__(self, n: int, pieces):
-        self.n, self.pieces = n, pieces
-        self.head = next(pieces)  # drawn, not yet read
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, s: slice) -> np.ndarray:
-        parts, size = [], len(range(*s.indices(self.n)))
-        while size > self.head.size:
-            parts.append(self.head)
-            size -= self.head.size
-            self.head = next(self.pieces)
-        parts.append(self.head[:size])
-        self.head = self.head[size:]
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
 def write_rbm_path_csv(rbm: RBMPath, path) -> None:
     """The path as it is drawn, beside t = k * dt made a write block at a
     time; a value or time average past the float range removes the file."""
-    n, rows = rbm.steps + 1, _BLOCK_CELLS // 2
-    times = (np.arange(lo, min(lo + rows, n), dtype=float) * rbm.dt for lo in range(0, n, rows))
-    _write_csv(path, ["t", "x"], [_Pieces(n, times), _Pieces(n, rbm.pieces())])
+    rows = _BLOCK_CELLS // 2
+
+    def blocks():
+        k = 0
+        for x in (p[lo : lo + rows] for p in rbm.pieces() for lo in range(0, p.size, rows)):
+            yield [np.arange(k, k + x.size, dtype=float) * rbm.dt, x]
+            k += x.size
+
+    _write_csv(path, ["t", "x"], blocks())

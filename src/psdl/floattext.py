@@ -44,12 +44,13 @@ bare point stripped, and d.ddd e+XX otherwise.
   cells' frames side by side.  The frames are copied to bytes, whose
   translate deletes their NULs faster than bytearray.translate does,
   _CHUNK bytes at a time.
-* Memory.  write_table makes the frames and the 8-byte arrays _format
-  computes in (_workspace, 80 bytes a cell) once per table.  An 8-byte
-  array of a 16,384-cell block is 128 KiB, glibc's default mmap
-  threshold, and a block's frames 768 KiB, so arrays made per block, or
-  a copy of the whole frames, were mapped, faulted in and unmapped at
-  every block, unless an earlier large free had raised the threshold.
+* Memory.  write_table takes the table as a stream of row blocks and
+  makes the frames and the 8-byte arrays _format computes in (_workspace,
+  80 bytes a cell) once, for the longest run of rows it formats.  Arrays
+  made per block, or a copy of the whole frames, were mapped, faulted in
+  and unmapped at every block once they reached glibc's default mmap
+  threshold of 128 KiB (an 8-byte array of 16,384 cells), unless an
+  earlier large free had raised it.
 """
 
 from __future__ import annotations
@@ -133,25 +134,29 @@ def _tables() -> SimpleNamespace:
     )
 
 
-def write_table(fh, columns, block_rows: int, fallback) -> None:
-    """Write the rows of equal-length numeric columns to the binary file fh
-    as CSV lines, block_rows rows per write call.  ``fallback(v)`` is the
-    text of a cell the kernel leaves to ``%``."""
-    n, k = len(columns[0]), len(columns)
-    rows = min(n, block_rows)
-    cells = np.empty((rows, k))  # a block of rows, the kernel's cells in row order
-    frames = bytearray(rows * k * 8 * _FRAME)
-    words = np.frombuffer(frames, np.uint64).reshape(rows, k, _FRAME)
-    ends = [b","] * (k - 1) + [b"\r\n"]  # each column's separator, after its exponent in word 5
-    separators = np.frombuffer(b"".join(bytes(4) + end.ljust(4, b"\0") for end in ends), np.uint64)
-    ws = _workspace(rows * k)
-    for lo in range(0, n, block_rows):
-        m = min(n - lo, block_rows)
-        for j, c in enumerate(columns):
-            cells[:m, j] = c[lo : lo + m]
-        _format(cells[:m], words[:m], separators, fallback, ws)
-        block = memoryview(frames)[: m * k * 8 * _FRAME]
-        fh.write(b"".join(block[a : a + _CHUNK].tobytes().translate(None, b"\0") for a in range(0, len(block), _CHUNK)))
+def write_table(fh, blocks, block_rows: int, fallback) -> None:
+    """Write the row blocks ``blocks`` yields to the binary file fh as CSV
+    lines, at most block_rows rows per write call.  A block is a list of
+    the table's numeric columns over a run of its rows, of any length.
+    ``fallback(v)`` is the text of a cell the kernel leaves to ``%``."""
+    size = 0  # rows the workspace holds
+    for columns in blocks:
+        n, k = len(columns[0]), len(columns)
+        for lo in range(0, n, block_rows):
+            m = min(n - lo, block_rows)
+            if m > size:  # made for the first run of rows, remade only for a longer one
+                size = m
+                cells = np.empty((m, k))  # a run of rows, the kernel's cells in row order
+                frames = bytearray(m * k * 8 * _FRAME)
+                words = np.frombuffer(frames, np.uint64).reshape(m, k, _FRAME)
+                ends = [b","] * (k - 1) + [b"\r\n"]  # each column's separator, after its exponent in word 5
+                separators = np.frombuffer(b"".join(bytes(4) + end.ljust(4, b"\0") for end in ends), np.uint64)
+                ws = _workspace(m * k)
+            for j, c in enumerate(columns):
+                cells[:m, j] = c[lo : lo + m]
+            _format(cells[:m], words[:m], separators, fallback, ws)
+            block = memoryview(frames)[: m * k * 8 * _FRAME]
+            fh.write(b"".join(block[a : a + _CHUNK].tobytes().translate(None, b"\0") for a in range(0, len(block), _CHUNK)))
 
 
 def _workspace(size: int) -> SimpleNamespace:

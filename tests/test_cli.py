@@ -609,6 +609,37 @@ def test_rbm_command_holds_one_piece(tmp_path):
     assert peak < 5e6, f"peak {peak / 1e6:.2f} MB"
 
 
+def test_simulate_command_holds_the_job_columns_and_one_block(tmp_path):
+    # tracemalloc peaks of the second in-process command on perfbench's
+    # cli_pipeline scenario (r = 80, about 25k events; numpy 2.4, Python
+    # 3.11): 2.8 MB streaming the path replay and the departures in
+    # blocks, 4.9 MB replaying the whole path and forming whole columns
+    r = 80.0
+    scenario = {
+        "interarrival": {"kind": "exponential", "rate": 1.0 - 0.5 / r},
+        "joint": {
+            "kind": "product",
+            "service": {"kind": "exponential", "rate": 1.0},
+            "lead": {"kind": "exponential", "rate": 1.0 / r},
+        },
+        "horizon": 2.0 * r * r,
+        "snapshot_times": [2.0 * r * r * k / 4.0 for k in (1, 2, 3, 4)],
+        "seed": 20260815,
+        "r": r,
+    }
+    cfg = write_config(tmp_path, {"schema_version": 1, "scenario": scenario})
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # imports and tables made on first use stay out of the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "path.csv").read_bytes().count(b"\n") > 25_000
+    assert peak < 3.6e6, f"peak {peak / 1e6:.2f} MB"
+
+
 class _FullDisk(io.RawIOBase):
     """A raw stream whose every write fails with ENOSPC, as on a full disk."""
 

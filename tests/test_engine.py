@@ -10,12 +10,15 @@ The two fixed scenarios are fully traceable by hand:
   1/2 the first departs at t=1.5, the newcomer (residual 0.5 left) at 2.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import state_checks
 from state_checks import departures, verify_dynamic_equation
+
+import psdl.engine as engine
 
 from psdl import (
     ConfigError,
@@ -328,8 +331,9 @@ def test_memory_per_admitted_job():
 
 def test_path_replay_memory_per_event():
     # perfbench's cli_pipeline simulate scenario (r = 80, about 25k events):
-    # the replay packing its log into typed columns peaked at 108 traced
-    # bytes per event, where a flat six-field list of Python objects took 213
+    # the path put together from the replay's typed blocks peaked at 99
+    # traced bytes per event, its log packed into typed columns at 108, and
+    # a flat six-field list of Python objects at 213
     r = 80.0
     body = {
         "interarrival": {"kind": "exponential", "rate": 1.0 - 0.5 / r},
@@ -351,6 +355,57 @@ def test_path_replay_memory_per_event():
     finally:
         tracemalloc.stop()
     assert len(path) > 20_000
-    assert peak <= 140 * len(path), f"{peak / len(path):.0f} bytes per event"
+    assert peak <= 120 * len(path), f"{peak / len(path):.0f} bytes per event"
     assert path.z.dtype == np.int64 and path.times.dtype == path.s.dtype == np.float64
 
+
+
+def _busy_rate_over_the_path(p) -> float:
+    """The busy-rate check over the whole path, as it was defined before
+    the replay took it a block at a time."""
+    dt = p.times[1:] - p.times[:-1]
+    err = np.abs(p.w_pre[1:] - p.w_post[:-1] + dt)
+    busy = p.z[:-1] >= 1
+    return float(err[busy].max()) if busy.any() else 0.0
+
+
+def _workload_check_over_the_path(out, p) -> float:
+    """The largest gap between W at a snapshot and the exact sum of its residuals."""
+    w = p.w_post[np.array(p.kinds) == "snapshot"]
+    return max((abs(x - math.fsum(m.residuals.tolist())) for x, (_, _, m) in zip(w.tolist(), out.snapshots)), default=0.0)
+
+
+def test_replay_blocks_leave_the_whole_path_checks(monkeypatch):
+    # initial jobs, a first gap, snapshots at 0 and at the horizon and
+    # stretches with the system empty (mean gap 2, mean service 1); event
+    # counts below, at and above one replay block, and the real block size
+    # over more than two blocks with a ragged last one
+    cfg = ScenarioConfig(
+        interarrival=Exponential(0.5),
+        joint=ProductJoint(Exponential(1.0), Uniform(0.0, 2.0)),
+        horizon=5000.0,
+        snapshot_times=(0.0, 0.0, 2500.0, 5000.0),
+        seed=8,
+        initial_jobs=((1.5, -0.5), (0.25, 2.0)),
+        first_interarrival=Deterministic(0.3),
+    )
+    whole = run(cfg).path
+    n = len(whole)
+    assert n > 2 * engine._REPLAY_ROWS and n % engine._REPLAY_ROWS
+    assert 0 in whole.z[1:-1] and whole.kinds.count("snapshot") == 4
+    want = _busy_rate_over_the_path(whole), _workload_check_over_the_path(run(cfg), whole)
+    assert want[0] > 0.0
+    for rows in (1, 7, n // 3, n - 1, n, n + 1, engine._REPLAY_ROWS):
+        monkeypatch.setattr(engine, "_REPLAY_ROWS", rows)
+        checks_first, path_first = run(cfg), run(cfg)
+        assert (busy_rate_check(checks_first), checks_first.workload_check) == want, rows
+        assert "path" not in checks_first.__dict__  # the checks need no path
+        blocks = list(path_first.path_blocks())
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1) and 0 < len(blocks[-1]) <= rows
+        for out in (checks_first, path_first):
+            p = out.path
+            for name in ("times", "z", "w_pre", "w_post", "s"):
+                assert np.array_equal(getattr(p, name), getattr(whole, name)), name
+                assert np.array_equal(np.concatenate([getattr(b, name) for b in blocks]), getattr(whole, name))
+            assert p.kinds == whole.kinds == sum((b.kinds for b in blocks), ())
+            assert (busy_rate_check(out), out.workload_check) == want, rows

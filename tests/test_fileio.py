@@ -88,6 +88,35 @@ def test_column_writer_matches_row_oracle(table):
         assert new.read_bytes() == old.read_bytes()
 
 
+# cut points of row-block partitions of n rows, ``rows`` rows being one
+# write call's cells: 1-row blocks, blocks of exactly one write call with a
+# ragged tail, an empty block and blocks of several write calls, random cuts
+PARTITIONS = {
+    "one-row": lambda n, rows: list(range(n + 1)),
+    "write-block": lambda n, rows: [*range(0, n, rows), n],
+    "long": lambda n, rows: [0, 2 * rows + 5, 2 * rows + 5, n],
+    "random": lambda n, rows: [0, *np.sort(np.random.default_rng(3).integers(0, n, 12)).tolist(), n],
+}
+
+
+@pytest.mark.parametrize("partition", PARTITIONS)
+def test_any_row_block_partition_matches_row_oracle(tmp_path, partition):
+    # a streamed numeric table: an id column within +-2**53 beside float
+    # cells of every kind; 3 write calls and a ragged tail of 4-column rows
+    rows = fileio._BLOCK_CELLS // 4
+    n = 3 * rows + 11
+    rng = np.random.default_rng(11)
+    floats = rng.integers(0, 2**64, (3, n), dtype=np.uint64).view(np.float64)
+    floats[:, ::97] = np.resize(SPECIAL_FLOATS, floats[:, ::97].shape)
+    columns = [rng.integers(-(2**53) + 1, 2**53, n), *floats]
+    cuts = PARTITIONS[partition](n, rows)
+    blocks = ([c[a:b] for c in columns] for a, b in zip(cuts, cuts[1:]))
+    header = ["id", "a", "b", "c"]
+    fileio._write_csv(tmp_path / "new.csv", header, blocks)
+    csv_oracle.write_csv(tmp_path / "old.csv", header, zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
 def test_cells_csv_would_quote_are_rejected(tmp_path, cell):
     # the writer never quotes: a cell csv.writer would quote raises instead
@@ -202,9 +231,17 @@ def test_numeric_tables_reach_the_float_kernel(writer_inputs, tmp_path, monkeypa
     # vectorised formatter writes it rather than the % template
     monkeypatch.setattr(fileio, "_BLOCK_CELLS", WRITER_BLOCK_CELLS)
     calls, write_table = [], floattext.write_table
-    monkeypatch.setattr(floattext, "write_table", lambda *a: calls.append(a) or write_table(*a))
+
+    def spy(fh, blocks, *rest):
+        blocks = list(blocks)
+        calls.append(blocks)
+        write_table(fh, iter(blocks), *rest)
+
+    monkeypatch.setattr(floattext, "write_table", spy)
     getattr(fileio, writer)(*writer_inputs[writer], tmp_path / "out.csv")
     assert len(calls) == 1
+    columns = [c for block in calls[0] for c in block]
+    assert columns and all(isinstance(c, np.ndarray) and c.dtype.kind in "fiu" for c in columns)
 
 
 @pytest.mark.parametrize("cells", [2, 14, 74, 8192])

@@ -22,7 +22,7 @@ def assert_matches_percent(values, negated=True):
     if negated:
         x = np.concatenate([x, -x])
     fh = io.BytesIO()
-    floattext.write_table(fh, [x], 2048, format_value)
+    floattext.write_table(fh, [[x]], 2048, format_value)  # one block of one column
     got = fh.getvalue().decode("ascii").split("\r\n")[:-1]
     want = ["%.17g" % v for v in x.tolist()]
     bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]

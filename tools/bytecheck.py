@@ -18,6 +18,11 @@ one process per tree:
   65,538 values: its last piece is one step long and every write block
   after the first starts inside a piece, and its first value is not 0, as
   it is in every job above;
+* ``EDGE_SCENARIO``, a simulate job with initial jobs, a first gap and
+  snapshots at 0 and at the horizon whose 4,702 events make more than two
+  blocks of the path replay (2,048 events each) with a ragged last one,
+  so that a change to where the streamed path and departures are cut
+  shows in the files;
 * the README's scenario, and its sweep at ``--threads`` 1 and 2.
 
 Both trees read the same config files, written once from HEAD's perfbench
@@ -51,6 +56,19 @@ from compare import _git, export  # noqa: E402
 SEEDS = range(16)
 LONG_RBM_HORIZON = 1500.0
 EDGE_RBM_X0, EDGE_RBM_HORIZON = 0.7, 65.537  # 65,537 steps of dt = 0.001
+EDGE_SCENARIO = {
+    "interarrival": {"kind": "exponential", "rate": 0.9},
+    "first_interarrival": {"kind": "deterministic", "value": 0.25},
+    "joint": {
+        "kind": "product",
+        "service": {"kind": "exponential", "rate": 1.0},
+        "lead": {"kind": "exponential", "rate": 0.1},
+    },
+    "horizon": 2600.0,
+    "snapshot_times": [0.0, 1300.0, 2600.0],
+    "initial_jobs": [[1.5, -0.5], [0.25, 2.0]],
+    "seed": 7,
+}
 
 # runs in each tree: every (output name, argv) job through psdl.cli.main,
 # printing the exit status of each as one JSON object
@@ -91,6 +109,9 @@ def write_jobs(head: Path, cfg_root: Path) -> list[tuple[str, list[str]]]:
     edge_rbm = cfg_root / "rbm_edge.json"
     edge_rbm.write_text(json.dumps(body))
     jobs.append(("edge/rbm", ["rbm", "--config", str(edge_rbm)]))
+    edge_simulate = cfg_root / "simulate_edge.json"
+    edge_simulate.write_text(json.dumps({"schema_version": 1, "scenario": EDGE_SCENARIO}))
+    jobs.append(("edge/simulate", ["simulate", "--config", str(edge_simulate)]))
     for i, text in enumerate(re.findall(r"```json\n(.*?)```", (head / "README.md").read_text(), re.S)):
         path = cfg_root / f"readme{i}.json"
         path.write_text(text)

@@ -9,9 +9,10 @@ minimum), one _PIECE-step piece at a time, with the running sum S
 restarted at each piece and the last value x the only state carried into
 the next.  ``simulate`` returns an ``RBMPath`` that draws its pieces from
 the seed on demand, so a reader taking them in turn, as the CSV writer
-does, holds one piece, not the path.  The time average is summed as the
-pieces arrive, in the order of numpy's pairwise sum, so it equals the
-path's ``mean()`` to the bit.  For negative drift the stationary law is
+does, holds one piece, not the path.  The time average is taken as the
+pieces arrive: numpy sums each piece, and the exactly rounded sum
+(``math.fsum``) of those piece sums, divided by the count of values, is
+the average.  For negative drift the stationary law is
 exponential with rate 2 |drift| / variance, which gives closed-form CDF
 and quantiles; the quantile doubles as a deadline rule: the level the
 stationary queue stays below with the requested probability.
@@ -31,7 +32,6 @@ from .errors import ConfigError, SimulationError
 __all__ = ["RBMSpec", "RBMPath", "simulate", "stationary_cdf", "deadline_quantile"]
 
 _PIECE = 65_536  # steps per piece; the running sum S restarts at each
-_LEAF = 128  # numpy's pairwise sum adds up to this many values in one loop
 _MAX_FLOATS = 2.0**60  # fewer float64s stay below numpy's 2**63-byte array limit
 
 
@@ -65,7 +65,9 @@ class RBMSpec:
 class RBMPath:
     """X_k at time k dt, k <= steps: x0, then the Lindley pieces of the
     increments mu + scale N_k, N_k the seed's standard normals.  pieces()
-    draws it; values and time_average (its mean()) each come from a draw."""
+    draws it; values and time_average each come from a draw.  The time
+    average is math.fsum of x0 and each later piece's np.add.reduce sum,
+    over steps + 1."""
 
     dt: float
     steps: int
@@ -80,10 +82,10 @@ class RBMPath:
         before it is yielded; the time average is checked, and cached as
         time_average, before the last one is."""
         size, n = _PIECE, self.steps + 1
-        rng, low, total = np.random.default_rng(self.seed), np.empty(min(size, self.steps)), _PairwiseSum(n, size)
+        rng, low = np.random.default_rng(self.seed), np.empty(min(size, self.steps))
         s = np.empty(1) if out is None else out[:1]
         s[0] = self.x0
-        total.add(s)
+        sums = [float(s[0])]
         for pos in range(1, n, size):
             yield s
             end = min(pos + size, n)  # the stream of standard_normal(steps)
@@ -94,10 +96,13 @@ class RBMPath:
                 np.cumsum(s, out=s)
                 run = np.minimum.accumulate(s, out=low[: s.size])
                 s += np.maximum(x, np.negative(run, out=run), out=run)
-                total.add(s)
+                sums.append(float(np.add.reduce(s)))
             if not np.isfinite(s).all():
                 raise SimulationError(f"the path leaves the float range past step {pos - 1}")
-        average = float(total.sum / n)
+        try:
+            average = math.fsum(sums) / n
+        except OverflowError:  # finite piece sums whose total is not
+            average = math.inf
         if not math.isfinite(average):
             raise SimulationError(f"the path's time average leaves the float range: mean {average}")
         self.__dict__["time_average"] = average
@@ -115,38 +120,6 @@ class RBMPath:
         for _ in self.pieces():
             pass
         return self.__dict__["time_average"]
-
-
-class _PairwiseSum:
-    """numpy's pairwise sum of n values added in order, value 0 alone and
-    then pieces of ``size`` values: ``sum``, once the last is added."""
-
-    def __init__(self, n: int, size: int):
-        self.tree, self.held, self.pos = _tree(0, n, size), np.empty(0), 0  # held: the last values added, a leaf's worth
-        self.node = next(self.tree)
-
-    def add(self, piece: np.ndarray) -> None:
-        (lo, hi), pos, self.pos = self.node, self.pos, self.pos + piece.size
-        while hi <= self.pos:  # a node this piece completes
-            part = piece[lo - pos : hi - pos] if lo >= pos else np.concatenate([self.held[lo - pos :], piece[: hi - pos]])
-            try:
-                lo, hi = self.node = self.tree.send(np.add.reduce(part, initial=0.0))
-            except StopIteration as done:
-                self.sum = done.value
-                break
-        self.held = np.concatenate([self.held, piece[-_LEAF:]])[-_LEAF:]
-
-
-def _tree(lo: int, hi: int, size: int):
-    """numpy's pairwise sum of values[lo:hi], which halves a range of over
-    _LEAF values at a multiple of 8, as a coroutine: it yields the (lo, hi)
-    of each node one reduce call sums, a leaf or a node inside one piece,
-    left to right, is sent that node's sum, and returns the total."""
-    if hi - lo <= _LEAF or (lo - 1) // size == (hi - 2) // size:  # value 0 is a piece of its own
-        return (yield lo, hi)
-    half = (hi - lo) // 2
-    mid = lo + half - half % 8
-    return (yield from _tree(lo, mid, size)) + (yield from _tree(mid, hi, size))
 
 
 def simulate(spec: RBMSpec, horizon: float, dt: float, seed: int) -> RBMPath:

@@ -754,10 +754,14 @@ RBM_OUT_OF_RANGE = [
     ({"drift": 1e303, "variance": 1.0, "horizon": 1000.0, "dt": 1.0}, 3, "runtime error"),
     # the path values themselves overflow partway
     ({"drift": 1e306, "variance": 1.0, "horizon": 1000.0, "dt": 1.0}, 3, "runtime error"),
+    # two full pieces: each piece sum is finite, their total is not
+    ({"drift": 2.5e298, "variance": 1.0, "horizon": 131072.0, "dt": 1.0}, 3, "runtime error"),
 ]
 
 
-@pytest.mark.parametrize("body, code, prefix", RBM_OUT_OF_RANGE, ids=["step", "average", "path"])
+@pytest.mark.parametrize(
+    "body, code, prefix", RBM_OUT_OF_RANGE, ids=["step", "average", "path", "average-across-pieces"]
+)
 def test_rbm_out_of_float_range(tmp_path, capsys, body, code, prefix):
     cfg = write_config(tmp_path, {"schema_version": 1, "rbm": body})
     out = tmp_path / "out"

@@ -1,11 +1,19 @@
 """Reflected random walk: blockwise recursion, stationary law, quantiles."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from psdl import ConfigError, RBMSpec, deadline_quantile, simulate, stationary_cdf
+
+
+def piece_average(values, piece):
+    # the time average's definition: value 0 alone, then runs of `piece`
+    # values, each summed by numpy, their sums added exactly, over the count
+    edges = [(0, 1), *((pos, pos + piece) for pos in range(1, values.size, piece))]
+    return math.fsum(float(np.add.reduce(values[lo:hi])) for lo, hi in edges) / values.size
 
 
 def test_spec_validation():
@@ -54,7 +62,7 @@ def test_time_average_long_run():
     spec = RBMSpec(drift=-1.0, variance=2.0)
     path = simulate(spec, 5000.0, 1e-2, 11)
     assert path.time_average == pytest.approx(1.0, rel=0.15)  # mean = var / (2|drift|)
-    assert path.time_average == path.values.mean()
+    assert path.time_average == piece_average(path.values, 65_536)
 
 
 def test_stationary_cdf_and_quantile_round_trip():
@@ -94,7 +102,7 @@ def test_in_place_pieces_equal_the_piece_expression(monkeypatch):
         monkeypatch.setattr(rbm_mod, "_PIECE", piece)
         path = rbm_mod.simulate(spec, horizon, dt, seed)
         np.testing.assert_array_equal(path.values, np.concatenate(pieces), err_msg=f"_PIECE = {piece}")
-        assert path.time_average == path.values.mean()
+        assert path.time_average == piece_average(path.values, piece)
 
 
 @pytest.mark.parametrize("steps", [1000, 65_536])
@@ -154,19 +162,17 @@ MEAN_LENGTHS = (1, 2, 7, 8, 9, 128, 129, 130, 256, 257, 65_537, 65_538, 131_073,
 
 
 @pytest.mark.parametrize("piece", [5, 37, 64, 65_536])
-def test_streamed_sum_is_numpys_pairwise_sum(piece):
-    # the sum the time average divides, taken node by node over numpy's
-    # pairwise tree as value 0 and then pieces arrive, must be np.mean's to
-    # the bit; a numpy that sums in another order fails here
-    from psdl.rbm import _PairwiseSum
+def test_time_average_is_near_the_exactly_rounded_mean(monkeypatch, piece):
+    # against the exactly rounded mean of the path's values; the largest
+    # relative error over these lengths and seeds 0-3 read 3.0e-16, at
+    # pieces of 5
+    import psdl.rbm as rbm_mod
 
-    rng = np.random.default_rng(piece)
+    monkeypatch.setattr(rbm_mod, "_PIECE", piece)
     for n in MEAN_LENGTHS if piece == 65_536 else MEAN_LENGTHS[:-1]:
-        v = rng.exponential(size=n)
-        total = _PairwiseSum(n, piece)
-        for lo, hi in [(0, 1), *((pos, pos + piece) for pos in range(1, n, piece))]:
-            total.add(v[lo:hi])
-        assert total.sum / n == v.mean(), f"{n} values in pieces of {piece}"
+        path = rbm_mod.RBMPath(dt=1e-3, steps=n - 1, x0=0.7, mu=-0.5e-3, scale=math.sqrt(2e-3), seed=piece)
+        exact = math.fsum(path.values.tolist()) / n
+        assert abs(path.time_average - exact) <= 1e-15 * exact, f"{n} values in pieces of {piece}"
 
 
 @pytest.mark.parametrize("piece", [5, 37, 64])
@@ -177,5 +183,12 @@ def test_time_average_with_pieces_shorter_than_a_leaf(monkeypatch, piece):
     for steps in (1, 6, 127, 128, 129, 1000):
         path = rbm_mod.simulate(RBMSpec(-0.5, 2.0, 0.7), steps * 2.0**-10, 2.0**-10, 3)
         assert path.steps == steps
-        assert path.time_average == path.values.mean()
+        assert path.time_average == piece_average(path.values, piece)
 
+
+def test_time_average_bits_do_not_depend_on_the_python_version():
+    # cli_pipeline's full-size rbm config at its seed 3: 1e6 steps in 16
+    # pieces, whose piece sums added left to right (a running +=, or the
+    # builtin sum before Python 3.12) round to a different average
+    path = simulate(RBMSpec(drift=-0.5, variance=2.0), 1000.0, 0.001, 20260818)
+    assert path.time_average == float.fromhex("0x1.321a8c709b4a4p+1")
